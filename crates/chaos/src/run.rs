@@ -100,12 +100,15 @@ pub fn run_point(point: &ChaosPoint) -> RunOutcome {
         }
         PathSpec::Infer(p) => {
             use cllm_infer::generate::Sampling;
+            use cllm_infer::kernels::PanelMatrix;
             use cllm_infer::model::{Linear, TinyModel};
 
             let mut target = TinyModel::init(&p.config(), p.model_seed);
             if p.plant_nan_lm_head {
                 if let Linear::F32(m) = &mut target.lm_head {
-                    m.set(0, 0, f32::NAN);
+                    let mut planted = m.unpack();
+                    planted.set(0, 0, f32::NAN);
+                    *m = PanelMatrix::pack(&planted);
                 }
             }
             let draft = target.quantized();

@@ -3,6 +3,7 @@
 //! decode-relevant shapes, to localize time between the dot kernels
 //! and the rest of the forward pass.
 
+use cllm_infer::kernels::PanelMatrix;
 use cllm_infer::quant::{Quant4Matrix, QuantMatrix};
 use cllm_infer::tensor::Matrix;
 use std::time::Instant;
@@ -19,13 +20,14 @@ fn mat(rows: usize, cols: usize, seed: u32) -> Matrix {
 fn main() {
     for &(rows, cols) in &[(512usize, 512usize), (1408, 512), (512, 1408), (2048, 512)] {
         let w = mat(rows, cols, 1);
+        let packed = PanelMatrix::pack(&w);
         let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.3).sin()).collect();
         let mut out = vec![0.0f32; rows];
         let reps = 2_000_000_000 / (rows * cols).max(1);
 
         let t0 = Instant::now();
         for _ in 0..reps {
-            cllm_infer::kernels::gemv_tiled(&x, &w, &mut out);
+            cllm_infer::kernels::gemv_tiled(&x, &packed, &mut out);
             std::hint::black_box(&out);
         }
         let tiled = t0.elapsed().as_secs_f64();
@@ -65,7 +67,7 @@ fn main() {
     }
 
     // Batched: gemm over 32 inputs, weight rows reused across the batch.
-    let w = mat(1408, 512, 2);
+    let w = PanelMatrix::pack(&mat(1408, 512, 2));
     let xs = mat(32, 512, 3);
     let mut out = Matrix::zeros(32, 1408);
     let reps = 40;

@@ -1,150 +1,293 @@
-//! Compute kernels: matmul (naive + tiled + batched), RMSNorm, softmax,
-//! SiLU, RoPE.
+//! Compute kernels: matmul (scalar reference + panel kernels), RMSNorm,
+//! softmax, SiLU, RoPE.
 //!
 //! Two matmul families live here:
 //!
-//! * [`gemv`] — the original scalar reference kernel: one chained
-//!   accumulator per output row. The chain serializes every add behind
-//!   the previous one, so the compiler cannot vectorize it; it runs at
-//!   FP-add latency, far below memory bandwidth. Kept as the correctness
-//!   oracle and the "naive" baseline in `bench_infer`.
-//! * [`gemv_tiled`] / [`gemm`] — the production path: both reduce each
-//!   `(output row, input row)` pair with the same `dot_lanes` routine
-//!   ([`LANES`] independent partial sums + a fixed pairwise reduction),
-//!   which the compiler auto-vectorizes. Because the per-pair summation
-//!   order is byte-for-byte shared, batched/chunked forwards built on
-//!   `gemm` are **bit-identical** to single-token forwards built on
-//!   `gemv_tiled`. Versus `gemv` the sum is reassociated, so results may
-//!   differ from the naive kernel by float rounding; the property suite
+//! * [`gemv`] — the scalar **reference** kernel: one chained
+//!   accumulator per output row over a row-major [`Matrix`]. Kept as the
+//!   correctness oracle and the "naive" baseline in `bench_infer`.
+//! * [`gemv_tiled`] / [`gemm`] — the production path over a
+//!   [`PanelMatrix`], whose weights are interleaved in panels of
+//!   [`PANEL`] output rows: for each input column, the panel's rows sit
+//!   side by side, one per f32 lane of a 512-bit vector. Every output is
+//!   then a **single sequential FMA chain** over the input dimension
+//!   (`acc = x[c].mul_add(w[r][c], acc)` for `c = 0, 1, ..`), with the
+//!   panel's rows advancing together in the lanes of one accumulator.
+//!   Nothing is reduced horizontally. Blocking only decides how many
+//!   panels and input rows run at once — it never changes which chain
+//!   an output belongs to or the order along it — so `gemm` over a
+//!   batch is **bit-identical** to `gemv_tiled` per input row, and the
+//!   fused int8/int4 kernels in [`crate::quant`] share the same tiling
+//!   routine and order. Versus [`gemv`] each product is fused into its add
+//!   instead of rounded separately, so results may differ from the
+//!   naive kernel by float rounding; the property suite
 //!   (`tests/prop_kernels.rs`) pins that drift to ≤1e-5 relative error.
+//!
+//! A tile of `R` input rows × `P` panels keeps its `R·P` accumulators in
+//! vector registers for the whole input dimension: each input column
+//! costs `P` weight-vector loads, `R` broadcasts and `R·P` FMAs, and the
+//! `R·P` independent chains hide the FMA latency.
 
 use crate::tensor::Matrix;
 
-/// Independent accumulator lanes in `dot_lanes`. Sixty-four f32 lanes
-/// give the compiler eight independent 8-wide (or four 16-wide) vector
-/// FMA chains — enough to hide FMA latency and saturate the load ports.
-/// A single vector register's worth of lanes would collapse back into
-/// one chain and run at FP-add latency instead of FMA throughput; more
-/// than one row's worth of 64-lane accumulators (e.g. a paired-row
-/// kernel) overflows the vector register file and spills the hot loop
-/// to the stack, which measures *slower* than single-row reduction.
-pub const LANES: usize = 64;
+/// Output rows per weight panel (and positions per K block of the KV
+/// cache): the f32 lanes of one 512-bit vector.
+pub const PANEL: usize = 16;
 
-/// Lane-parallel dot product with a fixed reduction order.
+/// One vector of panel lanes: lane `j` belongs to output row `j` of
+/// its panel.
+pub(crate) type Lanes = [f32; PANEL];
+
+/// Input rows per tile in the batched kernels. With [`PANELS_PER_TILE`]
+/// this gives 16 accumulator vectors: half the AVX-512 register file,
+/// leaving room for the weight vectors and broadcasts.
+const ROWS_PER_TILE: usize = 4;
+
+/// Panels per tile: four independent FMA chains even for a single input
+/// row (decode), enough to cover the FMA latency on two ports.
+const PANELS_PER_TILE: usize = 4;
+
+/// Interleave a `rows x cols` grid of values into panels of [`PANEL`]
+/// rows: element `p * cols + c` holds lane `j` = value `(p * PANEL + j,
+/// c)`. Lanes past `rows` in the last panel hold `T::default()`.
+pub(crate) fn interleave<T: Copy + Default>(
+    rows: usize,
+    cols: usize,
+    value: impl Fn(usize, usize) -> T,
+) -> Vec<[T; PANEL]> {
+    let mut out = Vec::with_capacity(rows.div_ceil(PANEL) * cols);
+    for p in 0..rows.div_ceil(PANEL) {
+        for c in 0..cols {
+            out.push(std::array::from_fn(|j| {
+                let r = p * PANEL + j;
+                if r < rows {
+                    value(r, c)
+                } else {
+                    T::default()
+                }
+            }));
+        }
+    }
+    out
+}
+
+/// Advance every chain of a tile by one input column: `acc[r][i][j] =
+/// x[r] * w[i][j] + acc[r][i][j]`, one rounding. The only place a panel
+/// kernel touches an accumulator, so every weight format sums in the
+/// same order.
+#[inline(always)]
+pub(crate) fn fma_column<const R: usize, const P: usize>(
+    acc: &mut [[Lanes; P]; R],
+    x: [f32; R],
+    w: &[Lanes; P],
+) {
+    for (acc, x) in acc.iter_mut().zip(x) {
+        for (lanes, w) in acc.iter_mut().zip(w) {
+            for (a, w) in lanes.iter_mut().zip(w) {
+                *a = x.mul_add(*w, *a);
+            }
+        }
+    }
+}
+
+/// Element `i` of each of `N` runs: an input column across a tile's
+/// rows, or a column (or group scale) across its panels.
 ///
-/// Element `i` always lands in lane `i % LANES` (the tail continues the
-/// same interleave), and lanes reduce with the fixed halving-fold tree
-/// of `reduce_lanes`. Keeping this order fixed is what makes every
-/// tiled/batched kernel bit-identical to every other: they all call
-/// this one routine per (row, input) pair.
+/// The hot loops build their small arrays with plain loops rather than
+/// `std::array::from_fn`, whose closure calls the compiler does not
+/// reliably inline.
 #[inline(always)]
-pub(crate) fn dot_lanes(x: &[f32], w: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), w.len());
-    let mut lanes = [0.0f32; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    let mut wc = w.chunks_exact(LANES);
-    for (xs, ws) in (&mut xc).zip(&mut wc) {
-        // Fixed-size views (always exact from `chunks_exact`): the
-        // compiler sees the extent and drops per-element bounds checks.
-        let xs: &[f32; LANES] = xs.try_into().expect("lane block");
-        let ws: &[f32; LANES] = ws.try_into().expect("lane block");
-        for l in 0..LANES {
-            // Explicit fused multiply-add: one rounding per element and
-            // half the FP ops of mul+add. Rust never contracts
-            // implicitly, so this is the only way to reach the FMA
-            // units the roofline model assumes.
-            lanes[l] = xs[l].mul_add(ws[l], lanes[l]);
-        }
+pub(crate) fn gather<T: Copy + Default, const N: usize>(runs: &[&[T]; N], i: usize) -> [T; N] {
+    let mut out = [T::default(); N];
+    for (o, run) in out.iter_mut().zip(runs) {
+        *o = run[i];
     }
-    // Ragged tail: stage the products in a scratch block, then fold
-    // them in with constant lane indices. A dynamically-indexed write
-    // into `lanes` anywhere in this function would spill the whole
-    // accumulator array to the stack and serialize the hot loop above.
-    let (xr, wr) = (xc.remainder(), wc.remainder());
-    if !xr.is_empty() {
-        let mut tail = [0.0f32; LANES];
-        for ((t, xi), wi) in tail.iter_mut().zip(xr).zip(wr) {
-            *t = xi * wi;
-        }
-        merge_tail(&mut lanes, &tail, xr.len());
-    }
-    reduce_lanes(&lanes)
+    out
 }
 
-/// Fold a staged tail block into the lane accumulators. Only the first
-/// `n` entries are live; the guard (rather than a `0..n` bound) keeps
-/// every index constant so the accumulators stay in registers.
+/// `N` consecutive runs of `len` elements of `data`, from run `first`:
+/// the per-panel views a tile slices once, before its column loop, so
+/// the loop runs without bounds checks.
 #[inline(always)]
-pub(crate) fn merge_tail(lanes: &mut [f32; LANES], tail: &[f32; LANES], n: usize) {
-    for l in 0..LANES {
-        if l < n {
-            lanes[l] += tail[l];
+pub(crate) fn runs<T, const N: usize>(data: &[T], first: usize, len: usize) -> [&[T]; N] {
+    let mut out = [&data[..0]; N];
+    for (i, run) in out.iter_mut().enumerate() {
+        *run = &data[(first + i) * len..][..len];
+    }
+    out
+}
+
+/// A weight format stored as panels of [`PANEL`] output rows.
+pub(crate) trait Panels {
+    /// `(rows, cols)`: outputs and inputs.
+    fn shape(&self) -> (usize, usize);
+
+    /// Run `P` panels, starting at panel `first`, against `R` input rows
+    /// of exactly `cols` elements: one [`fma_column`] per input column,
+    /// in column order, from zeroed accumulators.
+    fn accumulate<const R: usize, const P: usize>(
+        &self,
+        first: usize,
+        xs: [&[f32]; R],
+    ) -> [[Lanes; P]; R];
+}
+
+/// `out[b] = xs[b] · W^T` for the `n` input rows packed in `xs` (row `b`
+/// at `xs[b * cols..]`, output row `b` at `out[b * rows..]`): the one
+/// routine behind every panel format. Panels are the outer loop, so a
+/// tile's weights stay in L1 while the input rows stream past them.
+pub(crate) fn panel_matmul<F: Panels>(w: &F, n: usize, xs: &[f32], out: &mut [f32]) {
+    let (rows, cols) = w.shape();
+    assert_eq!(xs.len(), n * cols, "matmul input dim");
+    assert_eq!(out.len(), n * rows, "matmul output dim");
+    let panels = rows.div_ceil(PANEL);
+    let mut p = 0;
+    while p + PANELS_PER_TILE <= panels {
+        panel_rows::<F, PANELS_PER_TILE>(w, p, n, xs, out);
+        p += PANELS_PER_TILE;
+    }
+    for p in p..panels {
+        panel_rows::<F, 1>(w, p, n, xs, out);
+    }
+}
+
+/// Panels `first..first + P` against every input row.
+fn panel_rows<F: Panels, const P: usize>(
+    w: &F,
+    first: usize,
+    n: usize,
+    xs: &[f32],
+    out: &mut [f32],
+) {
+    let mut b = 0;
+    while b + ROWS_PER_TILE <= n {
+        tile::<F, ROWS_PER_TILE, P>(w, first, b, xs, out);
+        b += ROWS_PER_TILE;
+    }
+    for b in b..n {
+        tile::<F, 1, P>(w, first, b, xs, out);
+    }
+}
+
+/// One tile: input rows `b..b + R` against panels `first..first + P`,
+/// written to the outputs those panels cover.
+#[inline(always)]
+fn tile<F: Panels, const R: usize, const P: usize>(
+    w: &F,
+    first: usize,
+    b: usize,
+    xs: &[f32],
+    out: &mut [f32],
+) {
+    let (rows, cols) = w.shape();
+    let acc = w.accumulate::<R, P>(first, runs(xs, b, cols));
+    for (r, acc) in acc.iter().enumerate() {
+        let out = &mut out[(b + r) * rows..][..rows];
+        for (i, lanes) in acc.iter().enumerate() {
+            let start = (first + i) * PANEL;
+            let live = PANEL.min(rows - start);
+            out[start..start + live].copy_from_slice(&lanes[..live]);
         }
     }
 }
 
-/// Fixed tree reduction of the lane accumulators by halving folds:
-/// `buf[i] += buf[i + width]` for `width = 32, 16, .., 1`. Both
-/// operands of every level are contiguous runs, so each level is a
-/// plain vector add (a stride-2 pairwise tree would reduce scalarly).
-/// Cold epilogue, one call per (row, input) pair.
-#[inline(always)]
-pub(crate) fn reduce_lanes(lanes: &[f32; LANES]) -> f32 {
-    let mut buf = *lanes;
-    let mut width = LANES;
-    while width > 1 {
-        width /= 2;
-        for i in 0..width {
-            buf[i] += buf[i + width];
-        }
-    }
-    buf[0]
+/// A full-precision weight matrix (`rows` outputs x `cols` inputs, the
+/// same orientation as [`Matrix`]) interleaved in panels of [`PANEL`]
+/// output rows, packed once when the model is built or loaded. The last
+/// panel is zero-padded to a full [`PANEL`] rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PanelMatrix {
+    rows: usize,
+    cols: usize,
+    /// `data[p * cols + c][j]` = weight of output row `p * PANEL + j`
+    /// at input column `c`.
+    data: Vec<Lanes>,
 }
 
-/// Output rows walked per tile in [`gemv_tiled`]: a small block of
-/// weight rows reduces back-to-back against the same (cache-hot) input
-/// vector before moving on, keeping the input resident in L1 while the
-/// weight stream provides all the memory traffic.
-pub const TILE_ROWS: usize = 4;
+impl PanelMatrix {
+    /// Pack a row-major matrix.
+    #[must_use]
+    pub fn pack(m: &Matrix) -> Self {
+        PanelMatrix {
+            rows: m.rows,
+            cols: m.cols,
+            data: interleave(m.rows, m.cols, |r, c| m.get(r, c)),
+        }
+    }
 
-/// Tiled `out = x · w^T`: same contract as [`gemv`], but weight rows are
-/// walked in [`TILE_ROWS`] blocks and each row reduces in the
-/// `dot_lanes` order. This is the kernel behind `Linear::F32`.
+    /// The row-major matrix this was packed from.
+    #[must_use]
+    pub fn unpack(&self) -> Matrix {
+        let mut m = Matrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                m.set(r, c, self.data[(r / PANEL) * self.cols + c][r % PANEL]);
+            }
+        }
+        m
+    }
+
+    /// Output rows.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Input columns.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+}
+
+impl Panels for PanelMatrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    #[inline(always)]
+    fn accumulate<const R: usize, const P: usize>(
+        &self,
+        first: usize,
+        xs: [&[f32]; R],
+    ) -> [[Lanes; P]; R] {
+        let cols = self.cols;
+        let panels: [&[Lanes]; P] = runs(&self.data, first, cols);
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for c in 0..cols {
+            fma_column(&mut acc, gather(&xs, c), &gather(&panels, c));
+        }
+        acc
+    }
+}
+
+/// Panel `out = x · w^T`: same contract as [`gemv`], one sequential FMA
+/// chain per output. This is the kernel behind `Linear::F32`.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn gemv_tiled(x: &[f32], w: &Matrix, out: &mut [f32]) {
+pub fn gemv_tiled(x: &[f32], w: &PanelMatrix, out: &mut [f32]) {
     assert_eq!(x.len(), w.cols, "gemv input dim");
     assert_eq!(out.len(), w.rows, "gemv output dim");
-    for (t, block) in out.chunks_mut(TILE_ROWS).enumerate() {
-        let base = t * TILE_ROWS;
-        for (i, o) in block.iter_mut().enumerate() {
-            *o = dot_lanes(x, w.row(base + i));
-        }
-    }
+    panel_matmul(w, 1, x, out);
 }
 
-/// Cache-blocked batched matmul: `out[b] = xs[b] · w^T` for every input
-/// row `b`. The outer loop walks weight rows so each row of `w` is
-/// streamed from memory once and reused across the whole batch from
-/// cache — the weight-traffic amortization that batched decode buys.
-/// Every `(row, input)` pair reduces in the `dot_lanes` order, so
-/// `gemm` over a batch is bit-identical to [`gemv_tiled`] per input row.
+/// Batched panel matmul: `out[b] = xs[b] · w^T` for every input row
+/// `b`. Each tile of panels stays in L1 while the whole batch streams
+/// past it — the weight-traffic amortization that batched decode and
+/// chunked prefill buy. Every output is the same FMA chain
+/// [`gemv_tiled`] computes, so `gemm` over a batch is bit-identical to
+/// [`gemv_tiled`] per input row.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn gemm(xs: &Matrix, w: &Matrix, out: &mut Matrix) {
+pub fn gemm(xs: &Matrix, w: &PanelMatrix, out: &mut Matrix) {
     assert_eq!(xs.cols, w.cols, "gemm input dim");
     assert_eq!(out.rows, xs.rows, "gemm batch dim");
     assert_eq!(out.cols, w.rows, "gemm output dim");
-    for r in 0..w.rows {
-        let wr = w.row(r);
-        for b in 0..xs.rows {
-            out.row_mut(b)[r] = dot_lanes(xs.row(b), wr);
-        }
-    }
+    panel_matmul(w, xs.rows, xs.as_slice(), out.as_mut_slice());
 }
 
 /// `out = x · w^T` for a single input row `x` (`1 x in`), with `w` stored
@@ -345,14 +488,13 @@ mod tests {
 
     #[test]
     fn tiled_gemv_tracks_naive() {
-        // 13 cols: not a multiple of LANES; 6 rows: not a multiple of
-        // TILE_ROWS.
-        let w = Matrix::from_vec(6, 13, (0..78).map(|i| (i as f32 * 0.713).sin()).collect());
+        // 13 cols; 19 rows: one full panel plus a ragged one.
+        let w = Matrix::from_vec(19, 13, (0..247).map(|i| (i as f32 * 0.713).sin()).collect());
         let x: Vec<f32> = (0..13).map(|i| (i as f32 * 0.29).cos()).collect();
-        let mut naive = vec![0.0; 6];
+        let mut naive = vec![0.0; 19];
         gemv(&x, &w, &mut naive);
-        let mut tiled = vec![0.0; 6];
-        gemv_tiled(&x, &w, &mut tiled);
+        let mut tiled = vec![0.0; 19];
+        gemv_tiled(&x, &PanelMatrix::pack(&w), &mut tiled);
         for (n, t) in naive.iter().zip(&tiled) {
             assert!(
                 (n - t).abs() <= 1e-5 * n.abs().max(1.0),
@@ -362,13 +504,24 @@ mod tests {
     }
 
     #[test]
+    fn pack_unpack_roundtrip() {
+        let w = Matrix::from_vec(17, 3, (0..51).map(|i| i as f32).collect());
+        let p = PanelMatrix::pack(&w);
+        assert_eq!((p.rows(), p.cols()), (17, 3));
+        assert_eq!(p.unpack(), w);
+    }
+
+    #[test]
     fn gemm_rows_bit_identical_to_tiled_gemv() {
-        let w = Matrix::from_vec(5, 19, (0..95).map(|i| (i as f32 * 0.37).sin()).collect());
-        let xs = Matrix::from_vec(3, 19, (0..57).map(|i| (i as f32 * 0.11).cos()).collect());
-        let mut out = Matrix::zeros(3, 5);
+        // 5 batch rows: one 4-row tile plus a single row; 70 weight rows:
+        // one 4-panel tile plus a ragged single panel.
+        let w = Matrix::from_vec(70, 19, (0..1330).map(|i| (i as f32 * 0.37).sin()).collect());
+        let xs = Matrix::from_vec(5, 19, (0..95).map(|i| (i as f32 * 0.11).cos()).collect());
+        let w = PanelMatrix::pack(&w);
+        let mut out = Matrix::zeros(5, 70);
         gemm(&xs, &w, &mut out);
-        for b in 0..3 {
-            let mut single = vec![0.0; 5];
+        for b in 0..5 {
+            let mut single = vec![0.0; 70];
             gemv_tiled(xs.row(b), &w, &mut single);
             assert_eq!(out.row(b), &single[..], "batch row {b} diverged");
         }
@@ -376,18 +529,18 @@ mod tests {
 
     #[test]
     fn tiled_kernels_handle_empty_and_tiny_shapes() {
-        let w = Matrix::zeros(0, 7);
+        let w = PanelMatrix::pack(&Matrix::zeros(0, 7));
         let x = vec![1.0; 7];
         let mut out: Vec<f32> = Vec::new();
         gemv_tiled(&x, &w, &mut out);
         assert!(out.is_empty());
 
-        let w1 = Matrix::from_vec(1, 1, vec![2.5]);
+        let w1 = PanelMatrix::pack(&Matrix::from_vec(1, 1, vec![2.5]));
         let mut o1 = [0.0];
         gemv_tiled(&[4.0], &w1, &mut o1);
         assert_eq!(o1[0], 10.0);
 
-        let we = Matrix::zeros(3, 0);
+        let we = PanelMatrix::pack(&Matrix::zeros(3, 0));
         let xe: Vec<f32> = Vec::new();
         let mut oe = [9.0; 3];
         gemv_tiled(&xe, &we, &mut oe);
@@ -396,7 +549,7 @@ mod tests {
         let mut empty_batch = Matrix::zeros(0, 4);
         gemm(
             &Matrix::zeros(0, 7),
-            &Matrix::from_vec(4, 7, vec![1.0; 28]),
+            &PanelMatrix::pack(&Matrix::from_vec(4, 7, vec![1.0; 28])),
             &mut empty_batch,
         );
         assert_eq!(empty_batch.rows, 0);

@@ -9,16 +9,18 @@
 //! It implements, from scratch:
 //!
 //! * [`tensor`] — a minimal row-major f32 tensor.
-//! * [`kernels`] — tiled/blocked matmul (lane-parallel GEMV, batched
-//!   GEMM, plus the scalar reference kernel), RMSNorm, softmax, SiLU,
-//!   rotary position embeddings, and the attention primitive.
-//! * [`quant`] — group-wise int8 and packed int4 weight quantization
-//!   with fused dequant kernels and f32 accumulation, mirroring the
-//!   paper's quantized deployments.
+//! * [`kernels`] — panel matmul (weights interleaved in panels of 16
+//!   output rows; GEMV and batched GEMM on one register-tiled routine, plus
+//!   the scalar reference kernel), RMSNorm, softmax, SiLU and rotary
+//!   position embeddings.
+//! * [`quant`] — group-wise int8 and packed int4 weight quantization in
+//!   the same panel layout, with fused dequant kernels and f32
+//!   accumulation, mirroring the paper's quantized deployments.
 //! * [`model`] — a Llama-architecture decoder (RMSNorm → QKV → RoPE →
-//!   attention with KV cache → gated SiLU MLP) at any size; deterministic
-//!   weight initialization for reproducible tests; single-token, chunked
-//!   and batched forwards that are bit-identical per token.
+//!   attention over a KV cache with blocked keys → gated SiLU MLP) at any
+//!   size; deterministic weight initialization for reproducible tests;
+//!   single-token, chunked and batched forwards that are bit-identical per
+//!   token.
 //! * [`tokenizer`] — byte-level tokenizer with trainable BPE merges.
 //! * [`generate`] — greedy and temperature sampling loops.
 //! * [`speculative`] — draft-k/verify/accept-prefix speculative decoding,

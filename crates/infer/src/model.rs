@@ -1,8 +1,8 @@
 //! A Llama-architecture decoder at arbitrary (tiny) scale.
 //!
 //! Decode has three entry points that are **bit-identical** per token
-//! (they all reduce every `(weight row, input row)` pair with the same
-//! lane-parallel dot product):
+//! (every output of every weight format is one sequential FMA chain over
+//! the input dimension, however the panel kernels tile the batch):
 //!
 //! * [`TinyModel::forward`] — one token, one sequence (a 1-token chunk).
 //! * [`TinyModel::forward_chunk`] — `n` consecutive tokens of one
@@ -12,8 +12,13 @@
 //! * [`TinyModel::forward_batch`] — one token each for `B` independent
 //!   sequences (continuous batching); weights stream once per step
 //!   across the whole batch.
+//!
+//! Attention reads a [`KvCache`] whose keys are stored transposed in
+//! blocks of [`PANEL`] positions: the scores of a block's keys are one
+//! FMA chain over the head dimension, one key per vector lane. Values
+//! stay row-major and are summed with an FMA chain over positions.
 
-use crate::kernels::{gemm, gemv, gemv_tiled, rmsnorm, rope, softmax};
+use crate::kernels::{gemm, gemv, gemv_tiled, rmsnorm, rope, softmax, Lanes, PanelMatrix, PANEL};
 use crate::quant::{Quant4Matrix, QuantMatrix};
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -75,8 +80,9 @@ impl TinyConfig {
 /// A linear layer in one of four weight formats.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Linear {
-    /// Full-precision weights on the tiled kernel path (the default).
-    F32(Matrix),
+    /// Full-precision weights in panels on the tiled kernel path (the
+    /// default).
+    F32(PanelMatrix),
     /// Full-precision weights on the scalar reference kernel — the
     /// "naive" baseline `bench_infer` measures tiled speedups against.
     /// Serializes identically to [`Linear::F32`] (and deserializes as
@@ -100,8 +106,8 @@ impl Linear {
     }
 
     /// Batched `out[b] = xs[b] · W^T`, bit-identical per row to
-    /// [`Linear::apply`]. The tiled and quantized formats stream each
-    /// weight row once across the batch; the naive format deliberately
+    /// [`Linear::apply`]. The tiled and quantized formats reuse each
+    /// tile of weight panels across the batch; the naive format deliberately
     /// re-runs the reference GEMV per row (no amortization), keeping the
     /// baseline honest.
     pub fn apply_batch(&self, xs: &Matrix, out: &mut Matrix) {
@@ -121,7 +127,8 @@ impl Linear {
     #[must_use]
     pub fn rows(&self) -> usize {
         match self {
-            Linear::F32(m) | Linear::NaiveF32(m) => m.rows,
+            Linear::F32(m) => m.rows(),
+            Linear::NaiveF32(m) => m.rows,
             Linear::Int8(q) => q.rows,
             Linear::Int4(q) => q.rows,
         }
@@ -167,9 +174,18 @@ pub struct TinyModel {
 }
 
 /// Per-layer KV cache.
+///
+/// Keys are stored transposed in blocks of [`PANEL`] positions
+/// (`[block][kv_dim][PANEL]`), so attention scores a whole block with
+/// one FMA chain over the head dimension; lanes of the last block past
+/// `len` are never read. Values stay row-major (`[position][kv_dim]`).
+/// The serialized form ([`KvCache::to_bytes`]) is row-major for both.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    k: Vec<Vec<f32>>,
+    /// Per layer: `k[l][block * kv_dim + d][t]` is dimension `d` of the
+    /// key at position `block * PANEL + t`.
+    k: Vec<Vec<Lanes>>,
+    /// Per layer: `v[l][pos * kv_dim + d]`.
     v: Vec<Vec<f32>>,
     /// Tokens currently cached.
     pub len: usize,
@@ -178,19 +194,39 @@ pub struct KvCache {
 }
 
 impl KvCache {
-    fn new(config: &TinyConfig) -> Self {
+    fn empty(layers: usize, kv_dim: usize) -> Self {
         KvCache {
-            k: vec![Vec::with_capacity(config.max_seq * config.kv_dim()); config.layers],
-            v: vec![Vec::with_capacity(config.max_seq * config.kv_dim()); config.layers],
+            k: vec![Vec::new(); layers],
+            v: vec![Vec::new(); layers],
             len: 0,
-            kv_dim: config.kv_dim(),
+            kv_dim,
         }
     }
 
     /// KV bytes currently held (f32).
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.k.iter().map(Vec::len).sum::<usize>() * 8
+        self.v.iter().map(Vec::len).sum::<usize>() * 8
+    }
+
+    /// Append the key and value of position `pos` of `layer`, which
+    /// must be the next position that layer has not stored.
+    fn store(&mut self, layer: usize, pos: usize, key: &[f32], value: &[f32]) {
+        let kvd = self.kv_dim;
+        debug_assert_eq!(
+            self.v[layer].len(),
+            pos * kvd,
+            "KV positions stored in order"
+        );
+        let keys = &mut self.k[layer];
+        let block = pos / PANEL;
+        if keys.len() < (block + 1) * kvd {
+            keys.resize((block + 1) * kvd, [0.0; PANEL]);
+        }
+        for (lanes, &kd) in keys[block * kvd..].iter_mut().zip(key) {
+            lanes[pos % PANEL] = kd;
+        }
+        self.v[layer].extend_from_slice(value);
     }
 
     /// Drop cached entries beyond the first `len` tokens. Speculative
@@ -201,8 +237,12 @@ impl KvCache {
     /// Panics if `len > self.len` (a cache cannot be truncated forward).
     pub fn truncate(&mut self, len: usize) {
         assert!(len <= self.len, "cannot truncate cache forward");
-        for layer in self.k.iter_mut().chain(self.v.iter_mut()) {
-            layer.truncate(len * self.kv_dim);
+        let kvd = self.kv_dim;
+        for keys in &mut self.k {
+            keys.truncate(len.div_ceil(PANEL) * kvd);
+        }
+        for values in &mut self.v {
+            values.truncate(len * kvd);
         }
         self.len = len;
     }
@@ -210,14 +250,23 @@ impl KvCache {
     /// Serialize the cache (for sealing/migrating a live session).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        let kvd = self.kv_dim;
         let mut out = Vec::new();
         out.extend_from_slice(b"CKVC");
         out.extend_from_slice(&(self.len as u32).to_le_bytes());
-        out.extend_from_slice(&(self.kv_dim as u32).to_le_bytes());
+        out.extend_from_slice(&(kvd as u32).to_le_bytes());
         out.extend_from_slice(&(self.k.len() as u32).to_le_bytes());
-        for layer in self.k.iter().chain(self.v.iter()) {
-            out.extend_from_slice(&(layer.len() as u32).to_le_bytes());
-            for v in layer {
+        for keys in &self.k {
+            out.extend_from_slice(&((self.len * kvd) as u32).to_le_bytes());
+            for t in 0..self.len {
+                for d in 0..kvd {
+                    out.extend_from_slice(&keys[(t / PANEL) * kvd + d][t % PANEL].to_le_bytes());
+                }
+            }
+        }
+        for values in &self.v {
+            out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+            for v in values {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -261,12 +310,18 @@ impl KvCache {
         if pos != bytes.len() {
             return None;
         }
-        Some(KvCache {
-            k: k?,
-            v: v?,
-            len,
-            kv_dim,
-        })
+        let (k, v) = (k?, v?);
+        let mut cache = KvCache::empty(layers, kv_dim);
+        if kv_dim > 0 {
+            for (layer, (keys, values)) in k.iter().zip(&v).enumerate() {
+                let rows = keys.chunks_exact(kv_dim).zip(values.chunks_exact(kv_dim));
+                for (t, (key, value)) in rows.enumerate() {
+                    cache.store(layer, t, key, value);
+                }
+            }
+        }
+        cache.len = len;
+        Some(cache)
     }
 }
 
@@ -287,6 +342,10 @@ fn init_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix
     Matrix::from_vec(rows, cols, data)
 }
 
+fn init_linear(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Linear {
+    Linear::F32(PanelMatrix::pack(&init_matrix(rng, rows, cols, scale)))
+}
+
 impl TinyModel {
     /// Deterministically initialize a model from `seed`.
     #[must_use]
@@ -300,14 +359,14 @@ impl TinyModel {
         let blocks = (0..config.layers)
             .map(|_| BlockWeights {
                 input_norm: vec![1.0; h],
-                wq: Linear::F32(init_matrix(&mut rng, h, h, scale)),
-                wk: Linear::F32(init_matrix(&mut rng, kv, h, scale)),
-                wv: Linear::F32(init_matrix(&mut rng, kv, h, scale)),
-                wo: Linear::F32(init_matrix(&mut rng, h, h, scale)),
+                wq: init_linear(&mut rng, h, h, scale),
+                wk: init_linear(&mut rng, kv, h, scale),
+                wv: init_linear(&mut rng, kv, h, scale),
+                wo: init_linear(&mut rng, h, h, scale),
                 post_norm: vec![1.0; h],
-                w_gate: Linear::F32(init_matrix(&mut rng, inter, h, scale)),
-                w_up: Linear::F32(init_matrix(&mut rng, inter, h, scale)),
-                w_down: Linear::F32(init_matrix(&mut rng, h, inter, scale)),
+                w_gate: init_linear(&mut rng, inter, h, scale),
+                w_up: init_linear(&mut rng, inter, h, scale),
+                w_down: init_linear(&mut rng, h, inter, scale),
             })
             .collect();
         TinyModel {
@@ -315,7 +374,7 @@ impl TinyModel {
             embed: init_matrix(&mut rng, config.vocab, h, 0.1),
             blocks,
             final_norm: vec![1.0; h],
-            lm_head: Linear::F32(init_matrix(&mut rng, config.vocab, h, scale)),
+            lm_head: init_linear(&mut rng, config.vocab, h, scale),
         }
     }
 
@@ -350,7 +409,8 @@ impl TinyModel {
     #[must_use]
     pub fn quantized(&self) -> TinyModel {
         self.map_linears(|l| match l {
-            Linear::F32(m) | Linear::NaiveF32(m) => Linear::Int8(QuantMatrix::quantize(m)),
+            Linear::F32(m) => Linear::Int8(QuantMatrix::quantize(&m.unpack())),
+            Linear::NaiveF32(m) => Linear::Int8(QuantMatrix::quantize(m)),
             other => other.clone(),
         })
     }
@@ -360,7 +420,8 @@ impl TinyModel {
     #[must_use]
     pub fn quantized4(&self) -> TinyModel {
         self.map_linears(|l| match l {
-            Linear::F32(m) | Linear::NaiveF32(m) => Linear::Int4(Quant4Matrix::quantize(m)),
+            Linear::F32(m) => Linear::Int4(Quant4Matrix::quantize(&m.unpack())),
+            Linear::NaiveF32(m) => Linear::Int4(Quant4Matrix::quantize(m)),
             other => other.clone(),
         })
     }
@@ -370,7 +431,7 @@ impl TinyModel {
     #[must_use]
     pub fn naive(&self) -> TinyModel {
         self.map_linears(|l| match l {
-            Linear::F32(m) | Linear::NaiveF32(m) => Linear::NaiveF32(m.clone()),
+            Linear::F32(m) => Linear::NaiveF32(m.unpack()),
             other => other.clone(),
         })
     }
@@ -378,7 +439,7 @@ impl TinyModel {
     /// Fresh KV cache.
     #[must_use]
     pub fn new_cache(&self) -> KvCache {
-        KvCache::new(&self.config)
+        KvCache::empty(self.config.layers, self.config.kv_dim())
     }
 
     /// Process one token at position `cache.len`, append to the cache and
@@ -396,34 +457,49 @@ impl TinyModel {
 
     /// Attention for one query position against a cache prefix: scores
     /// against all cached keys of each head's kv group, softmax, weighted
-    /// V sum. `seq` is the number of cached positions visible to this
-    /// query (its own K/V entry must already be appended).
-    fn attend(&self, layer: usize, q: &[f32], seq: usize, cache: &KvCache, out: &mut [f32]) {
+    /// V sum into `out` (zeroed by the caller). `seq` is the number of
+    /// cached positions visible to this query (its own K/V entry must
+    /// already be stored); `scores` is scratch reused across calls.
+    fn attend(
+        &self,
+        layer: usize,
+        q: &[f32],
+        seq: usize,
+        cache: &KvCache,
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
         let cfg = &self.config;
         let hd = cfg.head_dim();
         let kvd = cfg.kv_dim();
         let group = cfg.heads / cfg.kv_heads;
         #[allow(clippy::cast_precision_loss)]
         let inv_sqrt_d = 1.0 / (hd as f32).sqrt();
+        let keys = &cache.k[layer];
+        let values = &cache.v[layer];
         for head in 0..cfg.heads {
             let kv_head = head / group;
             let qh = &q[head * hd..(head + 1) * hd];
-            // Scores against all cached keys of this kv head.
-            let mut scores = Vec::with_capacity(seq);
-            for t in 0..seq {
-                let kh = &cache.k[layer][t * kvd + kv_head * hd..t * kvd + (kv_head + 1) * hd];
-                // Same lane-parallel dot as the matmul kernels: a head
-                // dim of 64 is exactly one lane block, and the serial
-                // iterator sum was a visible slice of decode time.
-                let dot = crate::kernels::dot_lanes(qh, kh);
-                scores.push(dot * inv_sqrt_d);
+            // Scores of PANEL keys at a time, one key per lane; lanes
+            // past `seq` in the last block are dropped.
+            scores.clear();
+            for block in 0..seq.div_ceil(PANEL) {
+                let kb = &keys[block * kvd + kv_head * hd..][..hd];
+                let mut acc = [0.0f32; PANEL];
+                for (&qd, kd) in qh.iter().zip(kb) {
+                    for (a, &k) in acc.iter_mut().zip(kd) {
+                        *a = qd.mul_add(k, *a);
+                    }
+                }
+                scores.extend(acc.iter().map(|s| s * inv_sqrt_d));
             }
-            softmax(&mut scores);
+            scores.truncate(seq);
+            softmax(scores);
             let oh = &mut out[head * hd..(head + 1) * hd];
             for (t, w) in scores.iter().enumerate() {
-                let vh = &cache.v[layer][t * kvd + kv_head * hd..t * kvd + (kv_head + 1) * hd];
+                let vh = &values[t * kvd + kv_head * hd..][..hd];
                 for (o, val) in oh.iter_mut().zip(vh) {
-                    *o += w * val;
+                    *o = w.mul_add(*val, *o);
                 }
             }
         }
@@ -460,6 +536,7 @@ impl TinyModel {
         for (i, &t) in tokens.iter().enumerate() {
             x.row_mut(i).copy_from_slice(self.embed.row(t));
         }
+        let mut scores = Vec::new();
 
         for (layer, block) in self.blocks.iter().enumerate() {
             // Attention sub-block.
@@ -488,9 +565,15 @@ impl TinyModel {
 
             let mut attn = Matrix::zeros(n, h);
             for i in 0..n {
-                cache.k[layer].extend_from_slice(k.row(i));
-                cache.v[layer].extend_from_slice(v.row(i));
-                self.attend(layer, q.row(i), base + i + 1, cache, attn.row_mut(i));
+                cache.store(layer, base + i, k.row(i), v.row(i));
+                self.attend(
+                    layer,
+                    q.row(i),
+                    base + i + 1,
+                    cache,
+                    &mut scores,
+                    attn.row_mut(i),
+                );
             }
 
             let mut proj = Matrix::zeros(n, h);
@@ -562,6 +645,7 @@ impl TinyModel {
         for (i, &t) in tokens.iter().enumerate() {
             x.row_mut(i).copy_from_slice(self.embed.row(t));
         }
+        let mut scores = Vec::new();
 
         for (layer, block) in self.blocks.iter().enumerate() {
             let mut normed = x.clone();
@@ -589,9 +673,16 @@ impl TinyModel {
 
             let mut attn = Matrix::zeros(n, h);
             for (i, cache) in caches.iter_mut().enumerate() {
-                cache.k[layer].extend_from_slice(k.row(i));
-                cache.v[layer].extend_from_slice(v.row(i));
-                self.attend(layer, q.row(i), cache.len + 1, cache, attn.row_mut(i));
+                let pos = cache.len;
+                cache.store(layer, pos, k.row(i), v.row(i));
+                self.attend(
+                    layer,
+                    q.row(i),
+                    pos + 1,
+                    cache,
+                    &mut scores,
+                    attn.row_mut(i),
+                );
             }
 
             let mut proj = Matrix::zeros(n, h);
@@ -651,6 +742,7 @@ impl TinyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{rmsnorm, rope};
 
     fn model() -> TinyModel {
         TinyModel::init(&TinyConfig::test_small(), 1234)
@@ -767,6 +859,57 @@ mod tests {
         bytes.push(0);
         bytes.push(0);
         assert!(KvCache::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn kv_cache_serializes_row_major_with_exact_bytes() {
+        // 17 tokens: one full K block of PANEL positions and one more.
+        let m = model();
+        let cfg = &m.config;
+        let (kvd, hd, n) = (cfg.kv_dim(), cfg.head_dim(), PANEL + 1);
+        let tokens: Vec<usize> = (0..n).map(|i| (i * 37) % cfg.vocab).collect();
+        let mut cache = m.new_cache();
+        let _ = m.forward_chunk(&tokens, &mut cache);
+
+        // Layer 0's keys and values straight from the weights, row-major.
+        let (mut want_k, mut want_v) = (Vec::new(), Vec::new());
+        for (pos, &t) in tokens.iter().enumerate() {
+            let mut x = m.embed.row(t).to_vec();
+            rmsnorm(&mut x, &m.blocks[0].input_norm, cfg.eps);
+            let (mut k, mut v) = (vec![0.0; kvd], vec![0.0; kvd]);
+            m.blocks[0].wk.apply(&x, &mut k);
+            m.blocks[0].wv.apply(&x, &mut v);
+            for head in k.chunks_exact_mut(hd) {
+                rope(head, pos, cfg.rope_theta);
+            }
+            want_k.extend(k);
+            want_v.extend(v);
+        }
+
+        // CKVC: magic, len, kv_dim, layers, then every layer's K, then
+        // every layer's V, each a u32 count and its f32s.
+        let bytes = cache.to_bytes();
+        let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+        assert_eq!(&bytes[..4], b"CKVC");
+        assert_eq!(
+            [u32_at(4), u32_at(8), u32_at(12)],
+            [n as u32, kvd as u32, cfg.layers as u32]
+        );
+        let layer_bytes = 4 + n * kvd * 4;
+        assert_eq!(bytes.len(), 16 + 2 * cfg.layers * layer_bytes);
+        let floats = |off: usize| -> Vec<f32> {
+            assert_eq!(u32_at(off) as usize, n * kvd);
+            bytes[off + 4..off + layer_bytes]
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        };
+        assert_eq!(floats(16), want_k);
+        assert_eq!(floats(16 + cfg.layers * layer_bytes), want_v);
+
+        assert_eq!(cache.bytes(), cfg.layers * n * kvd * 8);
+        cache.truncate(PANEL - 1);
+        assert_eq!(cache.bytes(), cfg.layers * (PANEL - 1) * kvd * 8);
     }
 
     #[test]

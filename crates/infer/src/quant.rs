@@ -10,22 +10,28 @@
 //!   A single per-row scale lets one outlier wreck the whole row; a
 //!   per-group scale bounds the damage to one group — the standard
 //!   trick behind GPTQ/AWQ-style weight-only quantization.
-//! * **Fused dequant-GEMV/GEMM.** The quantized kernels dequantize in
-//!   registers — each product applies the group scale as `x * (q * s)`
-//!   inside a row-long lane accumulator block — so f32 weights are
-//!   never materialized in memory. The int4 kernel unpacks two nibbles
-//!   per byte on the fly through a staged lane block.
+//! * **Panel layout.** Codes and scales are interleaved in panels of
+//!   [`PANEL`] output rows, like `kernels::PanelMatrix`: for each input
+//!   column (or, for int4, column pair) the panel's codes sit side by
+//!   side, and each group's scales form one vector of panel lanes.
+//! * **Fused dequant-GEMV/GEMM.** The quantized kernels run on the same
+//!   tiling routine as the f32 panel kernels and dequantize in
+//!   registers: each input column widens one vector of codes and
+//!   multiplies it by the group's scale vector, so every product is
+//!   `x * (q * s)` on one sequential FMA chain per output — the f32
+//!   kernels' summation order. f32 weights are never materialized in
+//!   memory.
 //! * **Packed int4.** [`Quant4Matrix`] stores two 4-bit codes per byte
-//!   (element `2j` in the low nibble, `2j+1` in the high nibble, biased
-//!   by +8), with an odd-column remainder occupying a half-used final
-//!   byte per row — `storage_bytes` accounts for it exactly.
+//!   (column `2k` of a row in the low nibble, `2k+1` in the high nibble,
+//!   biased by +8), with an odd-column remainder occupying a half-used
+//!   final byte per row — `storage_bytes` accounts for it exactly.
 //!
 //! Error bounds: round-to-nearest against a group scale `s` gives
 //! `|v - dequant(quant(v))| <= s/2`, i.e. `max|group|/254` for int8 and
 //! `max|group|/14` for int4. The test suite pins both bounds on
 //! adversarial matrices (all-zero, single-outlier, alternating-sign).
 
-use crate::kernels::{merge_tail, reduce_lanes, LANES};
+use crate::kernels::{fma_column, gather, interleave, panel_matmul, runs, Lanes, Panels, PANEL};
 use crate::tensor::Matrix;
 
 /// Columns per quantization group. 64 matches the engine's smallest
@@ -33,60 +39,71 @@ use crate::tensor::Matrix;
 /// groups (cols not a multiple of 64) are still handled.
 pub const GROUP: usize = 64;
 
+// The int4 kernel decodes whole bytes (column pairs) inside a group, so
+// every group must start on a byte boundary.
+const _: () = assert!(GROUP.is_multiple_of(2), "quant GROUP must be even");
+
 /// Number of groups in a row of `cols` columns.
 #[must_use]
 fn groups_of(cols: usize) -> usize {
     cols.div_ceil(GROUP).max(1)
 }
 
-// `GROUP` must be a multiple of `kernels::LANES`: the quantized dot
-// kernels keep one lane accumulator per column-mod-LANES across the
-// whole row and look the group scale up per lane block, so a lane
-// block must never straddle a group boundary.
-const _: () = assert!(
-    GROUP.is_multiple_of(LANES),
-    "quant GROUP must be a multiple of kernels::LANES"
-);
+/// Row-major `(row, group)` scales `max(|group|) / qmax` (1.0 for an
+/// all-zero group).
+fn group_scales(m: &Matrix, qmax: f32) -> Vec<f32> {
+    let groups = groups_of(m.cols);
+    let mut scales = Vec::with_capacity(m.rows * groups);
+    for r in 0..m.rows {
+        let row = m.row(r);
+        for g in 0..groups {
+            let group = &row[(g * GROUP).min(m.cols)..((g + 1) * GROUP).min(m.cols)];
+            let max = group.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+            scales.push(if max == 0.0 { 1.0 } else { max / qmax });
+        }
+    }
+    scales
+}
 
-/// An int8-quantized matrix with one f32 scale per `(row, group)`.
+/// Round-to-nearest code of `v` against `scale`, clamped to `±qmax`.
+#[allow(clippy::cast_possible_truncation)]
+fn code(v: f32, scale: f32, qmax: f32) -> i8 {
+    (v / scale).round().clamp(-qmax, qmax) as i8
+}
+
+/// A packed int4 nibble, unbiased.
+#[inline(always)]
+fn nibble(n: u8) -> f32 {
+    f32::from(i16::from(n) - 8)
+}
+
+/// An int8-quantized matrix with one f32 scale per `(row, group)`,
+/// interleaved in panels of [`PANEL`] rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantMatrix {
     /// Rows.
     pub rows: usize,
     /// Columns.
     pub cols: usize,
-    data: Vec<i8>,
-    scales: Vec<f32>,
+    /// `codes[p * cols + c][j]`: row `p * PANEL + j`, column `c`.
+    codes: Vec<[i8; PANEL]>,
+    /// `scales[p * groups + g][j]`: row `p * PANEL + j`, group `g`.
+    scales: Vec<Lanes>,
 }
 
 impl QuantMatrix {
     /// Quantize an f32 matrix with group-wise scales.
     #[must_use]
     pub fn quantize(m: &Matrix) -> Self {
-        let ngroups = groups_of(m.cols);
-        let mut data = Vec::with_capacity(m.rows * m.cols);
-        let mut scales = Vec::with_capacity(m.rows * ngroups);
-        for r in 0..m.rows {
-            let row = m.row(r);
-            for g in 0..ngroups {
-                let start = g * GROUP;
-                let end = (start + GROUP).min(m.cols);
-                let group = &row[start..end];
-                let max = group.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-                let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
-                scales.push(scale);
-                for &v in group {
-                    let q = (v / scale).round().clamp(-127.0, 127.0);
-                    #[allow(clippy::cast_possible_truncation)]
-                    data.push(q as i8);
-                }
-            }
-        }
+        let groups = groups_of(m.cols);
+        let scales = group_scales(m, 127.0);
         QuantMatrix {
             rows: m.rows,
             cols: m.cols,
-            data,
-            scales,
+            codes: interleave(m.rows, m.cols, |r, c| {
+                code(m.get(r, c), scales[r * groups + c / GROUP], 127.0)
+            }),
+            scales: interleave(m.rows, groups, |r, g| scales[r * groups + g]),
         }
     }
 
@@ -94,59 +111,16 @@ impl QuantMatrix {
     /// unfused equivalence test).
     #[must_use]
     pub fn dequantize(&self) -> Matrix {
-        let ngroups = groups_of(self.cols);
+        let groups = groups_of(self.cols);
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
-            let row = out.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                let scale = self.scales[r * ngroups + c / GROUP];
-                *v = f32::from(self.data[r * self.cols + c]) * scale;
+            let (p, j) = (r / PANEL, r % PANEL);
+            for c in 0..self.cols {
+                let scale = self.scales[p * groups + c / GROUP][j];
+                out.set(r, c, f32::from(self.codes[p * self.cols + c][j]) * scale);
             }
         }
         out
-    }
-
-    /// Fused per-row dot product: one [`LANES`]-wide f32 accumulator
-    /// block spans the whole row (lane blocks never straddle a
-    /// quantization group), with the group scale folded into each
-    /// product in registers — f32 weights are never materialized.
-    /// Shared by [`Self::gemv`] and [`Self::gemm`] so both are
-    /// bit-identical per row.
-    #[inline(always)]
-    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
-        let ngroups = groups_of(self.cols);
-        let base = r * self.cols;
-        let mut lanes = [0.0f32; LANES];
-        let blocks = self.cols / LANES;
-        for blk in 0..blocks {
-            let start = blk * LANES;
-            let s = self.scales[r * ngroups + start / GROUP];
-            // Fixed-size views: the compiler sees the exact extent and
-            // drops per-element bounds checks from the hot loop.
-            let xs: &[f32; LANES] = x[start..start + LANES].try_into().expect("lane block");
-            let qs: &[i8; LANES] = self.data[base + start..base + start + LANES]
-                .try_into()
-                .expect("lane block");
-            for l in 0..LANES {
-                lanes[l] = xs[l].mul_add(f32::from(qs[l]) * s, lanes[l]);
-            }
-        }
-        // Ragged tail (always within one group): stage dequantized
-        // products, then fold them in with constant lane indices (see
-        // `kernels::dot_lanes` for why a dynamic index into `lanes`
-        // is forbidden here).
-        let start = blocks * LANES;
-        if start < self.cols {
-            let s = self.scales[r * ngroups + start / GROUP];
-            let mut tail = [0.0f32; LANES];
-            let xr = &x[start..];
-            let qr = &self.data[base + start..base + self.cols];
-            for ((t, xi), qi) in tail.iter_mut().zip(xr).zip(qr) {
-                *t = xi * (f32::from(*qi) * s);
-            }
-            merge_tail(&mut lanes, &tail, self.cols - start);
-        }
-        reduce_lanes(&lanes)
     }
 
     /// `out = x · w^T` with on-the-fly dequantization and f32 accumulation.
@@ -157,13 +131,12 @@ impl QuantMatrix {
     pub fn gemv(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "qgemv input dim");
         assert_eq!(out.len(), self.rows, "qgemv output dim");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.dot_row(r, x);
-        }
+        panel_matmul(self, 1, x, out);
     }
 
-    /// Batched fused GEMM: `out[b] = xs[b] · w^T`, weight rows streamed
-    /// once across the batch exactly like `kernels::gemm`.
+    /// Batched fused GEMM: `out[b] = xs[b] · w^T`, each tile of panels
+    /// reused across the batch exactly like `kernels::gemm`, and
+    /// bit-identical per row to [`Self::gemv`].
     ///
     /// # Panics
     ///
@@ -172,27 +145,56 @@ impl QuantMatrix {
         assert_eq!(xs.cols, self.cols, "qgemm input dim");
         assert_eq!(out.rows, xs.rows, "qgemm batch dim");
         assert_eq!(out.cols, self.rows, "qgemm output dim");
-        for r in 0..self.rows {
-            for b in 0..xs.rows {
-                let v = self.dot_row(r, xs.row(b));
-                out.row_mut(b)[r] = v;
-            }
-        }
+        panel_matmul(self, xs.rows, xs.as_slice(), out.as_mut_slice());
     }
 
-    /// Storage bytes (data + scales) — roughly a quarter of f32.
+    /// Storage bytes of the format (one code byte per weight plus 4 per
+    /// group scale) — roughly a quarter of f32. The zero rows padding
+    /// the last panel are layout, not format, and are not counted.
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
+        self.rows * self.cols + self.rows * groups_of(self.cols) * 4
     }
 }
 
-/// An int4-quantized matrix: two codes per byte, group-wise f32 scales.
+impl Panels for QuantMatrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    #[inline(always)]
+    fn accumulate<const R: usize, const P: usize>(
+        &self,
+        first: usize,
+        xs: [&[f32]; R],
+    ) -> [[Lanes; P]; R] {
+        let (cols, groups) = (self.cols, groups_of(self.cols));
+        let codes: [&[[i8; PANEL]]; P] = runs(&self.codes, first, cols);
+        let scales: [&[Lanes]; P] = runs(&self.scales, first, groups);
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for g in 0..groups {
+            let s = gather(&scales, g);
+            for c in g * GROUP..cols.min((g + 1) * GROUP) {
+                let mut w = [[0.0; PANEL]; P];
+                for ((w, q), s) in w.iter_mut().zip(gather(&codes, c)).zip(&s) {
+                    for ((w, q), s) in w.iter_mut().zip(q).zip(s) {
+                        *w = f32::from(q) * s;
+                    }
+                }
+                fma_column(&mut acc, gather(&xs, c), &w);
+            }
+        }
+        acc
+    }
+}
+
+/// An int4-quantized matrix: two codes per byte, group-wise f32 scales,
+/// interleaved in panels of [`PANEL`] rows.
 ///
 /// Codes are symmetric round-to-nearest in `-7..=7` against the group
 /// scale `max(|group|)/7`, stored biased by +8 (so `1..=15`; the nibble
-/// value 0 is unused). Element `2j` of a row lives in the low nibble of
-/// packed byte `j`, element `2j+1` in the high nibble; rows with odd
+/// value 0 is unused). Column `2k` of a row lives in the low nibble of
+/// its packed byte `k`, column `2k+1` in the high nibble; rows with odd
 /// column counts leave the final high nibble zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Quant4Matrix {
@@ -200,125 +202,55 @@ pub struct Quant4Matrix {
     pub rows: usize,
     /// Columns.
     pub cols: usize,
-    data: Vec<u8>,
-    scales: Vec<f32>,
+    /// `codes[p * cols.div_ceil(2) + k][j]`: row `p * PANEL + j`,
+    /// columns `2k` (low nibble) and `2k + 1` (high nibble).
+    codes: Vec<[u8; PANEL]>,
+    /// `scales[p * groups + g][j]`: row `p * PANEL + j`, group `g`.
+    scales: Vec<Lanes>,
 }
 
 impl Quant4Matrix {
     /// Quantize an f32 matrix to packed int4 with group-wise scales.
     #[must_use]
     pub fn quantize(m: &Matrix) -> Self {
-        let ngroups = groups_of(m.cols);
-        let row_bytes = m.cols.div_ceil(2);
-        let mut data = vec![0u8; m.rows * row_bytes];
-        let mut scales = Vec::with_capacity(m.rows * ngroups);
-        for r in 0..m.rows {
-            let row = m.row(r);
-            for g in 0..ngroups {
-                let start = g * GROUP;
-                let end = (start + GROUP).min(m.cols);
-                let group = &row[start..end];
-                let max = group.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-                let scale = if max == 0.0 { 1.0 } else { max / 7.0 };
-                scales.push(scale);
-                for (off, &v) in group.iter().enumerate() {
-                    let c = start + off;
-                    let q = (v / scale).round().clamp(-7.0, 7.0);
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let code = (q as i32 + 8) as u8;
-                    let byte = &mut data[r * row_bytes + c / 2];
-                    if c.is_multiple_of(2) {
-                        *byte |= code;
-                    } else {
-                        *byte |= code << 4;
-                    }
-                }
+        let groups = groups_of(m.cols);
+        let scales = group_scales(m, 7.0);
+        let biased = |r: usize, c: usize| -> u8 {
+            if c < m.cols {
+                (code(m.get(r, c), scales[r * groups + c / GROUP], 7.0) + 8).cast_unsigned()
+            } else {
+                0
             }
-        }
+        };
         Quant4Matrix {
             rows: m.rows,
             cols: m.cols,
-            data,
-            scales,
+            codes: interleave(m.rows, m.cols.div_ceil(2), |r, k| {
+                biased(r, 2 * k) | biased(r, 2 * k + 1) << 4
+            }),
+            scales: interleave(m.rows, groups, |r, g| scales[r * groups + g]),
         }
-    }
-
-    /// Unbiased code for element `(r, c)`.
-    #[inline]
-    fn code(&self, r: usize, c: usize) -> f32 {
-        let row_bytes = self.cols.div_ceil(2);
-        let byte = self.data[r * row_bytes + c / 2];
-        let nibble = if c.is_multiple_of(2) {
-            byte & 0x0F
-        } else {
-            byte >> 4
-        };
-        f32::from(i16::from(nibble) - 8)
     }
 
     /// Dequantize back to f32.
     #[must_use]
     pub fn dequantize(&self) -> Matrix {
-        let ngroups = groups_of(self.cols);
+        let groups = groups_of(self.cols);
+        let pairs = self.cols.div_ceil(2);
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
+            let (p, j) = (r / PANEL, r % PANEL);
             for c in 0..self.cols {
-                let scale = self.scales[r * ngroups + c / GROUP];
-                out.set(r, c, self.code(r, c) * scale);
-            }
-        }
-        out
-    }
-
-    /// Fused per-row dot product: unpack nibbles through a staged
-    /// lane-block, accumulate in one [`LANES`]-wide f32 block spanning
-    /// the whole row, with the group scale folded into each product.
-    /// Shared by GEMV and GEMM.
-    #[inline(always)]
-    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
-        let ngroups = groups_of(self.cols);
-        let row_bytes = self.cols.div_ceil(2);
-        let base = r * row_bytes;
-        let mut lanes = [0.0f32; LANES];
-        let blocks = self.cols / LANES;
-        for blk in 0..blocks {
-            let start = blk * LANES;
-            let s = self.scales[r * ngroups + start / GROUP];
-            // LANES is even, so full blocks begin and end on byte
-            // boundaries: LANES/2 packed bytes per block. Fixed-size
-            // views drop per-element bounds checks from the hot loop.
-            let bytes: &[u8; LANES / 2] = self.data[base + start / 2..base + start / 2 + LANES / 2]
-                .try_into()
-                .expect("lane block");
-            let mut vals = [0.0f32; LANES];
-            for j in 0..LANES / 2 {
-                let byte = bytes[j];
-                vals[2 * j] = f32::from(i16::from(byte & 0x0F) - 8);
-                vals[2 * j + 1] = f32::from(i16::from(byte >> 4) - 8);
-            }
-            let xs: &[f32; LANES] = x[start..start + LANES].try_into().expect("lane block");
-            for l in 0..LANES {
-                lanes[l] = xs[l].mul_add(vals[l] * s, lanes[l]);
-            }
-        }
-        // Ragged tail (always within one group; may also end mid-byte):
-        // stage scalar unpacks, then fold in with constant lane indices.
-        let start = blocks * LANES;
-        if start < self.cols {
-            let s = self.scales[r * ngroups + start / GROUP];
-            let mut tail = [0.0f32; LANES];
-            for c in start..self.cols {
-                let byte = self.data[base + c / 2];
-                let nibble = if c.is_multiple_of(2) {
+                let byte = self.codes[p * pairs + c / 2][j];
+                let n = if c.is_multiple_of(2) {
                     byte & 0x0F
                 } else {
                     byte >> 4
                 };
-                tail[c - start] = x[c] * (f32::from(i16::from(nibble) - 8) * s);
+                out.set(r, c, nibble(n) * self.scales[p * groups + c / GROUP][j]);
             }
-            merge_tail(&mut lanes, &tail, self.cols - start);
         }
-        reduce_lanes(&lanes)
+        out
     }
 
     /// `out = x · w^T` with fused nibble unpacking and f32 accumulation.
@@ -329,12 +261,10 @@ impl Quant4Matrix {
     pub fn gemv(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "q4gemv input dim");
         assert_eq!(out.len(), self.rows, "q4gemv output dim");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.dot_row(r, x);
-        }
+        panel_matmul(self, 1, x, out);
     }
 
-    /// Batched fused GEMM, weight rows streamed once across the batch.
+    /// Batched fused GEMM, each tile of panels reused across the batch.
     ///
     /// # Panics
     ///
@@ -343,19 +273,54 @@ impl Quant4Matrix {
         assert_eq!(xs.cols, self.cols, "q4gemm input dim");
         assert_eq!(out.rows, xs.rows, "q4gemm batch dim");
         assert_eq!(out.cols, self.rows, "q4gemm output dim");
-        for r in 0..self.rows {
-            for b in 0..xs.rows {
-                let v = self.dot_row(r, xs.row(b));
-                out.row_mut(b)[r] = v;
-            }
-        }
+        panel_matmul(self, xs.rows, xs.as_slice(), out.as_mut_slice());
     }
 
-    /// Storage bytes (packed data + scales): `rows * ceil(cols/2)` data
+    /// Storage bytes of the format: `rows * ceil(cols/2)` packed code
     /// bytes — exact for odd column counts — plus 4 per group scale.
+    /// The zero rows padding the last panel are not counted.
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
+        self.rows * self.cols.div_ceil(2) + self.rows * groups_of(self.cols) * 4
+    }
+}
+
+impl Panels for Quant4Matrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    #[inline(always)]
+    fn accumulate<const R: usize, const P: usize>(
+        &self,
+        first: usize,
+        xs: [&[f32]; R],
+    ) -> [[Lanes; P]; R] {
+        let (cols, groups, pairs) = (self.cols, groups_of(self.cols), self.cols.div_ceil(2));
+        let codes: [&[[u8; PANEL]]; P] = runs(&self.codes, first, pairs);
+        let scales: [&[Lanes]; P] = runs(&self.scales, first, groups);
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for g in 0..groups {
+            let s = gather(&scales, g);
+            let end = cols.min((g + 1) * GROUP);
+            // Whole bytes: two columns per step, low nibble first. An odd
+            // final column sits alone in the low nibble of a last byte.
+            for k in g * GROUP / 2..end.div_ceil(2) {
+                let (mut lo, mut hi) = ([[0.0; PANEL]; P], [[0.0; PANEL]; P]);
+                let bytes = gather(&codes, k);
+                for (((lo, hi), b), s) in lo.iter_mut().zip(&mut hi).zip(bytes).zip(&s) {
+                    for (((lo, hi), b), s) in lo.iter_mut().zip(hi).zip(b).zip(s) {
+                        *lo = nibble(b & 0x0F) * s;
+                        *hi = nibble(b >> 4) * s;
+                    }
+                }
+                fma_column(&mut acc, gather(&xs, 2 * k), &lo);
+                if 2 * k + 1 < end {
+                    fma_column(&mut acc, gather(&xs, 2 * k + 1), &hi);
+                }
+            }
+        }
+        acc
     }
 }
 

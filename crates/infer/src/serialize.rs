@@ -6,7 +6,12 @@
 //! [`Matrix::to_bytes`], length-prefixed with u64. Only f32 models are
 //! serialized; quantization is re-applied after loading (as the paper's
 //! deployments do: the artifact at rest is the full-precision model).
+//!
+//! Loading treats the bytes as untrusted: every shape is checked against
+//! the config, and a malformed stream returns an error rather than
+//! panicking or allocating beyond what the stream itself holds.
 
+use crate::kernels::PanelMatrix;
 use crate::model::{BlockWeights, Linear, TinyConfig, TinyModel};
 use crate::tensor::Matrix;
 
@@ -35,11 +40,17 @@ impl std::fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
-fn linear_matrix(l: &Linear) -> Result<&Matrix, SerializeError> {
+/// Bytes of the smallest possible decoder block: nine length-prefixed
+/// matrices (two norms, seven linears) of at least 16 bytes each (u64
+/// length + u32 rows + u32 cols).
+const MIN_BLOCK_BYTES: usize = 9 * 16;
+
+fn linear_matrix(l: &Linear) -> Result<Matrix, SerializeError> {
     match l {
+        Linear::F32(m) => Ok(m.unpack()),
         // NaiveF32 is a kernel choice, not a weight format: it serializes
         // as full precision and deserializes as the (tiled) F32 variant.
-        Linear::F32(m) | Linear::NaiveF32(m) => Ok(m),
+        Linear::NaiveF32(m) => Ok(m.clone()),
         Linear::Int8(_) | Linear::Int4(_) => Err(SerializeError::QuantizedModel),
     }
 }
@@ -78,12 +89,12 @@ pub fn model_to_bytes(model: &TinyModel) -> Result<Vec<u8>, SerializeError> {
     for b in &model.blocks {
         push_vec(&mut out, &b.input_norm);
         for l in [&b.wq, &b.wk, &b.wv, &b.wo, &b.w_gate, &b.w_up, &b.w_down] {
-            push_matrix(&mut out, linear_matrix(l)?);
+            push_matrix(&mut out, &linear_matrix(l)?);
         }
         push_vec(&mut out, &b.post_norm);
     }
     push_vec(&mut out, &model.final_norm);
-    push_matrix(&mut out, linear_matrix(&model.lm_head)?);
+    push_matrix(&mut out, &linear_matrix(&model.lm_head)?);
     Ok(out)
 }
 
@@ -112,17 +123,42 @@ impl<'a> Reader<'a> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn matrix(&mut self) -> Result<Matrix, SerializeError> {
-        let len = u64::from_le_bytes(self.take(8)?.try_into().expect("8")) as usize;
-        Matrix::from_bytes(self.take(len)?).ok_or(SerializeError::Malformed("bad matrix"))
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
-    fn vec(&mut self) -> Result<Vec<f32>, SerializeError> {
-        Ok(self.matrix()?.as_slice().to_vec())
+    /// A matrix that must be `rows x cols`.
+    fn matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, SerializeError> {
+        let len = u64::from_le_bytes(self.take(8)?.try_into().expect("8"));
+        let len = usize::try_from(len).map_err(|_| SerializeError::Malformed("truncated"))?;
+        let m =
+            Matrix::from_bytes(self.take(len)?).ok_or(SerializeError::Malformed("bad matrix"))?;
+        if (m.rows, m.cols) != (rows, cols) {
+            return Err(SerializeError::Malformed(
+                "matrix shape does not match the config",
+            ));
+        }
+        Ok(m)
+    }
+
+    fn linear(&mut self, rows: usize, cols: usize) -> Result<Linear, SerializeError> {
+        Ok(Linear::F32(PanelMatrix::pack(&self.matrix(rows, cols)?)))
+    }
+
+    fn norm(&mut self, len: usize) -> Result<Vec<f32>, SerializeError> {
+        Ok(self.matrix(1, len)?.as_slice().to_vec())
     }
 }
 
 /// Deserialize a model from [`model_to_bytes`] output.
+///
+/// # Errors
+///
+/// [`SerializeError::Malformed`] if the bytes are truncated, carry
+/// trailing data, describe an inconsistent config (heads not dividing
+/// the hidden size, kv heads not dividing the heads, an odd head
+/// dimension), or hold a matrix or norm whose shape disagrees with the
+/// config.
 pub fn model_from_bytes(bytes: &[u8]) -> Result<TinyModel, SerializeError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(4)? != MAGIC {
@@ -143,35 +179,35 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<TinyModel, SerializeError> {
         rope_theta: r.f32()?,
         eps: r.f32()?,
     };
-    if config.heads == 0 || config.kv_heads == 0 || !config.hidden.is_multiple_of(config.heads) {
+    if config.heads == 0
+        || config.kv_heads == 0
+        || !config.hidden.is_multiple_of(config.heads)
+        || !config.heads.is_multiple_of(config.kv_heads)
+        || !config.head_dim().is_multiple_of(2)
+    {
         return Err(SerializeError::Malformed("inconsistent config"));
     }
-    let embed = r.matrix()?;
-    let mut blocks = Vec::with_capacity(config.layers);
+    let (h, kv, inter) = (config.hidden, config.kv_dim(), config.intermediate);
+    let embed = r.matrix(config.vocab, h)?;
+    let mut blocks = Vec::with_capacity(config.layers.min(r.remaining() / MIN_BLOCK_BYTES));
     for _ in 0..config.layers {
-        let input_norm = r.vec()?;
-        let wq = Linear::F32(r.matrix()?);
-        let wk = Linear::F32(r.matrix()?);
-        let wv = Linear::F32(r.matrix()?);
-        let wo = Linear::F32(r.matrix()?);
-        let w_gate = Linear::F32(r.matrix()?);
-        let w_up = Linear::F32(r.matrix()?);
-        let w_down = Linear::F32(r.matrix()?);
-        let post_norm = r.vec()?;
         blocks.push(BlockWeights {
-            input_norm,
-            wq,
-            wk,
-            wv,
-            wo,
-            post_norm,
-            w_gate,
-            w_up,
-            w_down,
+            input_norm: r.norm(h)?,
+            wq: r.linear(h, h)?,
+            wk: r.linear(kv, h)?,
+            wv: r.linear(kv, h)?,
+            wo: r.linear(h, h)?,
+            w_gate: r.linear(inter, h)?,
+            w_up: r.linear(inter, h)?,
+            w_down: r.linear(h, inter)?,
+            post_norm: r.norm(h)?,
         });
     }
-    let final_norm = r.vec()?;
-    let lm_head = Linear::F32(r.matrix()?);
+    let final_norm = r.norm(h)?;
+    let lm_head = r.linear(config.vocab, h)?;
+    if r.remaining() != 0 {
+        return Err(SerializeError::Malformed("trailing bytes"));
+    }
     Ok(TinyModel {
         config,
         embed,
@@ -219,6 +255,93 @@ mod tests {
         assert_eq!(bytes_naive, model_to_bytes(&m).unwrap());
         // Deserializes back onto the tiled path.
         assert_eq!(model_from_bytes(&bytes_naive).unwrap(), m);
+    }
+
+    /// A model small enough to flip every bit of: one layer, hidden 8.
+    fn tiny() -> TinyModel {
+        let config = TinyConfig {
+            hidden: 8,
+            layers: 1,
+            heads: 2,
+            kv_heads: 1,
+            intermediate: 6,
+            vocab: 5,
+            max_seq: 8,
+            rope_theta: 10000.0,
+            eps: 1e-5,
+        };
+        TinyModel::init(&config, 3)
+    }
+
+    #[test]
+    fn every_truncation_and_trailing_byte_is_rejected() {
+        let bytes = model_to_bytes(&tiny()).unwrap();
+        for len in 0..bytes.len() {
+            assert!(model_from_bytes(&bytes[..len]).is_err(), "prefix of {len}");
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        assert_eq!(
+            model_from_bytes(&longer),
+            Err(SerializeError::Malformed("trailing bytes"))
+        );
+    }
+
+    #[test]
+    fn every_structural_bit_flip_is_rejected() {
+        let bytes = model_to_bytes(&tiny()).unwrap();
+        let mut accepted = 0;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(m) = model_from_bytes(&flipped) {
+                // A flipped weight, float field or max_seq loads as
+                // exactly the model the bytes describe.
+                assert_eq!(model_to_bytes(&m).unwrap(), flipped, "bit {bit}");
+                accepted += 1;
+            }
+        }
+        // Structural bytes: magic, version, the six shape fields, and
+        // the length prefix and header of each of the 12 matrices (the
+        // embedding, nine per layer, the final norm, the LM head). A
+        // flip in any of them must be rejected; a flip anywhere else
+        // changes a value, which any bytes may hold.
+        let structural = 4 + 2 + 6 * 4 + 12 * 16;
+        assert_eq!(accepted, (bytes.len() - structural) * 8);
+    }
+
+    #[test]
+    fn wrong_shapes_and_inconsistent_configs_are_rejected() {
+        let shape = Err(SerializeError::Malformed(
+            "matrix shape does not match the config",
+        ));
+        let config = Err(SerializeError::Malformed("inconsistent config"));
+        let load = |m: &TinyModel| model_from_bytes(&model_to_bytes(m).unwrap());
+        let base = TinyModel::init(&TinyConfig::test_small(), 7);
+
+        let mut m = base.clone();
+        m.blocks[1].wk = m.blocks[1].wq.clone();
+        assert_eq!(load(&m), shape);
+        let mut m = base.clone();
+        m.blocks[0].post_norm.pop();
+        assert_eq!(load(&m), shape);
+        let mut m = base.clone();
+        m.config.intermediate += 1;
+        assert_eq!(load(&m), shape);
+
+        // Four heads over three kv heads; then a head dim of one.
+        let mut m = base.clone();
+        m.config.kv_heads = 3;
+        assert_eq!(load(&m), config);
+        let mut m = base.clone();
+        m.config.heads = 64;
+        assert_eq!(load(&m), config);
+
+        // A layer count no stream could hold is an error, not an
+        // allocation failure.
+        let mut bytes = model_to_bytes(&base).unwrap();
+        bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(model_from_bytes(&bytes).is_err());
     }
 
     #[test]

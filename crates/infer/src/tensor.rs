@@ -88,7 +88,7 @@ impl Matrix {
         let rows = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
         let cols = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
         let body = &bytes[8..];
-        if body.len() != rows * cols * 4 {
+        if rows.checked_mul(cols)?.checked_mul(4)? != body.len() {
             return None;
         }
         let data = body
@@ -123,6 +123,13 @@ mod tests {
         assert!(Matrix::from_bytes(&[1, 2, 3]).is_none());
         let mut b = Matrix::zeros(2, 2).to_bytes();
         b.pop();
+        assert!(Matrix::from_bytes(&b).is_none());
+    }
+
+    #[test]
+    fn from_bytes_rejects_overflowing_header() {
+        let mut b = u32::MAX.to_le_bytes().to_vec();
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Matrix::from_bytes(&b).is_none());
     }
 

@@ -3,21 +3,22 @@
 //! The fast paths (`gemv_tiled`, `gemm`, the fused quantized dots) are
 //! only allowed to exist because they are provably interchangeable with
 //! the slow reference paths. This suite pins those contracts over
-//! randomized shapes — including the awkward ones: dimensions that are
-//! not multiples of [`LANES`] or [`TILE_ROWS`], single elements, and
+//! randomized shapes — including the awkward ones: row counts that do
+//! not fill a [`PANEL`] (or a tile of panels), single elements, and
 //! ragged quantization groups.
 //!
-//! * tiled ≡ naive GEMV within `1e-5` relative error (different
-//!   summation order, same value up to f32 rounding);
-//! * `gemm` ≡ per-row `gemv_tiled` **bit-identical** (they share
-//!   `dot_lanes`, so batching must not change a single ULP);
+//! * tiled ≡ naive GEMV within `1e-5` relative error (fused instead of
+//!   separately rounded products, same value up to f32 rounding);
+//! * `gemm` ≡ per-row `gemv_tiled` **bit-identical** (every output is
+//!   the same FMA chain however the batch is tiled, so batching must not
+//!   change a single ULP);
 //! * quantization round-trips inside its analytical error bound
 //!   (`max|group|/254` for int8, `max|group|/14` for int4) and the
 //!   fused dot matches the dequantize-then-multiply reference;
 //! * `rmsnorm` / `softmax` / `rope` satisfy their defining invariants.
 
 use cllm_infer::kernels::{
-    argmax, gemm, gemv, gemv_tiled, rmsnorm, rope, softmax, LANES, TILE_ROWS,
+    argmax, gemm, gemv, gemv_tiled, rmsnorm, rope, softmax, PanelMatrix, PANEL,
 };
 use cllm_infer::quant::{Quant4Matrix, QuantMatrix, GROUP};
 use cllm_infer::tensor::Matrix;
@@ -44,21 +45,22 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
     Matrix::from_vec(rows, cols, lcg_values(rows * cols, seed))
 }
 
-/// Column counts that stress the lane machinery: tiny, one element
-/// short of / exactly / one past a lane block, a full quantization
-/// group boundary, and generic sizes.
+/// Column counts that stress the quantized kernels: tiny, one element
+/// short of / exactly / one past one and two quantization groups (odd
+/// counts end mid-byte for int4), and generic sizes.
 fn cols_strategy() -> impl Strategy<Value = usize> {
     prop_oneof![
         1usize..5,
-        (LANES - 2)..(LANES + 3),
+        (GROUP - 2)..(GROUP + 3),
         (2 * GROUP - 2)..(2 * GROUP + 3),
         1usize..200,
     ]
 }
 
-/// Row counts around the [`TILE_ROWS`] blocking factor plus generic.
+/// Row counts within one [`PANEL`] (and one past it), plus counts
+/// spanning several panels: full and ragged tiles of four panels.
 fn rows_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=TILE_ROWS + 1, 1usize..24]
+    prop_oneof![1usize..=PANEL + 1, 1usize..=5 * PANEL + 1]
 }
 
 proptest! {
@@ -70,7 +72,7 @@ proptest! {
         let x = lcg_values(cols, seed.wrapping_add(1));
         let mut fast = vec![0.0f32; rows];
         let mut slow = vec![0.0f32; rows];
-        gemv_tiled(&x, &w, &mut fast);
+        gemv_tiled(&x, &PanelMatrix::pack(&w), &mut fast);
         gemv(&x, &w, &mut slow);
         for (r, (f, s)) in fast.iter().zip(&slow).enumerate() {
             // Rounding error of either summation order is bounded by the
@@ -94,7 +96,7 @@ proptest! {
                                                    rows in rows_strategy(),
                                                    cols in cols_strategy(),
                                                    seed in any::<u32>()) {
-        let w = lcg_matrix(rows, cols, seed);
+        let w = PanelMatrix::pack(&lcg_matrix(rows, cols, seed));
         let xs = lcg_matrix(batch, cols, seed.wrapping_add(7));
         let mut batched = Matrix::zeros(batch, rows);
         gemm(&xs, &w, &mut batched);
@@ -187,7 +189,7 @@ proptest! {
             // materializes f32 weights then dots. Same value up to f32
             // accumulation-order rounding.
             let mut want = vec![0.0f32; rows];
-            gemv_tiled(&x, &reference, &mut want);
+            gemv_tiled(&x, &PanelMatrix::pack(&reference), &mut want);
             for (r, (got, w)) in q_out.iter().zip(&want).enumerate() {
                 let denom = w.abs().max(1.0);
                 prop_assert!(
@@ -288,22 +290,23 @@ proptest! {
 }
 
 /// Deterministic edge cases the strategies above could only hit by
-/// luck: exact lane/tile boundaries and degenerate one-element shapes.
+/// luck: exact panel/tile/group boundaries and degenerate one-element
+/// shapes.
 #[test]
 fn exact_boundary_shapes_agree_across_all_gemv_paths() {
     for (rows, cols) in [
         (1, 1),
-        (TILE_ROWS, LANES),
-        (TILE_ROWS + 1, LANES + 1),
-        (TILE_ROWS - 1, LANES - 1),
-        (2 * TILE_ROWS, 2 * GROUP),
-        (3, GROUP + LANES / 2),
+        (PANEL, GROUP),
+        (PANEL + 1, GROUP + 1),
+        (PANEL - 1, GROUP - 1),
+        (4 * PANEL, 2 * GROUP),
+        (4 * PANEL + 1, GROUP + GROUP / 2),
     ] {
         let w = lcg_matrix(rows, cols, 42);
         let x = lcg_values(cols, 43);
         let mut fast = vec![0.0f32; rows];
         let mut slow = vec![0.0f32; rows];
-        gemv_tiled(&x, &w, &mut fast);
+        gemv_tiled(&x, &PanelMatrix::pack(&w), &mut fast);
         gemv(&x, &w, &mut slow);
         for (f, s) in fast.iter().zip(&slow) {
             assert!(

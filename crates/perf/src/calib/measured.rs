@@ -11,9 +11,9 @@
 //!
 //! * **tiled / naive decode** — the scalar reference GEMV is one long
 //!   dependency chain (~1 element per FP-add latency); the tiled kernel
-//!   runs `cllm_infer::kernels::LANES` independent accumulators that
-//!   vectorize, so the modeled win is several-fold until the weight
-//!   stream saturates memory.
+//!   advances a panel of `cllm_infer::kernels::PANEL` output rows per
+//!   vector FMA, with several panels' chains in flight, so the modeled
+//!   win is several-fold until the weight stream saturates memory.
 //! * **int8 / tiled decode** — group-quantized weights shrink the
 //!   per-token weight traffic 4x (minus scale overhead); the fused
 //!   dequant costs int-to-float converts, so the realized win sits
