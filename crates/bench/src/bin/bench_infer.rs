@@ -23,6 +23,9 @@
 //!   pinned floor (the smoke shape is smaller, hence never slower, so
 //!   full-shape floors are a valid lower bar).
 //!
+//! Modes do not combine: any other argument list, a second mode flag
+//! included, is a usage error (exit status 2).
+//!
 //! Only this binary ever records wall time; the golden tables stay
 //! machine-independent.
 
@@ -545,23 +548,16 @@ fn run_check(path: &Path) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None => run_full(&default_out()),
-        Some("--out") => {
-            let path = args.get(1).map_or_else(default_out, PathBuf::from);
-            run_full(&path)
-        }
-        Some("--smoke") => run_smoke().1,
-        Some("--check") => match args.get(1) {
-            Some(p) => run_check(Path::new(p)),
-            None => {
-                eprintln!("--check requires a path to BENCH_infer.json");
-                ExitCode::FAILURE
-            }
-        },
-        Some(other) => {
-            eprintln!("unknown argument `{other}`; use --smoke, --check <path>, or --out <path>");
-            ExitCode::FAILURE
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] => run_full(&default_out()),
+        ["--out", path] => run_full(Path::new(path)),
+        ["--smoke"] => run_smoke().1,
+        ["--check", path] => run_check(Path::new(path)),
+        _ => {
+            eprintln!("unrecognized arguments {args:?}");
+            eprintln!("usage: bench_infer [--smoke | --check <path> | --out <path>]");
+            ExitCode::from(2)
         }
     }
 }

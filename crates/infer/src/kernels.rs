@@ -1,5 +1,5 @@
-//! Compute kernels: matmul (scalar reference + panel kernels), RMSNorm,
-//! softmax, SiLU, RoPE.
+//! Compute kernels: matmul (scalar reference + panel kernels),
+//! attention, RMSNorm, softmax, SiLU, RoPE.
 //!
 //! Two matmul families live here:
 //!
@@ -27,6 +27,22 @@
 //! vector registers for the whole input dimension: each input column
 //! costs `P` weight-vector loads, `R` broadcasts and `R·P` FMAs, and the
 //! `R·P` independent chains hide the FMA latency.
+//!
+//! Attention runs on the same tiles and the same FMA step. For one query
+//! position, all query heads of a KV head are scored against four key
+//! blocks of [`PANEL`] positions at a time (every chain of the tile
+//! shares each loaded key vector), and the softmax-weighted values are
+//! summed for those heads over vectors of [`PANEL`] value dimensions.
+//! Each score is one FMA chain over the head dimension and each output
+//! one FMA chain over positions, in order, so a row's attention does
+//! not depend on how many heads or positions a tile covers.
+//!
+//! The per-element ops are straight-line code that vectorizes: [`exp`]
+//! is a polynomial with a bit-built power of two rather than a libm
+//! call, [`softmax`] reduces over lane partials in a fixed order, and
+//! [`silu`] goes through [`exp`]. [`rope_angles`] computes each
+//! position's rotation once, so a forward rotates every head of every
+//! layer with the same table, bit-identical to [`rope`].
 
 use crate::tensor::Matrix;
 
@@ -37,15 +53,6 @@ pub const PANEL: usize = 16;
 /// One vector of panel lanes: lane `j` belongs to output row `j` of
 /// its panel.
 pub(crate) type Lanes = [f32; PANEL];
-
-/// Input rows per tile in the batched kernels. With [`PANELS_PER_TILE`]
-/// this gives 16 accumulator vectors: half the AVX-512 register file,
-/// leaving room for the weight vectors and broadcasts.
-const ROWS_PER_TILE: usize = 4;
-
-/// Panels per tile: four independent FMA chains even for a single input
-/// row (decode), enough to cover the FMA latency on two ports.
-const PANELS_PER_TILE: usize = 4;
 
 /// Interleave a `rows x cols` grid of values into panels of [`PANEL`]
 /// rows: element `p * cols + c` holds lane `j` = value `(p * PANEL + j,
@@ -117,6 +124,51 @@ pub(crate) fn runs<T, const N: usize>(data: &[T], first: usize, len: usize) -> [
     out
 }
 
+/// A computation over a grid, run tile by tile with each tile's size
+/// as compile-time constants.
+trait Tiled {
+    /// The tile of `R` grid rows from `row` by `C` grid columns from
+    /// `col`.
+    fn tile<const R: usize, const C: usize>(&mut self, row: usize, col: usize);
+}
+
+/// Cover a `rows x cols` grid with tiles of 4, 2 or 1 rows by 4, 2 or 1
+/// columns, rows in the outer loop: whole 4 x 4 tiles, then the
+/// remainders. A 4 x 4 tile of FMA chains holds 16 accumulator vectors,
+/// half the AVX-512 register file, leaving room for the loaded vectors
+/// and broadcasts; four columns give four independent chains even for
+/// a single row (decode), enough to cover the FMA latency on two ports.
+fn tiles<T: Tiled>(job: &mut T, rows: usize, cols: usize) {
+    let mut r = 0;
+    while r + 4 <= rows {
+        tile_cols::<T, 4>(job, r, cols);
+        r += 4;
+    }
+    if r + 2 <= rows {
+        tile_cols::<T, 2>(job, r, cols);
+        r += 2;
+    }
+    if r < rows {
+        tile_cols::<T, 1>(job, r, cols);
+    }
+}
+
+/// Every column of grid rows `row..row + R`.
+fn tile_cols<T: Tiled, const R: usize>(job: &mut T, row: usize, cols: usize) {
+    let mut c = 0;
+    while c + 4 <= cols {
+        job.tile::<R, 4>(row, c);
+        c += 4;
+    }
+    if c + 2 <= cols {
+        job.tile::<R, 2>(row, c);
+        c += 2;
+    }
+    if c < cols {
+        job.tile::<R, 1>(row, c);
+    }
+}
+
 /// A weight format stored as panels of [`PANEL`] output rows.
 pub(crate) trait Panels {
     /// `(rows, cols)`: outputs and inputs.
@@ -134,59 +186,37 @@ pub(crate) trait Panels {
 
 /// `out[b] = xs[b] · W^T` for the `n` input rows packed in `xs` (row `b`
 /// at `xs[b * cols..]`, output row `b` at `out[b * rows..]`): the one
-/// routine behind every panel format. Panels are the outer loop, so a
-/// tile's weights stay in L1 while the input rows stream past them.
+/// routine behind every panel format. Panels are the grid rows [`tiles`]
+/// runs in the outer loop, so a tile's weights stay in L1 while the
+/// input rows stream past them.
 pub(crate) fn panel_matmul<F: Panels>(w: &F, n: usize, xs: &[f32], out: &mut [f32]) {
     let (rows, cols) = w.shape();
     assert_eq!(xs.len(), n * cols, "matmul input dim");
     assert_eq!(out.len(), n * rows, "matmul output dim");
-    let panels = rows.div_ceil(PANEL);
-    let mut p = 0;
-    while p + PANELS_PER_TILE <= panels {
-        panel_rows::<F, PANELS_PER_TILE>(w, p, n, xs, out);
-        p += PANELS_PER_TILE;
-    }
-    for p in p..panels {
-        panel_rows::<F, 1>(w, p, n, xs, out);
-    }
+    tiles(&mut Matmul { w, xs, out }, rows.div_ceil(PANEL), n);
 }
 
-/// Panels `first..first + P` against every input row.
-fn panel_rows<F: Panels, const P: usize>(
-    w: &F,
-    first: usize,
-    n: usize,
-    xs: &[f32],
-    out: &mut [f32],
-) {
-    let mut b = 0;
-    while b + ROWS_PER_TILE <= n {
-        tile::<F, ROWS_PER_TILE, P>(w, first, b, xs, out);
-        b += ROWS_PER_TILE;
-    }
-    for b in b..n {
-        tile::<F, 1, P>(w, first, b, xs, out);
-    }
+/// A panel matmul as a grid of panels (rows) by input rows (columns).
+struct Matmul<'a, F> {
+    w: &'a F,
+    xs: &'a [f32],
+    out: &'a mut [f32],
 }
 
-/// One tile: input rows `b..b + R` against panels `first..first + P`,
-/// written to the outputs those panels cover.
-#[inline(always)]
-fn tile<F: Panels, const R: usize, const P: usize>(
-    w: &F,
-    first: usize,
-    b: usize,
-    xs: &[f32],
-    out: &mut [f32],
-) {
-    let (rows, cols) = w.shape();
-    let acc = w.accumulate::<R, P>(first, runs(xs, b, cols));
-    for (r, acc) in acc.iter().enumerate() {
-        let out = &mut out[(b + r) * rows..][..rows];
-        for (i, lanes) in acc.iter().enumerate() {
-            let start = (first + i) * PANEL;
-            let live = PANEL.min(rows - start);
-            out[start..start + live].copy_from_slice(&lanes[..live]);
+impl<F: Panels> Tiled for Matmul<'_, F> {
+    /// Panels `first..first + P` against input rows `b..b + R`, written
+    /// to the outputs those panels cover.
+    #[inline(always)]
+    fn tile<const P: usize, const R: usize>(&mut self, first: usize, b: usize) {
+        let (rows, cols) = self.w.shape();
+        let acc = self.w.accumulate::<R, P>(first, runs(self.xs, b, cols));
+        for (r, acc) in acc.iter().enumerate() {
+            let out = &mut self.out[(b + r) * rows..][..rows];
+            for (i, lanes) in acc.iter().enumerate() {
+                let start = (first + i) * PANEL;
+                let live = PANEL.min(rows - start);
+                out[start..start + live].copy_from_slice(&lanes[..live]);
+            }
         }
     }
 }
@@ -326,42 +356,334 @@ pub fn rmsnorm(x: &mut [f32], gain: &[f32], eps: f32) {
     }
 }
 
-/// Numerically-stable in-place softmax.
+/// `e^x` in straight-line vector-friendly code: a loop over it
+/// vectorizes, where libm's `expf` is an opaque call per element.
+///
+/// Cody-Waite reduction `x = n·ln2 + r` with `|r| <= ln2/2`, then a
+/// degree-6 polynomial for `e^r` whose coefficients minimize the
+/// relative error on that interval (5e-9 after rounding them to f32).
+/// `2^n` is built from the bits of `x·log2(e) + 1.5·2^23`, whose low
+/// mantissa bits hold `n` once the sum rounds to an integer: LLVM
+/// scalarizes a saturating `n as i32`. The scale is applied as two
+/// factors `2^(n/2)·2^(n - n/2)`, so results near overflow and in the
+/// subnormal range still round once.
+///
+/// Within 2 ulp of [`f32::exp`] wherever that returns a normal float;
+/// 0 at −∞ (and below about −103.9), +∞ where `f32::exp` overflows,
+/// NaN for NaN.
+#[inline]
+#[must_use]
+pub fn exp(x: f32) -> f32 {
+    /// `1.5·2^23`: adding it rounds to an integer held in the low bits.
+    const SHIFT: f32 = 12_582_912.0;
+    /// `ln 2` split so that `n·LN2_HI` is exact for `|n| < 2^15`.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// `e^r ≈ 1 + r + C[0]·r² + … + C[4]·r⁶`.
+    const C: [f32; 5] = [
+        0.499_999_94,
+        0.166_665_21,
+        0.041_668_43,
+        0.008_368_693,
+        0.001_381_239_7,
+    ];
+    // Keeps n in [-150, 128], where both scale factors are normal;
+    // beyond it the result is 0 or +∞ anyway. NaN passes through.
+    let x = x.clamp(-104.0, 89.0);
+    let t = x.mul_add(std::f32::consts::LOG2_E, SHIFT);
+    let n = t - SHIFT;
+    let r = (-n).mul_add(LN2_HI, x);
+    let r = (-n).mul_add(LN2_LO, r);
+    let mut p = C[4];
+    for c in [C[3], C[2], C[1], C[0], 1.0, 1.0] {
+        p = p.mul_add(r, c);
+    }
+    let n = t.to_bits().wrapping_sub(SHIFT.to_bits()) as i32;
+    let pow2 = |e: i32| f32::from_bits((e.wrapping_add(127) as u32) << 23);
+    p * pow2(n >> 1) * pow2(n - (n >> 1))
+}
+
+/// Apply `f(lane, element)` to every element of `x`, element `i` with
+/// lane `i % PANEL`: whole vectors first, so the loop vectorizes.
+#[inline(always)]
+fn for_lanes(x: &mut [f32], lanes: &mut Lanes, mut f: impl FnMut(&mut f32, &mut f32)) {
+    let (full, tail) = x.as_chunks_mut::<PANEL>();
+    for chunk in full {
+        for (l, v) in lanes.iter_mut().zip(chunk) {
+            f(l, v);
+        }
+    }
+    for (l, v) in lanes.iter_mut().zip(tail) {
+        f(l, v);
+    }
+}
+
+/// Fold lane partials pairwise, halving the width each step.
+#[inline(always)]
+fn fold_lanes(mut lanes: Lanes, f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut width = PANEL;
+    while width > 1 {
+        width /= 2;
+        for i in 0..width {
+            lanes[i] = f(lanes[i], lanes[i + width]);
+        }
+    }
+    lanes[0]
+}
+
+/// Numerically-stable in-place softmax. The max and the sum run over
+/// `PANEL` lane partials (element `i` in lane `i % PANEL`) folded in a
+/// fixed order, and every `exp` is [`exp`], so the loops vectorize.
 pub fn softmax(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in x.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
+    let mut max = [f32::NEG_INFINITY; PANEL];
+    for_lanes(x, &mut max, |m, v| *m = m.max(*v));
+    let max = fold_lanes(max, f32::max);
+    let mut sum = [0.0; PANEL];
+    for_lanes(x, &mut sum, |s, v| {
+        *v = exp(*v - max);
+        *s += *v;
+    });
+    let sum = fold_lanes(sum, |a, b| a + b);
     for v in x.iter_mut() {
         *v /= sum;
     }
 }
 
-/// SiLU activation: `x * sigmoid(x)`.
+/// SiLU activation: `x * sigmoid(x)`, through [`exp`].
+#[inline]
 #[must_use]
 pub fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + exp(-x))
+}
+
+/// The `(cos, sin)` of the rotation [`rope`] applies to each pair of a
+/// `head_dim`-wide head, for each of `positions` in turn: `head_dim / 2`
+/// entries per position. A forward computes these once per position
+/// and rotates every head of every layer with them.
+///
+/// # Panics
+///
+/// Panics if `head_dim` is odd.
+#[must_use]
+pub fn rope_angles(
+    positions: impl IntoIterator<Item = usize>,
+    head_dim: usize,
+    theta: f32,
+) -> Vec<(f32, f32)> {
+    assert_eq!(head_dim % 2, 0, "rope needs even head dim");
+    #[allow(clippy::cast_precision_loss)]
+    let freqs: Vec<f32> = (0..head_dim)
+        .step_by(2)
+        .map(|i| 1.0 / theta.powf(i as f32 / head_dim as f32))
+        .collect();
+    positions
+        .into_iter()
+        .flat_map(|pos| {
+            freqs.iter().map(move |freq| {
+                #[allow(clippy::cast_precision_loss)]
+                let (sin, cos) = (pos as f32 * freq).sin_cos();
+                (cos, sin)
+            })
+        })
+        .collect()
+}
+
+/// Rotate each pair `(head[2i], head[2i + 1])` by `angles[i]`, a
+/// `(cos, sin)` from [`rope_angles`].
+///
+/// # Panics
+///
+/// Panics unless `head` holds exactly two values per angle.
+pub fn rope_rotate(head: &mut [f32], angles: &[(f32, f32)]) {
+    assert_eq!(head.len(), 2 * angles.len(), "one angle per pair");
+    for (pair, &(cos, sin)) in head.chunks_exact_mut(2).zip(angles) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a * cos - b * sin;
+        pair[1] = a * sin + b * cos;
+    }
 }
 
 /// Apply rotary position embedding to a head vector of even length at
 /// sequence position `pos`, with base `theta` (Llama uses 10000).
 pub fn rope(head: &mut [f32], pos: usize, theta: f32) {
-    let d = head.len();
-    assert_eq!(d % 2, 0, "rope needs even head dim");
-    for i in (0..d).step_by(2) {
-        #[allow(clippy::cast_precision_loss)]
-        let freq = 1.0 / theta.powf(i as f32 / d as f32);
-        #[allow(clippy::cast_precision_loss)]
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let (a, b) = (head[i], head[i + 1]);
-        head[i] = a * cos - b * sin;
-        head[i + 1] = a * sin + b * cos;
+    rope_rotate(head, &rope_angles([pos], head.len(), theta));
+}
+
+/// Causal attention of one query position, every head at once: `group`
+/// query heads of `dim` values share each KV head. `q` and `out` hold
+/// every query head; `keys` and `values` are one layer of the KV cache,
+/// keys in blocks of [`PANEL`] positions (`keys[block * kv_dim + d][t]`),
+/// values row-major (`values[pos * kv_dim + d]`), of which the first
+/// `seq` positions are attended. `scores` is scratch, one buffer for
+/// every head.
+///
+/// For each KV head, its query heads are scored against the keys in
+/// tiles of up to 4 heads x 4 key blocks; each score is one FMA chain
+/// over `dim`, and every chain of a tile shares each loaded K vector.
+/// After a softmax per head, the values are summed in tiles of up to 4
+/// heads x 4 vectors of [`PANEL`] values; each output is one FMA chain
+/// over positions, in order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend(
+    q: &[f32],
+    group: usize,
+    dim: usize,
+    keys: &[Lanes],
+    values: &[f32],
+    seq: usize,
+    scores: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let kv_dim = q.len() / group;
+    let queries = group * dim;
+    let blocks = seq.div_ceil(PANEL);
+    let stride = blocks * PANEL;
+    scores.resize(group * stride, 0.0);
+    #[allow(clippy::cast_precision_loss)]
+    let scale = 1.0 / (dim as f32).sqrt();
+    // Zero-width heads have nothing to attend.
+    for kv_head in 0..kv_dim / dim.max(1) {
+        tiles(
+            &mut Scores {
+                q: &q[kv_head * queries..][..queries],
+                keys,
+                kv_dim,
+                head: kv_head * dim,
+                dim,
+                scale,
+                stride,
+                out: scores,
+            },
+            group,
+            blocks,
+        );
+        for head in scores.chunks_exact_mut(stride) {
+            softmax(&mut head[..seq]);
+        }
+        let mut sums = ValueSum {
+            weights: scores,
+            stride,
+            seq,
+            values,
+            kv_dim,
+            head: kv_head * dim,
+            dim,
+            first: 0,
+            width: PANEL,
+            out: &mut out[kv_head * queries..][..queries],
+        };
+        tiles(&mut sums, group, dim / PANEL);
+        let tail = dim % PANEL;
+        if tail > 0 {
+            sums.first = dim - tail;
+            sums.width = tail;
+            tiles(&mut sums, group, 1);
+        }
+    }
+}
+
+/// Scores of a KV head's query heads (grid rows) against its key blocks
+/// (grid columns): `out[r * stride + t]` = head `r` · key `t`, scaled.
+struct Scores<'a> {
+    q: &'a [f32],
+    keys: &'a [Lanes],
+    kv_dim: usize,
+    /// First dimension of this KV head within a key.
+    head: usize,
+    dim: usize,
+    scale: f32,
+    stride: usize,
+    out: &'a mut [f32],
+}
+
+impl Tiled for Scores<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const P: usize>(&mut self, row: usize, block: usize) {
+        let queries: [&[f32]; R] = runs(self.q, row, self.dim);
+        let mut keys = [&self.keys[..0]; P];
+        for (i, k) in keys.iter_mut().enumerate() {
+            *k = &self.keys[(block + i) * self.kv_dim + self.head..][..self.dim];
+        }
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for d in 0..self.dim {
+            fma_column(&mut acc, gather(&queries, d), &gather(&keys, d));
+        }
+        // Scaled in registers, then copied: scaling on the way out made
+        // LLVM check `out` against the stack copy of the tile and fall
+        // back to a scalar loop.
+        for a in acc.as_flattened_mut().as_flattened_mut() {
+            *a *= self.scale;
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            self.out[(row + r) * self.stride + block * PANEL..][..P * PANEL]
+                .copy_from_slice(acc.as_flattened());
+        }
+    }
+}
+
+/// Softmax-weighted value sums of a KV head's query heads (grid rows)
+/// over vectors of its value dimensions from `first` (grid columns):
+/// whole vectors of [`PANEL`] values, or the head's last `width < PANEL`
+/// values as a one-column grid.
+struct ValueSum<'a> {
+    weights: &'a [f32],
+    stride: usize,
+    seq: usize,
+    values: &'a [f32],
+    kv_dim: usize,
+    /// First dimension of this KV head within a value.
+    head: usize,
+    dim: usize,
+    first: usize,
+    width: usize,
+    out: &'a mut [f32],
+}
+
+impl Tiled for ValueSum<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const P: usize>(&mut self, row: usize, vector: usize) {
+        let col = self.first + vector * PANEL;
+        // Only one-column grids cover a partial vector. Whole-vector
+        // tiles copy a constant `P * PANEL` values per position, which
+        // compiles to plain vector loads.
+        let width = if P == 1 { self.width } else { P * PANEL };
+        let acc = if width == P * PANEL {
+            self.sum::<R, P>(row, col, P * PANEL)
+        } else {
+            self.sum::<R, P>(row, col, width)
+        };
+        for (r, acc) in acc.iter().enumerate() {
+            self.out[(row + r) * self.dim + col..][..width]
+                .copy_from_slice(&acc.as_flattened()[..width]);
+        }
+    }
+}
+
+impl ValueSum<'_> {
+    /// Heads `row..row + R` over value dimensions `col..col + width`.
+    #[inline(always)]
+    fn sum<const R: usize, const P: usize>(
+        &self,
+        row: usize,
+        col: usize,
+        width: usize,
+    ) -> [[Lanes; P]; R] {
+        let mut weights = [&self.weights[..0]; R];
+        for (r, w) in weights.iter_mut().enumerate() {
+            *w = &self.weights[(row + r) * self.stride..][..self.seq];
+        }
+        let start = self.head + col;
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for t in 0..self.seq {
+            let mut v = [[0.0; PANEL]; P];
+            v.as_flattened_mut()[..width]
+                .copy_from_slice(&self.values[t * self.kv_dim + start..][..width]);
+            fma_column(&mut acc, gather(&weights, t), &v);
+        }
+        acc
     }
 }
 

@@ -11,8 +11,9 @@
 //! * [`tensor`] — a minimal row-major f32 tensor.
 //! * [`kernels`] — panel matmul (weights interleaved in panels of 16
 //!   output rows; GEMV and batched GEMM on one register-tiled routine, plus
-//!   the scalar reference kernel), RMSNorm, softmax, SiLU and rotary
-//!   position embeddings.
+//!   the scalar reference kernel), all-head attention on the same tiles,
+//!   RMSNorm, a vectorizable `exp` behind softmax and SiLU, and rotary
+//!   position embeddings from per-position angle tables.
 //! * [`quant`] — group-wise int8 and packed int4 weight quantization in
 //!   the same panel layout, with fused dequant kernels and f32
 //!   accumulation, mirroring the paper's quantized deployments.

@@ -13,12 +13,19 @@
 //!   sequences (continuous batching); weights stream once per step
 //!   across the whole batch.
 //!
-//! Attention reads a [`KvCache`] whose keys are stored transposed in
-//! blocks of [`PANEL`] positions: the scores of a block's keys are one
-//! FMA chain over the head dimension, one key per vector lane. Values
-//! stay row-major and are summed with an FMA chain over positions.
+//! All three run one decoder loop, so RoPE, the cache append and
+//! attention exist once. Each call computes every row's RoPE `(cos,
+//! sin)` table once and rotates the query and key heads of every layer
+//! with it. Attention reads a [`KvCache`] whose keys are stored
+//! transposed in blocks of [`PANEL`] positions and whose values stay
+//! row-major, and handles all heads of a query position in one
+//! `kernels::attend` call: each score is one FMA chain over the head
+//! dimension, each output one FMA chain over positions.
 
-use crate::kernels::{gemm, gemv, gemv_tiled, rmsnorm, rope, softmax, Lanes, PanelMatrix, PANEL};
+use crate::kernels::{
+    attend, gemm, gemv, gemv_tiled, rmsnorm, rope_angles, rope_rotate, silu, Lanes, PanelMatrix,
+    PANEL,
+};
 use crate::quant::{Quant4Matrix, QuantMatrix};
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -346,6 +353,13 @@ fn init_linear(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Linear
     Linear::F32(PanelMatrix::pack(&init_matrix(rng, rows, cols, scale)))
 }
 
+/// Residual connection: `x += delta`, element by element.
+fn add(x: &mut Matrix, delta: &Matrix) {
+    for (xi, d) in x.as_mut_slice().iter_mut().zip(delta.as_slice()) {
+        *xi += d;
+    }
+}
+
 impl TinyModel {
     /// Deterministically initialize a model from `seed`.
     #[must_use]
@@ -455,56 +469,6 @@ impl TinyModel {
         self.forward_chunk(&[token], cache).row(0).to_vec()
     }
 
-    /// Attention for one query position against a cache prefix: scores
-    /// against all cached keys of each head's kv group, softmax, weighted
-    /// V sum into `out` (zeroed by the caller). `seq` is the number of
-    /// cached positions visible to this query (its own K/V entry must
-    /// already be stored); `scores` is scratch reused across calls.
-    fn attend(
-        &self,
-        layer: usize,
-        q: &[f32],
-        seq: usize,
-        cache: &KvCache,
-        scores: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
-        let cfg = &self.config;
-        let hd = cfg.head_dim();
-        let kvd = cfg.kv_dim();
-        let group = cfg.heads / cfg.kv_heads;
-        #[allow(clippy::cast_precision_loss)]
-        let inv_sqrt_d = 1.0 / (hd as f32).sqrt();
-        let keys = &cache.k[layer];
-        let values = &cache.v[layer];
-        for head in 0..cfg.heads {
-            let kv_head = head / group;
-            let qh = &q[head * hd..(head + 1) * hd];
-            // Scores of PANEL keys at a time, one key per lane; lanes
-            // past `seq` in the last block are dropped.
-            scores.clear();
-            for block in 0..seq.div_ceil(PANEL) {
-                let kb = &keys[block * kvd + kv_head * hd..][..hd];
-                let mut acc = [0.0f32; PANEL];
-                for (&qd, kd) in qh.iter().zip(kb) {
-                    for (a, &k) in acc.iter_mut().zip(kd) {
-                        *a = qd.mul_add(k, *a);
-                    }
-                }
-                scores.extend(acc.iter().map(|s| s * inv_sqrt_d));
-            }
-            scores.truncate(seq);
-            softmax(scores);
-            let oh = &mut out[head * hd..(head + 1) * hd];
-            for (t, w) in scores.iter().enumerate() {
-                let vh = &values[t * kvd + kv_head * hd..][..hd];
-                for (o, val) in oh.iter_mut().zip(vh) {
-                    *o = w.mul_add(*val, *o);
-                }
-            }
-        }
-    }
-
     /// Process `n` consecutive tokens of one sequence in a single pass
     /// per layer, appending all of them to the cache; returns the `n x
     /// vocab` logits (row `i` = next-token logits after `tokens[..=i]`).
@@ -520,101 +484,7 @@ impl TinyModel {
     /// the cache.
     #[must_use]
     pub fn forward_chunk(&self, tokens: &[usize], cache: &mut KvCache) -> Matrix {
-        let cfg = &self.config;
-        let n = tokens.len();
-        for &t in tokens {
-            assert!(t < cfg.vocab, "token {t} out of vocabulary");
-        }
-        assert!(cache.len + n <= cfg.max_seq, "KV cache full");
-        let base = cache.len;
-        let h = cfg.hidden;
-        let hd = cfg.head_dim();
-        let kvd = cfg.kv_dim();
-        let inter = cfg.intermediate;
-
-        let mut x = Matrix::zeros(n, h);
-        for (i, &t) in tokens.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(self.embed.row(t));
-        }
-        let mut scores = Vec::new();
-
-        for (layer, block) in self.blocks.iter().enumerate() {
-            // Attention sub-block.
-            let mut normed = x.clone();
-            for i in 0..n {
-                rmsnorm(normed.row_mut(i), &block.input_norm, cfg.eps);
-            }
-            let mut q = Matrix::zeros(n, h);
-            let mut k = Matrix::zeros(n, kvd);
-            let mut v = Matrix::zeros(n, kvd);
-            block.wq.apply_batch(&normed, &mut q);
-            block.wk.apply_batch(&normed, &mut k);
-            block.wv.apply_batch(&normed, &mut v);
-
-            for i in 0..n {
-                let pos = base + i;
-                let qr = q.row_mut(i);
-                for head in 0..cfg.heads {
-                    rope(&mut qr[head * hd..(head + 1) * hd], pos, cfg.rope_theta);
-                }
-                let kr = k.row_mut(i);
-                for head in 0..cfg.kv_heads {
-                    rope(&mut kr[head * hd..(head + 1) * hd], pos, cfg.rope_theta);
-                }
-            }
-
-            let mut attn = Matrix::zeros(n, h);
-            for i in 0..n {
-                cache.store(layer, base + i, k.row(i), v.row(i));
-                self.attend(
-                    layer,
-                    q.row(i),
-                    base + i + 1,
-                    cache,
-                    &mut scores,
-                    attn.row_mut(i),
-                );
-            }
-
-            let mut proj = Matrix::zeros(n, h);
-            block.wo.apply_batch(&attn, &mut proj);
-            for i in 0..n {
-                for (xi, p) in x.row_mut(i).iter_mut().zip(proj.row(i)) {
-                    *xi += p;
-                }
-            }
-
-            // MLP sub-block.
-            let mut normed = x.clone();
-            for i in 0..n {
-                rmsnorm(normed.row_mut(i), &block.post_norm, cfg.eps);
-            }
-            let mut gate = Matrix::zeros(n, inter);
-            let mut up = Matrix::zeros(n, inter);
-            block.w_gate.apply_batch(&normed, &mut gate);
-            block.w_up.apply_batch(&normed, &mut up);
-            for i in 0..n {
-                for (g, u) in gate.row_mut(i).iter_mut().zip(up.row(i)) {
-                    *g = crate::kernels::silu(*g) * u;
-                }
-            }
-            let mut down = Matrix::zeros(n, h);
-            block.w_down.apply_batch(&gate, &mut down);
-            for i in 0..n {
-                for (xi, d) in x.row_mut(i).iter_mut().zip(down.row(i)) {
-                    *xi += d;
-                }
-            }
-        }
-
-        cache.len += n;
-
-        for i in 0..n {
-            rmsnorm(x.row_mut(i), &self.final_norm, cfg.eps);
-        }
-        let mut logits = Matrix::zeros(n, cfg.vocab);
-        self.lm_head.apply_batch(&x, &mut logits);
-        logits
+        self.forward_rows(tokens, &mut [cache], |_| 0)
     }
 
     /// Advance `B` independent sequences by one token each in a single
@@ -629,57 +499,80 @@ impl TinyModel {
     /// cache.
     #[must_use]
     pub fn forward_batch<C: AsMut<KvCache>>(&self, tokens: &[usize], caches: &mut [C]) -> Matrix {
+        assert_eq!(tokens.len(), caches.len(), "one cache per sequence");
+        let mut caches: Vec<&mut KvCache> = caches.iter_mut().map(AsMut::as_mut).collect();
+        self.forward_rows(tokens, &mut caches, |b| b)
+    }
+
+    /// The decoder behind every forward: row `i` appends `tokens[i]` to
+    /// `caches[cache_of(i)]` at that cache's next position (rows of one
+    /// cache in order), and every layer runs once over all rows. Returns
+    /// the logits, one row per token.
+    fn forward_rows(
+        &self,
+        tokens: &[usize],
+        caches: &mut [&mut KvCache],
+        cache_of: impl Fn(usize) -> usize,
+    ) -> Matrix {
         let cfg = &self.config;
         let n = tokens.len();
-        assert_eq!(n, caches.len(), "one cache per sequence");
-        let mut caches: Vec<&mut KvCache> = caches.iter_mut().map(AsMut::as_mut).collect();
-        for (&t, c) in tokens.iter().zip(caches.iter()) {
+        for &t in tokens {
             assert!(t < cfg.vocab, "token {t} out of vocabulary");
-            assert!(c.len < cfg.max_seq, "KV cache full");
         }
+        let mut lens: Vec<usize> = caches.iter().map(|c| c.len).collect();
+        let rows: Vec<(usize, usize)> = (0..n)
+            .map(|i| {
+                let c = cache_of(i);
+                let pos = lens[c];
+                lens[c] += 1;
+                (c, pos)
+            })
+            .collect();
+        assert!(lens.iter().all(|&len| len <= cfg.max_seq), "KV cache full");
         let h = cfg.hidden;
         let hd = cfg.head_dim();
+        let kvd = cfg.kv_dim();
         let inter = cfg.intermediate;
+        let group = cfg.heads / cfg.kv_heads;
+        let angles = rope_angles(rows.iter().map(|&(_, pos)| pos), hd, cfg.rope_theta);
+        let mut scores = Vec::new();
 
         let mut x = Matrix::zeros(n, h);
         for (i, &t) in tokens.iter().enumerate() {
             x.row_mut(i).copy_from_slice(self.embed.row(t));
         }
-        let mut scores = Vec::new();
 
         for (layer, block) in self.blocks.iter().enumerate() {
+            // Attention sub-block.
             let mut normed = x.clone();
             for i in 0..n {
                 rmsnorm(normed.row_mut(i), &block.input_norm, cfg.eps);
             }
             let mut q = Matrix::zeros(n, h);
-            let mut k = Matrix::zeros(n, cfg.kv_dim());
-            let mut v = Matrix::zeros(n, cfg.kv_dim());
+            let mut k = Matrix::zeros(n, kvd);
+            let mut v = Matrix::zeros(n, kvd);
             block.wq.apply_batch(&normed, &mut q);
             block.wk.apply_batch(&normed, &mut k);
             block.wv.apply_batch(&normed, &mut v);
 
-            for (i, cache) in caches.iter().enumerate() {
-                let pos = cache.len;
-                let qr = q.row_mut(i);
-                for head in 0..cfg.heads {
-                    rope(&mut qr[head * hd..(head + 1) * hd], pos, cfg.rope_theta);
-                }
-                let kr = k.row_mut(i);
-                for head in 0..cfg.kv_heads {
-                    rope(&mut kr[head * hd..(head + 1) * hd], pos, cfg.rope_theta);
-                }
-            }
-
             let mut attn = Matrix::zeros(n, h);
-            for (i, cache) in caches.iter_mut().enumerate() {
-                let pos = cache.len;
+            for (i, &(c, pos)) in rows.iter().enumerate() {
+                let rotation = &angles[i * hd / 2..][..hd / 2];
+                for head in 0..cfg.heads {
+                    rope_rotate(&mut q.row_mut(i)[head * hd..][..hd], rotation);
+                }
+                for head in 0..cfg.kv_heads {
+                    rope_rotate(&mut k.row_mut(i)[head * hd..][..hd], rotation);
+                }
+                let cache = &mut *caches[c];
                 cache.store(layer, pos, k.row(i), v.row(i));
-                self.attend(
-                    layer,
+                attend(
                     q.row(i),
+                    group,
+                    hd,
+                    &cache.k[layer],
+                    &cache.v[layer],
                     pos + 1,
-                    cache,
                     &mut scores,
                     attn.row_mut(i),
                 );
@@ -687,12 +580,9 @@ impl TinyModel {
 
             let mut proj = Matrix::zeros(n, h);
             block.wo.apply_batch(&attn, &mut proj);
-            for i in 0..n {
-                for (xi, p) in x.row_mut(i).iter_mut().zip(proj.row(i)) {
-                    *xi += p;
-                }
-            }
+            add(&mut x, &proj);
 
+            // MLP sub-block.
             let mut normed = x.clone();
             for i in 0..n {
                 rmsnorm(normed.row_mut(i), &block.post_norm, cfg.eps);
@@ -701,22 +591,16 @@ impl TinyModel {
             let mut up = Matrix::zeros(n, inter);
             block.w_gate.apply_batch(&normed, &mut gate);
             block.w_up.apply_batch(&normed, &mut up);
-            for i in 0..n {
-                for (g, u) in gate.row_mut(i).iter_mut().zip(up.row(i)) {
-                    *g = crate::kernels::silu(*g) * u;
-                }
+            for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                *g = silu(*g) * u;
             }
             let mut down = Matrix::zeros(n, h);
             block.w_down.apply_batch(&gate, &mut down);
-            for i in 0..n {
-                for (xi, d) in x.row_mut(i).iter_mut().zip(down.row(i)) {
-                    *xi += d;
-                }
-            }
+            add(&mut x, &down);
         }
 
-        for c in caches.iter_mut() {
-            c.len += 1;
+        for (cache, len) in caches.iter_mut().zip(lens) {
+            cache.len = len;
         }
 
         for i in 0..n {

@@ -15,10 +15,18 @@
 //! * quantization round-trips inside its analytical error bound
 //!   (`max|group|/254` for int8, `max|group|/14` for int4) and the
 //!   fused dot matches the dequantize-then-multiply reference;
-//! * `rmsnorm` / `softmax` / `rope` satisfy their defining invariants.
+//! * `rmsnorm` / `softmax` / `rope` satisfy their defining invariants;
+//! * the vectorizable `exp` stays within 2 ulp of libm's `f32::exp`
+//!   wherever that is a normal float, on a sweep of over 10^6 inputs
+//!   across every binade, and keeps its special values (0 at −∞, +∞ on
+//!   overflow, NaN for NaN);
+//! * the RoPE angle tables a forward computes once per position rotate
+//!   **bit-identically** to the per-token definition (each pair's own
+//!   `powf` and `sin_cos`).
 
 use cllm_infer::kernels::{
-    argmax, gemm, gemv, gemv_tiled, rmsnorm, rope, softmax, PanelMatrix, PANEL,
+    argmax, exp, gemm, gemv, gemv_tiled, rmsnorm, rope, rope_angles, rope_rotate, softmax,
+    PanelMatrix, PANEL,
 };
 use cllm_infer::quant::{Quant4Matrix, QuantMatrix, GROUP};
 use cllm_infer::tensor::Matrix;
@@ -287,6 +295,71 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn rope_tables_rotate_bit_identically_to_the_per_token_definition(
+        half in 1usize..40,
+        pos in 0usize..4096,
+        seed in any::<u32>(),
+    ) {
+        let d = 2 * half;
+        let head = lcg_values(d, seed);
+        let mut want = head.clone();
+        for i in (0..d).step_by(2) {
+            #[allow(clippy::cast_precision_loss)]
+            let freq = 1.0 / 10000f32.powf(i as f32 / d as f32);
+            #[allow(clippy::cast_precision_loss)]
+            let (sin, cos) = (pos as f32 * freq).sin_cos();
+            let (a, b) = (want[i], want[i + 1]);
+            want[i] = a * cos - b * sin;
+            want[i + 1] = a * sin + b * cos;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // This position's slice of a table over several positions.
+        let table = rope_angles([pos + 1, pos, 0], d, 10000.0);
+        let mut from_table = head.clone();
+        rope_rotate(&mut from_table, &table[half..2 * half]);
+        prop_assert_eq!(bits(&from_table), bits(&want));
+
+        let mut single = head;
+        rope(&mut single, pos, 10000.0);
+        prop_assert_eq!(bits(&single), bits(&want));
+    }
+}
+
+/// `exp` against libm on every 509th f32 bit pattern (both signs, every
+/// binade): where `f32::exp` returns a normal float the two differ by at
+/// most 2 ulp.
+#[test]
+fn exp_is_within_two_ulp_of_libm() {
+    let mut checked = 0u32;
+    for bits in (0..=u32::MAX).step_by(509) {
+        let x = f32::from_bits(bits);
+        let want = x.exp();
+        if !want.is_normal() {
+            continue;
+        }
+        let got = exp(x);
+        let ulps = (i64::from(got.to_bits()) - i64::from(want.to_bits())).abs();
+        assert!(ulps <= 2, "exp({x:e}) = {got:e}, libm {want:e}: {ulps} ulp");
+        checked += 1;
+    }
+    assert!(checked > 1_000_000, "only {checked} inputs swept");
+}
+
+#[test]
+fn exp_keeps_its_special_values() {
+    assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0);
+    assert_eq!(exp(-1e4).to_bits(), 0);
+    assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+    for x in [88.73, 89.0, 100.0, 1e30] {
+        assert_eq!(exp(x), f32::INFINITY, "exp({x}) must overflow like libm");
+    }
+    assert!(exp(f32::NAN).is_nan());
+    assert!(exp(-f32::NAN).is_nan());
+    assert_eq!(exp(0.0), 1.0);
+    assert_eq!(exp(-0.0), 1.0);
 }
 
 /// Deterministic edge cases the strategies above could only hit by

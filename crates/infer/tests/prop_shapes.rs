@@ -6,16 +6,18 @@
 //! width, intermediate size and vocabulary are all *not* multiples of
 //! [`PANEL`], and pins, for f32, int8 and int4 weights:
 //!
-//! * `forward`, `forward_chunk` and `forward_batch` agree bit for bit;
-//! * `KvCache::truncate` rolls back exactly at `PANEL - 1`, `PANEL` and
-//!   `PANEL + 1` cached tokens: the cache serializes as if built to that
-//!   length, and decoding continues with identical logits.
+//! * `forward`, `forward_chunk` and `forward_batch` agree bit for bit,
+//!   over sequences longer than one attention tile of 4 K blocks;
+//! * `KvCache::truncate` rolls back exactly at `PANEL - 1`, `PANEL`,
+//!   `PANEL + 1` and `4 * PANEL + 1` cached tokens: the cache serializes
+//!   as if built to that length, and decoding continues with identical
+//!   logits.
 
 use cllm_infer::kernels::PANEL;
 use cllm_infer::model::{KvCache, TinyConfig, TinyModel};
 use proptest::prelude::*;
 
-const LEN: usize = PANEL + 4;
+const LEN: usize = 4 * PANEL + 4;
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -69,8 +71,9 @@ proptest! {
             }
             prop_assert_eq!(chunked.to_bytes(), full.to_bytes());
 
-            // Three sequences around a K block boundary, one step together.
-            let lens = [PANEL - 1, PANEL, PANEL + 1];
+            // Sequences around a K block boundary and past a full tile of
+            // 4 K blocks, one step together.
+            let lens = [PANEL - 1, PANEL, PANEL + 1, 4 * PANEL + 1];
             let mut caches: Vec<KvCache> = lens
                 .iter()
                 .map(|&n| {
@@ -79,6 +82,7 @@ proptest! {
                     c
                 })
                 .collect();
+            let prefixes = caches.clone();
             let step: Vec<usize> = lens.iter().map(|&n| tokens[n]).collect();
             let batched = m.forward_batch(&step, &mut caches);
             for (b, &n) in lens.iter().enumerate() {
@@ -86,11 +90,9 @@ proptest! {
             }
 
             // Roll back to each length and continue.
-            for &n in &lens {
+            for (&n, reference) in lens.iter().zip(&prefixes) {
                 let mut rolled = full.clone();
                 rolled.truncate(n);
-                let mut reference = m.new_cache();
-                let _ = m.forward_chunk(&tokens[..n], &mut reference);
                 prop_assert_eq!(rolled.to_bytes(), reference.to_bytes(), "{:?}: truncate({})", config, n);
                 prop_assert_eq!(rolled.bytes(), reference.bytes());
                 prop_assert_eq!(&bits(&m.forward(tokens[n], &mut rolled)), &single[n]);

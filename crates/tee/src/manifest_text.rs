@@ -57,10 +57,11 @@ fn parse_size(line: usize, raw: &str) -> Result<u64, ParseError> {
         Some(c) if c.is_ascii_digit() => (s, 1),
         _ => return Err(err(line, format!("bad size literal: {raw:?}"))),
     };
-    digits
+    let v = digits
         .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| err(line, format!("bad size literal: {raw:?}")))
+        .map_err(|_| err(line, format!("bad size literal: {raw:?}")))?;
+    v.checked_mul(mult)
+        .ok_or_else(|| err(line, format!("size literal overflows 64 bits: {raw:?}")))
 }
 
 /// Strip surrounding quotes from a string literal.
@@ -325,6 +326,19 @@ fs.mounts = [
         assert_eq!(parse_size(1, "8K").unwrap(), 8 << 10);
         assert_eq!(parse_size(1, "4096").unwrap(), 4096);
         assert!(parse_size(1, "lots").is_err());
+    }
+
+    #[test]
+    fn oversized_literal_is_an_error() {
+        // 2^34 GiB = 2^64 bytes: one past u64::MAX.
+        let text = "libos.entrypoint = \"e\"\nsgx.enclave_size = \"17179869184G\"\n";
+        let e = parse_manifest(text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("overflows"), "{}", e.message);
+        assert_eq!(
+            parse_size(1, "17179869183G").unwrap(),
+            u64::MAX - (1 << 30) + 1
+        );
     }
 
     #[test]
