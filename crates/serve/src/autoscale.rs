@@ -10,22 +10,24 @@
 //! steady carrying cost; the break-even between the two is the headline
 //! of the `flash_crowd` experiment.
 //!
-//! The driver reuses the PR-6 discrete-event kernel and the cluster
-//! loop's node machinery, adding:
+//! The driver runs every node on the same discrete-event kernel, fault
+//! path and batching iteration as the single-node and cluster
+//! simulators, and routes like the cluster, adding:
 //!
 //! * **a dynamic fleet** — nodes progress through
 //!   `ColdStart → Attesting → Unsealing → Serving → Draining → Retired`;
 //!   a cold-started node joins routing only at its ready time, a
 //!   draining node takes no new work and retires when idle, and both the
 //!   cold-start downtime and the drain deadline are clamped to the
-//!   horizon (the PR-6 `reattest_s` clamp, applied to the new machinery);
+//!   horizon, like every fault outage;
 //! * **tiered overload protection** — per-tier queue caps and staleness
 //!   deadlines ([`TieredAdmission`]):
 //!   free is shed first, premium last;
 //! * **retry budgets with a storm circuit** —
 //!   [`RetryStormGuard`] bounds both the
 //!   per-request attempts and the fleet-wide retry rate, converting
-//!   metastable retry storms into bounded aborts;
+//!   metastable retry storms into bounded aborts. It replaces the
+//!   recovery policy's `max_retries` cap the other simulators apply;
 //! * **brownout** — [`Brownout`] degrades
 //!   output-length caps before any request is shed;
 //! * **billing** — rented lifetimes, warm-pool carrying cost and the
@@ -35,14 +37,14 @@
 //! Everything is deterministic in the config's seeds: two runs are
 //! byte-identical on any `CLLM_RUNNER_THREADS`.
 
-use crate::cluster::{hs_seed, place, ClusterRetry, NodeSpec, NodeState};
-use crate::faults::{attested_rehandshake_phased, FaultEvent, FaultKind, FaultPlan, FaultRates};
-use crate::kernel::{EventQueue, KernelStats, RequestSlab};
+use crate::cluster::NodeSpec;
+use crate::faults::{hs_seed, FaultEvent, FaultPlan, FaultRates};
+use crate::kernel::KernelStats;
+use crate::node::{clamp_to_horizon, next_step, Next, NodeState, RetryRule, Run};
 use crate::router::{
-    route_least_loaded, BreakerConfig, Brownout, BrownoutConfig, CircuitBreaker, RetryBudget,
-    RetryStormGuard, TieredAdmission,
+    route_least_loaded, BreakerConfig, Brownout, BrownoutConfig, RetryBudget, RetryStormGuard,
+    TieredAdmission,
 };
-use crate::scheduler::{Admission, ContinuousBatcher};
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
 use crate::slo::sorted_percentile;
 use crate::workload::Request;
@@ -51,7 +53,6 @@ use cllm_obs::TraceSink;
 use cllm_tee::attestation::Measurement;
 use cllm_tee::sealed::SealedBlob;
 use cllm_tee::session::{enclave_respond, Verifier};
-use cllm_workload::kv;
 use cllm_workload::trace::{Tier, TraceRequest, TrafficModel};
 use serde::{Deserialize, Serialize};
 
@@ -299,11 +300,13 @@ pub fn cold_start_secure_boot(seed: u64) {
     assert_eq!(out, shard, "unsealed weights must match what was sealed");
 }
 
-/// Run the deterministic autoscaling simulation.
+/// Run the deterministic autoscaling simulation. A non-positive or NaN
+/// base rate or horizon returns an empty report.
 ///
 /// # Panics
 ///
-/// Panics if the base fleet is empty.
+/// Panics if the base fleet is empty, or if the base rate or the
+/// horizon is infinite.
 #[must_use]
 pub fn simulate_autoscale(cfg: &AutoscaleConfig) -> AutoscaleReport {
     simulate_autoscale_stats(cfg).0
@@ -315,25 +318,29 @@ pub fn simulate_autoscale(cfg: &AutoscaleConfig) -> AutoscaleReport {
 ///
 /// # Panics
 ///
-/// Panics if the base fleet is empty.
+/// Panics if the base fleet is empty, or if the base rate or the
+/// horizon is infinite.
 #[must_use]
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
+#[allow(clippy::too_many_lines)]
 pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, KernelStats) {
     assert!(!cfg.base_fleet.is_empty(), "autoscale needs a base fleet");
     let horizon_s = cfg.serving.duration_s;
-    let mut stats = KernelStats::default();
     let mut sink = TraceSink::disabled();
 
-    let trace: Vec<TraceRequest> = if horizon_s > 0.0 {
+    let trace: Vec<TraceRequest> = if cfg.traffic.base_rate_per_s > 0.0 && horizon_s > 0.0 {
         cfg.traffic.generate(horizon_s)
     } else {
         Vec::new()
     };
-    let onsets = cfg.traffic.bursts.onsets(horizon_s.max(0.0));
     if trace.is_empty() {
-        return (empty_report(), stats);
+        return (empty_report(), KernelStats::default());
     }
-    let tier_of: Vec<Tier> = trace.iter().map(|r| r.tier).collect();
+    let onsets = cfg.traffic.bursts.onsets(horizon_s);
+    // A dense tier table: the tier-cap check scans every queued request
+    // on each arrival.
+    let tiers: Vec<Tier> = trace.iter().map(|r| r.tier).collect();
+    // infallible: request ids are dense trace indices (0..len)
+    let tier_of = |id: u64| tiers[usize::try_from(id).expect("dense id")];
     let mut pending: std::collections::VecDeque<Request> = trace
         .iter()
         .map(|r| Request {
@@ -345,7 +352,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
         .collect();
     let total_arrivals = pending.len();
     let mut tiers_out = [TierReport::default(); 3];
-    for t in &tier_of {
+    for t in &tiers {
         tiers_out[t.index()].arrivals += 1;
     }
 
@@ -353,37 +360,29 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let mut nodes: Vec<FleetNode> = cfg
         .base_fleet
         .iter()
-        .map(|spec| {
-            let base = FaultPlan::seeded(&spec.rates, horizon_s, spec.seed);
-            let policy = base.policy;
-            let plan = base.merge(FaultPlan {
-                events: spec.extra_events.clone(),
-                policy,
-            });
-            FleetNode {
-                st: new_node_state(cfg, spec.node.clone(), plan),
-                ready_at_s: 0.0,
-                rented_at_s: 0.0,
-                rented: false,
-                draining: false,
-                drain_deadline_s: f64::INFINITY,
-                retired: false,
-                retired_at_s: 0.0,
-            }
+        .enumerate()
+        .map(|(i, spec)| FleetNode {
+            st: NodeState::new(
+                i,
+                spec.node.clone(),
+                spec.plan(horizon_s),
+                &cfg.serving,
+                Some(cfg.breaker),
+            ),
+            ready_at_s: 0.0,
+            rented_at_s: 0.0,
+            rented: false,
+            draining: false,
+            drain_deadline_s: f64::INFINITY,
+            retired: false,
+            retired_at_s: 0.0,
         })
         .collect();
 
-    let mut retry_queue: EventQueue<ClusterRetry> = EventQueue::new();
-    let mut slab = RequestSlab::new(total_arrivals);
-    let mut guard = RetryStormGuard::new(cfg.retry);
+    let rule = RetryRule::Budget(RetryStormGuard::new(cfg.retry));
+    let mut run = Run::new(&cfg.serving, cfg.spill, rule, total_arrivals, &mut sink);
     let mut brownout = cfg.brownout.map(Brownout::new);
-    let per_token_bytes = kv::kv_bytes_per_sequence(&cfg.serving.model, 1, cfg.serving.dtype);
-    let block_bytes = per_token_bytes * cfg.serving.kv.block_tokens as f64;
-
-    let mut records: Vec<RequestRecord> = Vec::with_capacity(total_arrivals);
     let mut shed = 0usize;
-    let mut aborted = 0usize;
-    let mut retries = 0u64;
     let mut spills = 0u64;
     let mut scale_ups = 0u64;
     let mut warm_promotions = 0u64;
@@ -395,48 +394,19 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let mut next_control_s = 0.0f64;
     let mut low_ticks = 0u32;
 
-    loop {
-        let t_arrival = pending.front().map(|r| r.arrival_s);
-        let next_retry = retry_queue.peek_time();
-        let t_dispatch = match (t_arrival, next_retry) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (Some(a), None) => Some(a),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        };
-
-        let runnable = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.retired && !n.st.scheduler.idle())
-            .min_by(|(i, a), (j, b)| {
-                a.st.now
-                    .partial_cmp(&b.st.now)
-                    // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
-                    .expect("finite clocks")
-                    .then(i.cmp(j))
-            })
-            .map(|(i, n)| (i, n.st.now));
-
-        let do_dispatch = match (t_dispatch, runnable) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(t), Some((_, node_now))) => t <= node_now,
-        };
-
-        if do_dispatch {
-            let arrival_first = match (t_arrival, next_retry) {
-                (Some(a), Some(r)) => a <= r,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if arrival_first {
+    // A retired node is idle (it retires only once idle and is never
+    // routed to again), so the runnable scan may look at every node.
+    while let Some(next) = next_step(
+        pending.front().map(|r| r.arrival_s),
+        run.retry_queue.peek_time(),
+        nodes.iter().map(|n| &n.st),
+    ) {
+        match next {
+            Next::Arrival => {
                 let mut r = pending.pop_front().expect("arrival checked");
-                stats.arrivals += 1;
+                run.stats.arrivals += 1;
                 let t = r.arrival_s;
-                // infallible: request ids are dense trace indices (0..len), here and in every tier_of lookup below
-                let tier = tier_of[usize::try_from(r.id).expect("dense id")];
+                let tier = tier_of(r.id);
 
                 // Controller tick (deterministic, sim-time driven).
                 if t >= next_control_s {
@@ -454,7 +424,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                         &mut cold_start_s,
                         &mut unseal_total_s,
                         &mut low_ticks,
-                        &mut sink,
+                        run.sink,
                     );
                 }
 
@@ -471,249 +441,78 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                 }
 
                 // Tier queue cap: count this tier's queued work fleet-wide.
-                let tier_queued: usize = nodes
+                let tier_queued = nodes
                     .iter()
                     .filter(|n| !n.retired)
                     .flat_map(|n| n.st.scheduler.queued_requests())
-                    .filter(|q| tier_of[usize::try_from(q.id).expect("dense id")] == tier)
+                    .filter(|q| tier_of(q.id) == tier)
                     .count();
-                if tier_queued >= cfg.tiers.policy(tier).queue_cap {
-                    shed += 1;
-                    tiers_out[tier.index()].shed += 1;
-                    stats.rejections += 1;
-                    continue;
-                }
-
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.eligible(t) && n.st.breaker.accepts(t) {
-                        candidates.push((i, n.st.depth()));
-                    }
-                }
-                match route_least_loaded(&candidates) {
-                    Some(i) => place(&mut nodes[i].st, i, r, t, &mut sink),
+                let target = if tier_queued >= cfg.tiers.policy(tier).queue_cap {
+                    None
+                } else {
+                    route_least_loaded(&open_nodes(&mut nodes, t, run.sink))
+                };
+                match target {
+                    Some(i) => nodes[i].st.place(r, t, run.sink),
                     None => {
                         shed += 1;
                         tiers_out[tier.index()].shed += 1;
-                        stats.rejections += 1;
+                        run.stats.rejections += 1;
                     }
                 }
-            } else {
-                let (t, e) = retry_queue.pop().expect("retry checked");
-                stats.retries_delivered += 1;
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.eligible(t) && n.st.breaker.accepts(t) {
-                        candidates.push((i, n.st.depth()));
-                    }
-                }
+            }
+            Next::Retry => {
+                let (t, e) = run.retry_queue.pop().expect("retry checked");
+                run.stats.retries_delivered += 1;
                 // Retries are always placeable among live nodes: fall
                 // back past breakers to the least-loaded eligible node
                 // (the base fleet is never draining, so one exists).
-                let target = route_least_loaded(&candidates).unwrap_or_else(|| {
-                    let all: Vec<(usize, usize)> = nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| n.eligible(t))
-                        .map(|(i, n)| (i, n.st.depth()))
-                        .collect();
-                    // infallible: the base fleet never drains, so an eligible node always exists
-                    route_least_loaded(&all).expect("base fleet is always eligible")
-                });
+                let target = route_least_loaded(&open_nodes(&mut nodes, t, run.sink))
+                    .unwrap_or_else(|| least_loaded_eligible(&nodes, t, None));
                 if nodes[target].st.is_gpu() != e.origin_gpu {
                     spills += 1;
-                    slab.mark_spilled(e.request.id);
+                    run.slab.mark_spilled(e.request.id);
                 }
-                place(&mut nodes[target].st, target, e.request, t, &mut sink);
+                nodes[target].st.place(e.request, t, run.sink);
             }
-            continue;
-        }
+            Next::Advance(i) => {
+                let n = &mut nodes[i];
+                n.st.apply_due_faults(&mut run);
 
-        // Advance the chosen node by one batching iteration.
-        // infallible: the advance branch is only taken when `runnable` is Some
-        let (i, _) = runnable.expect("advance branch requires a runnable node");
-        let n = &mut nodes[i];
-
-        // Faults due by the node clock, oldest first.
-        while n
-            .st
-            .plan
-            .events
-            .get(n.st.next_event)
-            .is_some_and(|e| e.at_s <= n.st.now)
-        {
-            let ev = n.st.plan.events[n.st.next_event];
-            n.st.next_event += 1;
-            stats.faults_applied += 1;
-            apply_fault(
-                &ev,
-                &mut n.st,
-                i,
-                horizon_s,
-                &mut slab,
-                &mut retry_queue,
-                &mut guard,
-                &mut retries,
-                &mut aborted,
-                &mut tiers_out,
-                &tier_of,
-            );
-        }
-
-        // Drain deadline: a draining node out of grace force-drains its
-        // running batch to the retry path (bounded by the storm guard).
-        if n.draining && n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
-            let origin_gpu = n.st.is_gpu();
-            let now = n.st.now;
-            for victim in n.st.scheduler.drain_running() {
-                let id = victim.request.id;
-                let a = slab.bump_attempts(id);
-                if guard.admit_retry(now, a - 1) {
-                    retries += 1;
-                    retry_queue.push_keyed(
-                        now + n.st.plan.policy.backoff_s(a),
-                        id,
-                        ClusterRetry {
-                            request: victim.request,
-                            origin: i,
-                            origin_gpu,
-                        },
-                    );
-                } else {
-                    aborted += 1;
-                    tiers_out[tier_of[usize::try_from(id).expect("dense id")].index()].aborted += 1;
+                // Drain deadline: a draining node out of grace
+                // force-drains its running batch to the retry path.
+                if n.draining
+                    && n.st.now >= n.drain_deadline_s
+                    && !n.st.scheduler.running().is_empty()
+                {
+                    let now = n.st.now;
+                    n.st.requeue_or_abort(now, &mut run);
                 }
-            }
-        }
-        if n.draining && n.st.scheduler.idle() {
-            // A gray StuckDrain window wedges the scale-down: the node
-            // keeps renting (billed until it actually retires) without
-            // serving. `drain_deadline_s` is horizon-clamped when the
-            // controller sets it, so the billed tail is bounded.
-            n.retired = true;
-            n.retired_at_s = drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
-            continue;
-        }
-
-        // Tier staleness deadlines: shed queued requests past their
-        // tier's patience.
-        {
-            let now = n.st.now;
-            let tiers = &cfg.tiers;
-            let tier_of_ref = &tier_of;
-            let dropped = n.st.scheduler.shed(|r| {
-                let tier = tier_of_ref[usize::try_from(r.id).expect("dense id")];
-                now - r.arrival_s > tiers.policy(tier).deadline_s
-            });
-            shed += dropped.len();
-            stats.rejections += dropped.len() as u64;
-            for r in &dropped {
-                tiers_out[tier_of[usize::try_from(r.id).expect("dense id")].index()].shed += 1;
-            }
-        }
-
-        // Admit + prefill (retried victims re-attest, spilled victims
-        // re-quantise, swapped-out sequences resume after a swap-in).
-        let admitted =
-            n.st.scheduler
-                .admit_any(&cfg.serving.model, cfg.serving.dtype, n.st.now);
-        for adm in admitted {
-            match adm {
-                Admission::Fresh(r) => {
-                    stats.admissions += 1;
-                    if slab.attempts(r.id) > 0 {
-                        n.st.now += n.st.plan.policy.reattest_s;
-                    }
-                    let mut t_prefill = n.st.node.prefill_time_s(&cfg.serving, r.prompt_tokens);
-                    if slab.take_spilled(r.id) {
-                        n.st.now += cfg.spill.requant_s;
-                        t_prefill *= cfg.spill.prefill_factor;
-                    }
-                    n.st.now += t_prefill;
-                    n.st.scheduler.start(r, n.st.now);
+                if n.draining && n.st.scheduler.idle() {
+                    // A gray StuckDrain window wedges the scale-down: the
+                    // node keeps renting (billed until it actually
+                    // retires) without serving. `drain_deadline_s` is
+                    // horizon-clamped when the controller sets it, so
+                    // the billed tail is bounded.
+                    n.retired = true;
+                    n.retired_at_s =
+                        drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
+                    continue;
                 }
-                Admission::Resumed {
-                    request: _,
-                    swap_in_tokens,
-                } => {
-                    stats.swap_ins += 1;
-                    let bytes = swap_in_tokens as f64 * per_token_bytes;
-                    n.st.swap_in_bytes += bytes;
-                    n.st.now += n.st.node.kv_swap_time_s(bytes);
+
+                // Tier staleness deadlines: shed queued requests past
+                // their tier's patience.
+                let now = n.st.now;
+                let dropped =
+                    n.st.scheduler
+                        .shed(|r| now - r.arrival_s > cfg.tiers.policy(tier_of(r.id)).deadline_s);
+                shed += dropped.len();
+                run.stats.rejections += dropped.len() as u64;
+                for r in &dropped {
+                    tiers_out[tier_of(r.id).index()].shed += 1;
                 }
-            }
-        }
 
-        if n.st.scheduler.running().is_empty() {
-            continue;
-        }
-
-        // Page-pool pressure: evictions off the batch tail.
-        let prep = n.st.scheduler.prepare_step(n.st.now);
-        stats.preemptions += (prep.preempted_recompute.len() + prep.preempted_swap.len()) as u64;
-        n.st.preemptions += (prep.preempted_recompute.len() + prep.preempted_swap.len()) as u64;
-        for victim in &prep.preempted_swap {
-            stats.swap_outs += 1;
-            let bytes = victim.context() as f64 * per_token_bytes;
-            n.st.swap_out_bytes += bytes;
-            n.st.now += n.st.node.kv_swap_time_s(bytes);
-        }
-
-        let batch = n.st.scheduler.running().len() as u64;
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let mean_context = (n
-            .st
-            .scheduler
-            .running()
-            .iter()
-            .map(|a| a.context())
-            .sum::<u64>() as f64
-            / batch as f64)
-            .round() as u64;
-        let mut t_step =
-            n.st.node
-                .decode_step_time_s(&cfg.serving, batch, mean_context);
-        if prep.resident_pages > 0 {
-            let excess = prep.resident_pages as f64 * block_bytes - n.st.kv_budget_bytes;
-            if excess > 0.0 {
-                t_step += n.st.node.kv_pressure_stall_s(excess);
-            }
-        }
-        // A step that begins inside a gray DegradedThroughput window
-        // runs at the derated rate — no breaker error, no downtime.
-        if n.st.now < n.st.derate_until_s {
-            t_step *= crate::faults::DEGRADED_THROUGHPUT_FACTOR;
-        }
-        n.st.now += t_step;
-        stats.decode_steps += 1;
-
-        for fin in n.st.scheduler.step() {
-            let ttft = fin.first_token_s - fin.request.arrival_s;
-            let decode_span = n.st.now - fin.first_token_s;
-            let tpot = decode_span / (fin.request.output_tokens.saturating_sub(1).max(1)) as f64;
-            n.st.useful_tokens += fin.request.output_tokens;
-            n.st.completed += 1;
-            stats.completions += 1;
-            let tier = tier_of[usize::try_from(fin.request.id).expect("dense id")];
-            tiers_out[tier.index()].completed += 1;
-            let slo = cfg.tiers.policy(tier).slo;
-            if ttft <= slo.ttft_s && tpot <= slo.tpot_s {
-                tiers_out[tier.index()].slo_met += 1;
-            }
-            records.push(RequestRecord {
-                id: fin.request.id,
-                ttft_s: ttft,
-                tpot_s: tpot,
-                e2e_s: n.st.now - fin.request.arrival_s,
-                retries: slab.attempts(fin.request.id),
-            });
-            if n.st.breaker.record_success() {
-                n.st.handshake_seq += 1;
-                attested_rehandshake_phased(hs_seed(i, n.st.handshake_seq), &mut |_| {})
-                    // infallible: simulated attestation over an in-process channel cannot fail; crashes charge recovery time, not handshake errors
-                    .expect("re-handshake must recover the session");
-                n.st.now += n.st.plan.policy.reattest_s;
-                n.st.downtime_s += n.st.plan.policy.reattest_s;
+                n.st.run_batch(&mut run);
             }
         }
     }
@@ -754,14 +553,27 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             bill.node_cost_usd(end - n.rented_at_s)
         })
         .sum();
-    let warm_pool_cost_usd = bill.warm_pool_cost_usd(warm_available, horizon_s.max(0.0));
+    let warm_pool_cost_usd = bill.warm_pool_cost_usd(warm_available, horizon_s);
     let base_bill = RentalBill {
         price_per_hr: cfg.base_price_per_hr,
     };
     let base_cost_usd = base_bill.warm_pool_cost_usd(cfg.base_fleet.len(), makespan_s);
     let total_cost_usd = rental_cost_usd + warm_pool_cost_usd + base_cost_usd;
 
+    // Per-tier outcomes the shared node machinery recorded by id.
+    for &id in &run.aborted {
+        tiers_out[tier_of(id).index()].aborted += 1;
+    }
+    let mut records = run.records;
     records.sort_by_key(|r| r.id);
+    for r in &records {
+        let tier = tier_of(r.id);
+        tiers_out[tier.index()].completed += 1;
+        let slo = cfg.tiers.policy(tier).slo;
+        if r.ttft_s <= slo.ttft_s && r.tpot_s <= slo.tpot_s {
+            tiers_out[tier.index()].slo_met += 1;
+        }
+    }
     let delivered_tokens: u64 = nodes.iter().map(|n| n.st.useful_tokens).sum();
     let completed = records.len();
     let mut ttft: Vec<f64> = records.iter().map(|r| r.ttft_s).collect();
@@ -790,10 +602,13 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let report = AutoscaleReport {
         arrivals: total_arrivals,
         completed,
-        aborted,
+        aborted: run.aborted.len(),
         shed,
-        retries,
-        storm_drops: guard.storm_drops,
+        retries: run.retries,
+        storm_drops: match &run.rule {
+            RetryRule::Budget(guard) => guard.storm_drops,
+            RetryRule::Cap => 0,
+        },
         spills,
         scale_ups,
         warm_promotions,
@@ -830,7 +645,31 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             crate::invariants::describe(&v)
         );
     }
-    (report, stats)
+    (report, run.stats)
+}
+
+/// The eligible nodes whose breaker accepts new work at `t`, with their
+/// depths.
+fn open_nodes(nodes: &mut [FleetNode], t: f64, sink: &mut TraceSink) -> Vec<(usize, usize)> {
+    let mut open = Vec::with_capacity(nodes.len());
+    for (i, n) in nodes.iter_mut().enumerate() {
+        if n.eligible(t) && n.st.accepts(t, sink) {
+            open.push((i, n.st.depth()));
+        }
+    }
+    open
+}
+
+/// The least-loaded node eligible at `t`, other than `skip`.
+fn least_loaded_eligible(nodes: &[FleetNode], t: f64, skip: Option<usize>) -> usize {
+    let all: Vec<(usize, usize)> = nodes
+        .iter()
+        .enumerate()
+        .filter(|(i, n)| Some(*i) != skip && n.eligible(t))
+        .map(|(i, n)| (i, n.st.depth()))
+        .collect();
+    // infallible: the base fleet never drains, so an eligible node always exists
+    route_least_loaded(&all).expect("base fleet is always eligible")
 }
 
 fn percentile_or_zero(sorted: &[f64], p: f64) -> f64 {
@@ -874,28 +713,6 @@ fn empty_report() -> AutoscaleReport {
     }
 }
 
-/// A fresh [`NodeState`] on this config's scheduler limits.
-fn new_node_state(cfg: &AutoscaleConfig, node: ServingNode, plan: FaultPlan) -> NodeState {
-    NodeState {
-        kv_budget_bytes: node.kv_residency_budget_bytes(&cfg.serving),
-        node,
-        scheduler: ContinuousBatcher::configured(cfg.serving.limits, cfg.serving.kv),
-        breaker: CircuitBreaker::new(cfg.breaker),
-        plan,
-        next_event: 0,
-        now: 0.0,
-        downtime_s: 0.0,
-        handshake_seq: 0,
-        useful_tokens: 0,
-        completed: 0,
-        preemptions: 0,
-        swap_out_bytes: 0.0,
-        swap_in_bytes: 0.0,
-        derate_until_s: 0.0,
-        stuck_until_s: 0.0,
-    }
-}
-
 /// One controller evaluation at time `t`: scale up against backlog
 /// (warm promotion first, then cold rentals paying the real attested
 /// boot), scale down after sustained calm by draining the newest rental.
@@ -915,7 +732,6 @@ fn run_controller(
     low_ticks: &mut u32,
     sink: &mut TraceSink,
 ) {
-    let _ = sink;
     let serving = nodes.iter().filter(|n| n.eligible(t)).count().max(1);
     let queued: usize = nodes
         .iter()
@@ -954,15 +770,16 @@ fn run_controller(
                 let ready = t + cfg.rental.attest_s + unseal_s;
                 // Horizon clamp: a scale-up in the last seconds cannot
                 // charge cold-start time past the end of the run.
-                let charged = (ready - t).min((horizon_s - t).max(0.0));
+                let charged = clamp_to_horizon(t, ready - t, horizon_s);
                 *cold_start_s += charged;
                 *unseal_total_s += unseal_s.min(charged);
                 (ready, t)
             };
             plan.events.retain(|e: &FaultEvent| e.at_s >= ready_at_s);
-            let mut st = new_node_state(cfg, cfg.rental.node.clone(), plan);
-            st.now = ready_at_s.min(horizon_s.max(0.0));
-            st.downtime_s = (ready_at_s - rented_at_s).min((horizon_s - rented_at_s).max(0.0));
+            let node = cfg.rental.node.clone();
+            let mut st = NodeState::new(idx, node, plan, &cfg.serving, Some(cfg.breaker));
+            st.now = ready_at_s.min(horizon_s);
+            st.downtime_s = clamp_to_horizon(rented_at_s, ready_at_s - rented_at_s, horizon_s);
             nodes.push(FleetNode {
                 st,
                 ready_at_s,
@@ -997,15 +814,8 @@ fn run_controller(
                 nodes[v].drain_deadline_s = (t + cfg.controller.drain_window_s).min(horizon_s);
                 let moved = nodes[v].st.scheduler.shed(|_| true);
                 for r in moved {
-                    let all: Vec<(usize, usize)> = nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, n)| *i != v && n.eligible(t))
-                        .map(|(i, n)| (i, n.st.depth()))
-                        .collect();
-                    // infallible: the base fleet never drains, so an eligible node always exists
-                    let target = route_least_loaded(&all).expect("base fleet is always eligible");
-                    place(&mut nodes[target].st, target, r, t, sink);
+                    let target = least_loaded_eligible(nodes, t, Some(v));
+                    nodes[target].st.place(r, t, sink);
                 }
                 if nodes[v].st.scheduler.idle() {
                     // An idle victim retires on the spot — unless a
@@ -1037,80 +847,6 @@ pub(crate) fn drain_retire_time(now: f64, stuck_until_s: f64, deadline_s: f64) -
     } else {
         stuck_until_s.min(deadline_s).max(now)
     }
-}
-
-/// Apply one fault event at a node's iteration boundary: mirrors the
-/// cluster semantics (horizon-clamped outages, real re-handshake on
-/// attestation failure) but routes crash victims through the retry
-/// budget + storm circuit instead of the bare per-node retry cap.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    ev: &FaultEvent,
-    n: &mut NodeState,
-    node_idx: usize,
-    horizon_s: f64,
-    slab: &mut RequestSlab,
-    retry_queue: &mut EventQueue<ClusterRetry>,
-    guard: &mut RetryStormGuard,
-    retries: &mut u64,
-    aborted: &mut usize,
-    tiers_out: &mut [TierReport; 3],
-    tier_of: &[Tier],
-) {
-    if ev.kind.is_gray() {
-        // Gray failures are invisible to the breaker, charge no
-        // downtime, and lose no state: DegradedThroughput derates
-        // decode steps inside its window; StuckDrain wedges a
-        // scale-down so the drain only ends at the force-retire
-        // deadline (see `drain_retire_time`).
-        let window_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-        match ev.kind {
-            FaultKind::DegradedThroughput => {
-                n.derate_until_s = n.derate_until_s.max(ev.at_s + window_s);
-            }
-            FaultKind::StuckDrain => {
-                n.stuck_until_s = n.stuck_until_s.max(ev.at_s + window_s);
-            }
-            _ => unreachable!("is_gray covers exactly the two gray kinds"),
-        }
-        return;
-    }
-    n.breaker.record_error(n.now);
-    if ev.kind == FaultKind::AttestationFailure {
-        n.handshake_seq += 1;
-        attested_rehandshake_phased(hs_seed(node_idx, n.handshake_seq), &mut |_| {})
-            // infallible: simulated attestation over an in-process channel cannot fail
-            .expect("re-handshake must recover the session");
-        let outage_s = n.plan.policy.reattest_s.min((horizon_s - ev.at_s).max(0.0));
-        n.now += outage_s;
-        n.downtime_s += outage_s;
-        return;
-    }
-    let outage_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-    if ev.kind.loses_state() {
-        let origin_gpu = n.is_gpu();
-        for victim in n.scheduler.drain_running() {
-            let id = victim.request.id;
-            let a = slab.bump_attempts(id);
-            if guard.admit_retry(n.now, a - 1) {
-                *retries += 1;
-                retry_queue.push_keyed(
-                    ev.at_s + outage_s + n.plan.policy.backoff_s(a),
-                    id,
-                    ClusterRetry {
-                        request: victim.request,
-                        origin: node_idx,
-                        origin_gpu,
-                    },
-                );
-            } else {
-                *aborted += 1;
-                tiers_out[tier_of[usize::try_from(id).expect("dense id")].index()].aborted += 1;
-            }
-        }
-    }
-    n.now += outage_s;
-    n.downtime_s += outage_s;
 }
 
 #[cfg(test)]
@@ -1192,6 +928,15 @@ mod tests {
         let tier_arrivals: usize = r.tiers.iter().map(|t| t.arrivals).sum();
         assert_eq!(tier_arrivals, r.arrivals);
         assert!(r.usd_per_mtok > 0.0);
+    }
+
+    #[test]
+    fn zero_or_nan_rate_and_horizon_return_empty_report() {
+        for (rate, duration_s) in [(0.0, 30.0), (f64::NAN, 30.0), (4.0, f64::NAN), (4.0, 0.0)] {
+            let mut cfg = base_cfg(small_traffic(rate, 10.0, 3));
+            cfg.serving.duration_s = duration_s;
+            assert_eq!(simulate_autoscale(&cfg), empty_report());
+        }
     }
 
     #[test]
@@ -1281,10 +1026,12 @@ mod tests {
         let boot_s = cfg.rental.attest_s + cfg.rental.node.weight_unseal_time_s(&cfg.serving);
         assert!(boot_s > 0.3, "fixture needs a boot longer than the window");
         let mut nodes = vec![FleetNode {
-            st: new_node_state(
-                &cfg,
+            st: NodeState::new(
+                0,
                 tdx_serving_node(),
                 FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
+                &cfg.serving,
+                Some(cfg.breaker),
             ),
             ready_at_s: 0.0,
             rented_at_s: 0.0,
@@ -1355,11 +1102,13 @@ mod tests {
         cfg.controller.scale_down_ticks = 1;
         cfg.controller.drain_window_s = 1.0e9;
         let horizon_s = cfg.serving.duration_s;
-        let mk = |rented: bool| FleetNode {
-            st: new_node_state(
-                &cfg,
+        let mk = |idx: usize, rented: bool| FleetNode {
+            st: NodeState::new(
+                idx,
                 tdx_serving_node(),
                 FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
+                &cfg.serving,
+                Some(cfg.breaker),
             ),
             ready_at_s: 0.0,
             rented_at_s: 0.0,
@@ -1369,7 +1118,7 @@ mod tests {
             retired: false,
             retired_at_s: 0.0,
         };
-        let mut nodes = vec![mk(false), mk(true)];
+        let mut nodes = vec![mk(0, false), mk(1, true)];
         // Keep the rental busy so it drains instead of retiring on the
         // spot (the deadline only exists for in-flight work).
         nodes[1].st.scheduler.enqueue_at(

@@ -13,10 +13,11 @@
 //!   and conservation becomes
 //!   `completed + aborted + rejected == arrivals`;
 //! * **trips per-node circuit breakers**
-//!   ([`CircuitBreaker`]): every fault event is an error sample, every
-//!   completion a success; a tripped node takes no new work until a
-//!   half-open probe completes, and closing pays a real attested
-//!   re-handshake through `cllm_tee::session`;
+//!   ([`CircuitBreaker`](crate::router::CircuitBreaker)): every fault
+//!   event is an error sample, every completion a success; a tripped
+//!   node takes no new work until a half-open probe completes, and
+//!   closing pays a real attested re-handshake through
+//!   `cllm_tee::session`;
 //! * **fails requests over**: crash-class victims re-queue onto
 //!   surviving nodes (bounded retry + backoff); a victim landing on the
 //!   other platform class (cGPU → CPU TEE or back) is a **spill** and
@@ -30,43 +31,19 @@
 //! Everything is deterministic in its seeds: two runs of the same
 //! [`ClusterConfig`] are byte-identical on any thread count.
 
-use crate::faults::{attested_rehandshake_phased, FaultEvent, FaultKind, FaultPlan, FaultRates};
-use crate::kernel::{EventQueue, KernelStats, RequestSlab};
-use crate::router::{AdmissionPolicy, BreakerConfig, BreakerState, CircuitBreaker};
-use crate::scheduler::{Admission, ContinuousBatcher};
+use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
+use crate::kernel::KernelStats;
+use crate::node::{next_step, node_scope, Next, NodeState, RetryRule, Run};
+use crate::router::{route_least_loaded, AdmissionPolicy, BreakerConfig, BreakerState};
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
 use crate::slo::sorted_percentile;
 use crate::workload::Request;
 use cllm_cost::SpillPenalty;
 use cllm_obs::{Scope, SpanKind, Trace, TraceSink};
-use cllm_workload::kv;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Trace scope for the fleet's `i`-th node.
-fn node_scope(i: usize) -> Scope {
-    Scope::Node(u32::try_from(i).unwrap_or(u32::MAX))
-}
-
-/// Stable event name for an observed breaker transition.
-fn breaker_event_name(s: BreakerState) -> &'static str {
-    match s {
-        BreakerState::Closed => "breaker-close",
-        BreakerState::Open => "breaker-open",
-        BreakerState::HalfOpen => "breaker-halfopen",
-    }
-}
-
-/// Emit a breaker-transition event iff the observed state changed since
-/// the last observation (`seen` is the per-node last-known state).
-fn note_breaker(sink: &mut TraceSink, seen: &mut BreakerState, i: usize, s: BreakerState, t: f64) {
-    if *seen != s {
-        *seen = s;
-        sink.event(node_scope(i), breaker_event_name(s), t, String::new());
-    }
-}
 
 /// One node in the fleet: its hardware/TEE identity, how it is rented,
 /// and its private fault environment.
@@ -97,6 +74,17 @@ impl NodeSpec {
             seed,
             extra_events: Vec::new(),
         }
+    }
+
+    /// The node's private fault schedule: its seeded stream merged with
+    /// its hand-scheduled extras.
+    pub(crate) fn plan(&self, horizon_s: f64) -> FaultPlan {
+        let base = FaultPlan::seeded(&self.rates, horizon_s, self.seed);
+        let policy = base.policy;
+        base.merge(FaultPlan {
+            events: self.extra_events.clone(),
+            policy,
+        })
     }
 }
 
@@ -173,7 +161,8 @@ impl WaveModel {
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Shared workload, model, scheduler limits and horizon; each node
-    /// gets its own [`ContinuousBatcher`] with these limits.
+    /// gets its own [`ContinuousBatcher`](crate::scheduler::ContinuousBatcher)
+    /// with these limits.
     pub serving: ServingConfig,
     /// The fleet.
     pub nodes: Vec<NodeSpec>,
@@ -255,103 +244,24 @@ pub struct ClusterReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// A crash victim waiting out its backoff before re-routing. Its
-/// eligibility instant lives in the kernel event queue (the entry's
-/// `time`), not in the payload.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClusterRetry {
-    pub(crate) request: Request,
-    pub(crate) origin: usize,
-    pub(crate) origin_gpu: bool,
-}
-
-/// Live state of one node during the simulation.
-pub(crate) struct NodeState {
-    pub(crate) node: ServingNode,
-    pub(crate) scheduler: ContinuousBatcher,
-    pub(crate) breaker: CircuitBreaker,
-    pub(crate) plan: FaultPlan,
-    pub(crate) next_event: usize,
-    pub(crate) now: f64,
-    pub(crate) downtime_s: f64,
-    pub(crate) handshake_seq: u64,
-    pub(crate) useful_tokens: u64,
-    pub(crate) completed: usize,
-    /// This node's protected KV residency budget (weights already
-    /// subtracted); resident pages past it price the per-step stall.
-    pub(crate) kv_budget_bytes: f64,
-    /// Sequences this node evicted on page-pool pressure.
-    pub(crate) preemptions: u64,
-    /// KV bytes this node paged out (swap policy).
-    pub(crate) swap_out_bytes: f64,
-    /// KV bytes this node paged back in on readmission.
-    pub(crate) swap_in_bytes: f64,
-    /// End of the latest gray [`FaultKind::DegradedThroughput`] window
-    /// (horizon-clamped): decode steps starting before it are derated.
-    pub(crate) derate_until_s: f64,
-    /// End of the latest gray [`FaultKind::StuckDrain`] window
-    /// (horizon-clamped). Only the autoscaler has drains to wedge; the
-    /// fixed cluster records the window and carries on.
-    pub(crate) stuck_until_s: f64,
-}
-
-impl NodeState {
-    pub(crate) fn depth(&self) -> usize {
-        self.scheduler.queued() + self.scheduler.running().len()
-    }
-
-    pub(crate) fn is_gpu(&self) -> bool {
-        matches!(self.node, ServingNode::Gpu { .. })
-    }
-}
-
-/// Handshake seed unique per (node, sequence) so every re-attestation
-/// drives a distinct, deterministic session transcript.
-pub(crate) fn hs_seed(node_idx: usize, seq: u64) -> u64 {
-    ((node_idx as u64) << 32) ^ seq
-}
-
-/// Build the fleet's live node states: every node's seeded base stream is
-/// merged with its hand-scheduled extras, and spot nodes additionally
-/// take their slice of the correlated wave schedule (in fleet order).
+/// Build the fleet's live node states: every node runs its own
+/// [`NodeSpec::plan`], and spot nodes additionally take their slice of
+/// the correlated wave schedule (in fleet order).
 pub(crate) fn build_nodes(cfg: &ClusterConfig, horizon_s: f64) -> Vec<NodeState> {
     let n_spot = cfg.nodes.iter().filter(|s| s.spot).count();
-    let wave_events = cfg.wave.events_per_spot_node(n_spot, horizon_s);
-    let mut spot_ord = 0usize;
+    let mut wave_events = cfg.wave.events_per_spot_node(n_spot, horizon_s).into_iter();
     cfg.nodes
         .iter()
-        .map(|spec| {
-            let base = FaultPlan::seeded(&spec.rates, horizon_s, spec.seed);
-            let policy = base.policy;
-            let mut plan = base.merge(FaultPlan {
-                events: spec.extra_events.clone(),
-                policy,
-            });
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut plan = spec.plan(horizon_s);
             if spec.spot {
-                plan = plan.merge(FaultPlan {
-                    events: wave_events[spot_ord].clone(),
-                    policy,
-                });
-                spot_ord += 1;
+                let policy = plan.policy;
+                // infallible: the wave schedule holds one slice per spot node
+                let events = wave_events.next().expect("one wave slice per spot node");
+                plan = plan.merge(FaultPlan { events, policy });
             }
-            NodeState {
-                kv_budget_bytes: spec.node.kv_residency_budget_bytes(&cfg.serving),
-                node: spec.node.clone(),
-                scheduler: ContinuousBatcher::configured(cfg.serving.limits, cfg.serving.kv),
-                breaker: CircuitBreaker::new(cfg.breaker),
-                plan,
-                next_event: 0,
-                now: 0.0,
-                downtime_s: 0.0,
-                handshake_seq: 0,
-                useful_tokens: 0,
-                completed: 0,
-                preemptions: 0,
-                swap_out_bytes: 0.0,
-                swap_in_bytes: 0.0,
-                derate_until_s: 0.0,
-                stuck_until_s: 0.0,
-            }
+            NodeState::new(i, spec.node.clone(), plan, &cfg.serving, Some(cfg.breaker))
         })
         .collect()
 }
@@ -363,10 +273,13 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, horizon_s: f64) -> Vec<NodeState>
 /// node chosen by the router, or (b) advances the runnable node with the
 /// smallest clock by one batching iteration (ties broken by node id) —
 /// whichever is earlier. Fault events apply lazily at iteration
-/// boundaries with outages clamped at the horizon, exactly like the
-/// single-node simulator, so a one-node cluster with unbounded admission
-/// reproduces single-node behaviour.
+/// boundaries through the single-node simulator's fault path, so a
+/// fault-free one-node cluster with unbounded admission reproduces its
+/// records. With faults the two differ on purpose: an idle single node
+/// meets its next fault while idle, but an idle fleet node meets it only
+/// when the next dispatch wakes it.
 ///
+/// A non-positive or NaN arrival rate or horizon returns an empty report.
 /// Fresh arrivals that no node accepts (breaker open or queue at cap)
 /// are `rejected`; queued requests past the admission deadline are shed
 /// as `rejected` at the next boundary. Retries are always placeable —
@@ -376,7 +289,8 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, horizon_s: f64) -> Vec<NodeState>
 ///
 /// # Panics
 ///
-/// Panics if the fleet is empty.
+/// Panics if the fleet is empty, or if the arrival rate or the horizon
+/// is infinite.
 #[must_use]
 pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
     simulate_cluster_stats(cfg).0
@@ -389,7 +303,8 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
 ///
 /// # Panics
 ///
-/// Panics if the fleet is empty.
+/// Panics if the fleet is empty, or if the arrival rate or the horizon
+/// is infinite.
 #[must_use]
 pub fn simulate_cluster_stats(cfg: &ClusterConfig) -> (ClusterReport, KernelStats) {
     run_cluster(cfg, &mut TraceSink::disabled())
@@ -404,7 +319,8 @@ pub fn simulate_cluster_stats(cfg: &ClusterConfig) -> (ClusterReport, KernelStat
 ///
 /// # Panics
 ///
-/// Panics if the fleet is empty.
+/// Panics if the fleet is empty, or if the arrival rate or the horizon
+/// is infinite.
 #[must_use]
 pub fn simulate_cluster_traced(cfg: &ClusterConfig) -> (ClusterReport, Trace) {
     let mut sink = TraceSink::new();
@@ -412,389 +328,105 @@ pub fn simulate_cluster_traced(cfg: &ClusterConfig) -> (ClusterReport, Trace) {
     (report, sink.finish())
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, KernelStats) {
     assert!(!cfg.nodes.is_empty(), "cluster needs at least one node");
-    let horizon_s = cfg.serving.duration_s;
-    let mut stats = KernelStats::default();
-    let mut nodes = build_nodes(cfg, horizon_s);
-
-    if cfg.serving.arrivals.rate_per_s <= 0.0 || horizon_s <= 0.0 {
-        return (drain_report(nodes, 0, 0, 0, 0, 0, Vec::new()), stats);
-    }
-    let trace = cfg.serving.arrivals.trace(horizon_s);
+    let trace = cfg.serving.arrival_trace();
     if trace.is_empty() {
-        return (drain_report(nodes, 0, 0, 0, 0, 0, Vec::new()), stats);
+        // An empty run reads no fault schedule (and a NaN horizon has none).
+        let report = drain_report(build_nodes(cfg, 0.0), 0, 0, 0, 0, 0, Vec::new());
+        return (report, KernelStats::default());
     }
-
-    let mut pending: VecDeque<Request> = trace.iter().copied().collect();
-    let total_arrivals = pending.len();
-    // Dynamic events (crash victims waiting out backoff) go through the
-    // kernel's heap, keyed by request id so same-eligibility pops match
-    // the (eligibility, id) order the old full-scan selection defined.
-    let mut retry_queue: EventQueue<ClusterRetry> = EventQueue::new();
-    // Per-request state — retry attempts, trace cursor, pending-spill
-    // flag — lives in a dense slab indexed by id, not hash maps.
-    let mut slab = RequestSlab::new(total_arrivals);
-    // Pressure pricing inputs shared by every node; the per-node budget
-    // lives in NodeState. Unread under the conservative policy.
-    let per_token_bytes = kv::kv_bytes_per_sequence(&cfg.serving.model, 1, cfg.serving.dtype);
-    #[allow(clippy::cast_precision_loss)]
-    let block_bytes = per_token_bytes * cfg.serving.kv.block_tokens as f64;
-    let mut records: Vec<RequestRecord> = Vec::with_capacity(total_arrivals);
+    let mut nodes = build_nodes(cfg, cfg.serving.duration_s);
+    let total_arrivals = trace.len();
+    let mut pending: VecDeque<Request> = trace.into();
+    let mut run = Run::new(
+        &cfg.serving,
+        cfg.spill,
+        RetryRule::Cap,
+        total_arrivals,
+        sink,
+    );
     let mut rejected = 0usize;
-    let mut aborted = 0usize;
-    let mut retries = 0u64;
     let mut spills = 0u64;
-    // Each breaker's last observed state (trace bookkeeping only).
-    let mut breaker_seen: Vec<BreakerState> = vec![BreakerState::Closed; nodes.len()];
 
-    loop {
-        // The globally next dispatchable item: arrivals win ties over
-        // retries; retries order by (eligibility, id).
-        let t_arrival = pending.front().map(|r| r.arrival_s);
-        let next_retry = retry_queue.peek_time();
-        let t_dispatch = match (t_arrival, next_retry) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (Some(a), None) => Some(a),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        };
-
-        // The runnable node with the smallest clock (id breaks ties).
-        let runnable = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.scheduler.idle())
-            .min_by(|(i, a), (j, b)| {
-                a.now
-                    .partial_cmp(&b.now)
-                    // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
-                    .expect("finite clocks")
-                    .then(i.cmp(j))
-            })
-            .map(|(i, n)| (i, n.now));
-
-        let do_dispatch = match (t_dispatch, runnable) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(t), Some((_, node_now))) => t <= node_now,
-        };
-
-        if do_dispatch {
-            let arrival_first = match (t_arrival, next_retry) {
-                (Some(a), Some(r)) => a <= r,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if arrival_first {
+    while let Some(next) = next_step(
+        pending.front().map(|r| r.arrival_s),
+        run.retry_queue.peek_time(),
+        nodes.iter(),
+    ) {
+        match next {
+            Next::Arrival => {
                 let r = pending.pop_front().expect("arrival checked");
-                stats.arrivals += 1;
+                run.stats.arrivals += 1;
                 let t = r.arrival_s;
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.scheduler.queued() < cfg.admission.queue_cap && n.breaker.accepts(t) {
-                        candidates.push((i, n.depth()));
+                let open = open_nodes(&mut nodes, cfg.admission.queue_cap, t, run.sink);
+                if let Some(i) = route_least_loaded(&open) {
+                    if run.sink.is_enabled() {
+                        run.slab.set_cursor(r.id, t);
+                        run.sink
+                            .event(node_scope(i), "route", t, format!("req {}", r.id));
                     }
-                    note_breaker(sink, &mut breaker_seen[i], i, n.breaker.state(), t);
+                    nodes[i].place(r, t, run.sink);
+                } else {
+                    rejected += 1; // load shed at the front door
+                    run.stats.rejections += 1;
+                    run.sink
+                        .event(Scope::Request(r.id), "reject", t, String::new());
                 }
-                match crate::router::route_least_loaded(&candidates) {
-                    Some(i) => {
-                        if sink.is_enabled() {
-                            slab.set_cursor(r.id, t);
-                            sink.event(node_scope(i), "route", t, format!("req {}", r.id));
-                        }
-                        place(&mut nodes[i], i, r, t, sink);
-                    }
-                    None => {
-                        rejected += 1; // load shed at the front door
-                        stats.rejections += 1;
-                        sink.event(Scope::Request(r.id), "reject", t, String::new());
-                    }
-                }
-            } else {
-                let (t, e) = retry_queue.pop().expect("retry checked");
-                stats.retries_delivered += 1;
+            }
+            Next::Retry => {
+                let (t, e) = run.retry_queue.pop().expect("retry checked");
+                let id = e.request.id;
+                run.stats.retries_delivered += 1;
                 let target = if cfg.failover {
-                    let mut candidates = Vec::with_capacity(nodes.len());
-                    for (i, n) in nodes.iter_mut().enumerate() {
-                        if n.scheduler.queued() < cfg.admission.queue_cap && n.breaker.accepts(t) {
-                            candidates.push((i, n.depth()));
-                        }
-                        note_breaker(sink, &mut breaker_seen[i], i, n.breaker.state(), t);
-                    }
+                    let open = open_nodes(&mut nodes, cfg.admission.queue_cap, t, run.sink);
                     // Retries are always placeable: if every breaker is
                     // open / every queue full, fall back to the least
                     // loaded node anyway — the deadline shed, not the
                     // router, is what bounds a hopeless request.
-                    crate::router::route_least_loaded(&candidates).unwrap_or_else(|| {
+                    route_least_loaded(&open).unwrap_or_else(|| {
                         let all: Vec<(usize, usize)> =
-                            nodes.iter().map(|n| n.depth()).enumerate().collect();
+                            nodes.iter().map(NodeState::depth).enumerate().collect();
                         // infallible: the fleet is non-empty by construction, so least-loaded always resolves
-                        crate::router::route_least_loaded(&all).expect("fleet is non-empty")
+                        route_least_loaded(&all).expect("fleet is non-empty")
                     })
                 } else {
                     e.origin
                 };
                 if nodes[target].is_gpu() != e.origin_gpu {
                     spills += 1;
-                    slab.mark_spilled(e.request.id);
-                    if sink.is_enabled() {
-                        let dir = if e.origin_gpu {
-                            "cgpu->cpu"
-                        } else {
-                            "cpu->cgpu"
-                        };
-                        sink.event(
-                            node_scope(target),
-                            "spill",
-                            t,
-                            format!("req {} {dir}", e.request.id),
-                        );
+                    run.slab.mark_spilled(id);
+                    let dir = if e.origin_gpu {
+                        "cgpu->cpu"
+                    } else {
+                        "cpu->cgpu"
+                    };
+                    run.sink
+                        .event_fmt(node_scope(target), "spill", t, || format!("req {id} {dir}"));
+                }
+                run.handoff(id, SpanKind::Backoff, t);
+                run.sink.event_fmt(node_scope(target), "failover", t, || {
+                    format!("req {id} from node {}", e.origin)
+                });
+                nodes[target].place(e.request, t, run.sink);
+            }
+            Next::Advance(i) => {
+                let n = &mut nodes[i];
+                n.apply_due_faults(&mut run);
+                // Admission control: shed queued requests past their
+                // deadline.
+                if cfg.admission.deadline_s.is_finite() {
+                    let (now, deadline_s) = (n.now, cfg.admission.deadline_s);
+                    let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
+                    rejected += shed.len();
+                    run.stats.rejections += shed.len() as u64;
+                    for r in &shed {
+                        run.end_chain(r.id, SpanKind::QueueWait, now);
+                        run.sink
+                            .event(Scope::Request(r.id), "shed", now, String::new());
                     }
                 }
-                if sink.is_enabled() {
-                    if let Some(c) = slab.cursor(e.request.id) {
-                        sink.span(Scope::Request(e.request.id), SpanKind::Backoff, c, t);
-                        slab.set_cursor(e.request.id, t);
-                    }
-                    sink.event(
-                        node_scope(target),
-                        "failover",
-                        t,
-                        format!("req {} from node {}", e.request.id, e.origin),
-                    );
-                }
-                place(&mut nodes[target], target, e.request, t, sink);
-            }
-            continue;
-        }
-
-        // Advance the chosen node by one batching iteration.
-        // infallible: the advance branch is only taken when `runnable` is Some
-        let (i, _) = runnable.expect("advance branch requires a runnable node");
-        let n = &mut nodes[i];
-
-        // Faults due by the node clock, oldest first.
-        while n
-            .plan
-            .events
-            .get(n.next_event)
-            .is_some_and(|e| e.at_s <= n.now)
-        {
-            let ev = n.plan.events[n.next_event];
-            n.next_event += 1;
-            stats.faults_applied += 1;
-            apply_node_fault(
-                &ev,
-                n,
-                i,
-                horizon_s,
-                &mut slab,
-                &mut retry_queue,
-                &mut retries,
-                &mut aborted,
-                sink,
-                &mut breaker_seen[i],
-            );
-        }
-
-        // Admission control: shed queued requests past their deadline.
-        if cfg.admission.deadline_s.is_finite() {
-            let now = n.now;
-            let deadline_s = cfg.admission.deadline_s;
-            let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
-            rejected += shed.len();
-            stats.rejections += shed.len() as u64;
-            if sink.is_enabled() {
-                for r in &shed {
-                    if let Some(c) = slab.take_cursor(r.id) {
-                        sink.span(Scope::Request(r.id), SpanKind::QueueWait, c, now);
-                    }
-                    sink.event(Scope::Request(r.id), "shed", now, String::new());
-                }
-            }
-        }
-
-        // Admit + prefill. A retried victim re-attests first; a spilled
-        // victim additionally pays re-quantisation and a slower prefill
-        // on the foreign platform class; a swapped-out sequence resumes
-        // with its progress after a swap-in stall instead of a prefill.
-        let admitted = n
-            .scheduler
-            .admit_any(&cfg.serving.model, cfg.serving.dtype, n.now);
-        for adm in admitted {
-            match adm {
-                Admission::Fresh(r) => {
-                    stats.admissions += 1;
-                    if sink.is_enabled() {
-                        if let Some(c) = slab.cursor(r.id) {
-                            sink.span(Scope::Request(r.id), SpanKind::QueueWait, c, n.now);
-                        }
-                    }
-                    if slab.attempts(r.id) > 0 {
-                        let t0 = n.now;
-                        n.now += n.plan.policy.reattest_s;
-                        sink.span(node_scope(i), SpanKind::Reattest, t0, n.now);
-                        sink.span(Scope::Request(r.id), SpanKind::Reattest, t0, n.now);
-                    }
-                    let mut t_prefill = n.node.prefill_time_s(&cfg.serving, r.prompt_tokens);
-                    if slab.take_spilled(r.id) {
-                        let t0 = n.now;
-                        n.now += cfg.spill.requant_s;
-                        sink.span(node_scope(i), SpanKind::Requant, t0, n.now);
-                        sink.span(Scope::Request(r.id), SpanKind::Requant, t0, n.now);
-                        t_prefill *= cfg.spill.prefill_factor;
-                    }
-                    let t0 = n.now;
-                    n.now += t_prefill;
-                    sink.span(node_scope(i), SpanKind::Prefill, t0, n.now);
-                    sink.span(Scope::Request(r.id), SpanKind::Prefill, t0, n.now);
-                    if sink.is_enabled() {
-                        slab.set_cursor(r.id, n.now);
-                    }
-                    n.scheduler.start(r, n.now);
-                }
-                Admission::Resumed {
-                    request,
-                    swap_in_tokens,
-                } => {
-                    stats.swap_ins += 1;
-                    #[allow(clippy::cast_precision_loss)]
-                    let bytes = swap_in_tokens as f64 * per_token_bytes;
-                    n.swap_in_bytes += bytes;
-                    let t0 = n.now;
-                    if sink.is_enabled() {
-                        if let Some(c) = slab.cursor(request.id) {
-                            sink.span(Scope::Request(request.id), SpanKind::Preempted, c, t0);
-                        }
-                    }
-                    n.now += n.node.kv_swap_time_s(bytes);
-                    sink.span(node_scope(i), SpanKind::SwapIn, t0, n.now);
-                    sink.span(Scope::Request(request.id), SpanKind::SwapIn, t0, n.now);
-                    if sink.is_enabled() {
-                        slab.set_cursor(request.id, n.now);
-                    }
-                }
-            }
-        }
-
-        if n.scheduler.running().is_empty() {
-            continue;
-        }
-
-        // Make the coming step fit this node's page pool: evictions come
-        // off the batch tail (recompute re-queues locally; swap victims
-        // page out through the node's priced path).
-        let prep = n.scheduler.prepare_step(n.now);
-        for victim in &prep.preempted_recompute {
-            stats.preemptions += 1;
-            n.preemptions += 1;
-            if sink.is_enabled() {
-                if let Some(c) = slab.cursor(victim.id) {
-                    sink.span(Scope::Request(victim.id), SpanKind::DecodeLost, c, n.now);
-                    slab.set_cursor(victim.id, n.now);
-                }
-            }
-        }
-        for victim in &prep.preempted_swap {
-            stats.preemptions += 1;
-            stats.swap_outs += 1;
-            n.preemptions += 1;
-            #[allow(clippy::cast_precision_loss)]
-            let bytes = victim.context() as f64 * per_token_bytes;
-            n.swap_out_bytes += bytes;
-            let t0 = n.now;
-            if sink.is_enabled() {
-                if let Some(c) = slab.cursor(victim.request.id) {
-                    sink.span(Scope::Request(victim.request.id), SpanKind::Decode, c, t0);
-                }
-            }
-            n.now += n.node.kv_swap_time_s(bytes);
-            sink.span(node_scope(i), SpanKind::SwapOut, t0, n.now);
-            sink.span(
-                Scope::Request(victim.request.id),
-                SpanKind::SwapOut,
-                t0,
-                n.now,
-            );
-            if sink.is_enabled() {
-                slab.set_cursor(victim.request.id, n.now);
-            }
-        }
-
-        let batch = n.scheduler.running().len() as u64;
-        #[allow(clippy::cast_precision_loss)]
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let mean_context = (n
-            .scheduler
-            .running()
-            .iter()
-            .map(|a| a.context())
-            .sum::<u64>() as f64
-            / batch as f64)
-            .round() as u64;
-        let t0 = n.now;
-        let mut t_step = n.node.decode_step_time_s(&cfg.serving, batch, mean_context);
-        if prep.resident_pages > 0 {
-            #[allow(clippy::cast_precision_loss)]
-            let excess = prep.resident_pages as f64 * block_bytes - n.kv_budget_bytes;
-            if excess > 0.0 {
-                t_step += n.node.kv_pressure_stall_s(excess);
-            }
-        }
-        // Steps beginning inside a gray DegradedThroughput window run
-        // derated: the node is up and routable (no breaker error, no
-        // downtime), just slow.
-        if n.now < n.derate_until_s {
-            t_step *= crate::faults::DEGRADED_THROUGHPUT_FACTOR;
-        }
-        n.now += t_step;
-        stats.decode_steps += 1;
-        sink.span(node_scope(i), SpanKind::Decode, t0, n.now);
-
-        for fin in n.scheduler.step() {
-            let ttft = fin.first_token_s - fin.request.arrival_s;
-            let decode_span = n.now - fin.first_token_s;
-            #[allow(clippy::cast_precision_loss)]
-            let tpot = decode_span / (fin.request.output_tokens.saturating_sub(1).max(1)) as f64;
-            n.useful_tokens += fin.request.output_tokens;
-            n.completed += 1;
-            stats.completions += 1;
-            if sink.is_enabled() {
-                if let Some(c) = slab.take_cursor(fin.request.id) {
-                    sink.span(Scope::Request(fin.request.id), SpanKind::Decode, c, n.now);
-                }
-            }
-            records.push(RequestRecord {
-                id: fin.request.id,
-                ttft_s: ttft,
-                tpot_s: tpot,
-                e2e_s: n.now - fin.request.arrival_s,
-                retries: slab.attempts(fin.request.id),
-            });
-            if n.breaker.record_success() {
-                // The half-open probe completed: close the breaker and
-                // pay the attested re-handshake through the real
-                // session layer before taking full traffic again.
-                n.handshake_seq += 1;
-                let t0 = n.now;
-                attested_rehandshake_phased(hs_seed(i, n.handshake_seq), &mut |phase| {
-                    sink.event_fmt(node_scope(i), "handshake", t0, || phase.label().to_string());
-                })
-                // infallible: simulated attestation over an in-process channel cannot fail; crashes charge recovery time, not handshake errors
-                .expect("re-handshake must recover the session");
-                n.now += n.plan.policy.reattest_s;
-                n.downtime_s += n.plan.policy.reattest_s;
-                sink.span_labeled(
-                    node_scope(i),
-                    SpanKind::Outage,
-                    t0,
-                    n.now,
-                    Some("breaker-close"),
-                );
-                note_breaker(sink, &mut breaker_seen[i], i, n.breaker.state(), n.now);
+                n.run_batch(&mut run);
             }
         }
     }
@@ -802,148 +434,42 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
     // Pad every node's timeline with trailing idle out to the cluster
     // makespan, so per-node accounting sums to the same makespan the
     // report publishes (a drained node really is idle at the end).
-    if sink.is_enabled() {
+    if run.sink.is_enabled() {
         let makespan_s = nodes.iter().map(|n| n.now).fold(0.0f64, f64::max);
-        for (i, n) in nodes.iter().enumerate() {
-            sink.span(node_scope(i), SpanKind::Idle, n.now, makespan_s);
+        for n in &nodes {
+            run.sink
+                .span(node_scope(n.idx), SpanKind::Idle, n.now, makespan_s);
         }
     }
 
-    (
-        drain_report(
-            nodes,
-            total_arrivals,
-            rejected,
-            aborted,
-            retries,
-            spills,
-            records,
-        ),
-        stats,
-    )
-}
-
-/// Route one request onto a node, waking an idle node's clock forward to
-/// the dispatch time (clocks never run backward).
-pub(crate) fn place(n: &mut NodeState, idx: usize, request: Request, t: f64, sink: &mut TraceSink) {
-    if n.scheduler.idle() && t > n.now {
-        sink.span(node_scope(idx), SpanKind::Idle, n.now, t);
-        n.now = t;
-    }
-    n.scheduler.enqueue_at(request, t);
-}
-
-/// Apply one fault event at a node's iteration boundary. Mirrors the
-/// single-node semantics (horizon-clamped outages, bounded retry with
-/// backoff, real re-handshake on attestation failure) and additionally
-/// feeds every event into the node's breaker as an error sample. The
-/// attestation re-handshake toll takes the identical horizon clamp every
-/// other outage gets — a failure in the last fraction of a second cannot
-/// charge downtime past the horizon.
-#[allow(clippy::too_many_arguments)]
-fn apply_node_fault(
-    ev: &FaultEvent,
-    n: &mut NodeState,
-    node_idx: usize,
-    horizon_s: f64,
-    slab: &mut RequestSlab,
-    retry_queue: &mut EventQueue<ClusterRetry>,
-    retries: &mut u64,
-    aborted: &mut usize,
-    sink: &mut TraceSink,
-    breaker_seen: &mut BreakerState,
-) {
-    if ev.kind.is_gray() {
-        // Gray failures are invisible to the breaker (no hard error
-        // fires — that is what makes them gray), charge no downtime,
-        // and emit no outage span. They only extend the matching
-        // horizon-clamped window on the node.
-        let window_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-        match ev.kind {
-            FaultKind::DegradedThroughput => {
-                n.derate_until_s = n.derate_until_s.max(ev.at_s + window_s);
-            }
-            FaultKind::StuckDrain => {
-                // The fixed cluster never drains; the autoscaler reads
-                // this window when it retires draining rentals.
-                n.stuck_until_s = n.stuck_until_s.max(ev.at_s + window_s);
-            }
-            _ => unreachable!("is_gray covers exactly the two gray kinds"),
-        }
-        sink.event_fmt(node_scope(node_idx), "gray", n.now, || {
-            ev.kind.label().to_string()
-        });
-        return;
-    }
-    n.breaker.record_error(n.now);
-    note_breaker(sink, breaker_seen, node_idx, n.breaker.state(), n.now);
-    if ev.kind == FaultKind::AttestationFailure {
-        n.handshake_seq += 1;
-        let t0 = n.now;
-        attested_rehandshake_phased(hs_seed(node_idx, n.handshake_seq), &mut |phase| {
-            sink.event_fmt(node_scope(node_idx), "handshake", t0, || {
-                phase.label().to_string()
-            });
-        })
-        // infallible: simulated attestation over an in-process channel cannot fail
-        .expect("re-handshake must recover the session");
-        let outage_s = n.plan.policy.reattest_s.min((horizon_s - ev.at_s).max(0.0));
-        n.now += outage_s;
-        n.downtime_s += outage_s;
-        sink.span_labeled(
-            node_scope(node_idx),
-            SpanKind::Outage,
-            t0,
-            n.now,
-            Some(ev.kind.label()),
-        );
-        return;
-    }
-    let outage_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-    if ev.kind.loses_state() {
-        let origin_gpu = n.is_gpu();
-        for victim in n.scheduler.drain_running() {
-            let id = victim.request.id;
-            let a = slab.bump_attempts(id);
-            if a > n.plan.policy.max_retries {
-                *aborted += 1;
-                if sink.is_enabled() {
-                    if let Some(c) = slab.take_cursor(id) {
-                        sink.span(Scope::Request(id), SpanKind::DecodeLost, c, n.now);
-                    }
-                    sink.event(Scope::Request(id), "abort", n.now, String::new());
-                }
-            } else {
-                *retries += 1;
-                if sink.is_enabled() {
-                    if let Some(c) = slab.cursor(id) {
-                        sink.span(Scope::Request(id), SpanKind::DecodeLost, c, n.now);
-                        slab.set_cursor(id, n.now);
-                    }
-                    sink.event(Scope::Request(id), "requeue", n.now, format!("attempt {a}"));
-                }
-                retry_queue.push_keyed(
-                    ev.at_s + outage_s + n.plan.policy.backoff_s(a),
-                    id,
-                    ClusterRetry {
-                        request: victim.request,
-                        origin: node_idx,
-                        origin_gpu,
-                    },
-                );
-            }
-        }
-    }
-    let t0 = n.now;
-    n.now += outage_s;
-    n.downtime_s += outage_s;
-    sink.span_labeled(
-        node_scope(node_idx),
-        SpanKind::Outage,
-        t0,
-        n.now,
-        Some(ev.kind.label()),
+    let aborted = run.aborted.len();
+    let report = drain_report(
+        nodes,
+        total_arrivals,
+        rejected,
+        aborted,
+        run.retries,
+        spills,
+        run.records,
     );
+    (report, run.stats)
+}
+
+/// The nodes the router may send new work to at `t` — queue under the
+/// cap and breaker accepting — with their depths.
+fn open_nodes(
+    nodes: &mut [NodeState],
+    queue_cap: usize,
+    t: f64,
+    sink: &mut TraceSink,
+) -> Vec<(usize, usize)> {
+    let mut open = Vec::with_capacity(nodes.len());
+    for (i, n) in nodes.iter_mut().enumerate() {
+        if n.scheduler.queued() < queue_cap && n.accepts(t, sink) {
+            open.push((i, n.depth()));
+        }
+    }
+    open
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -970,13 +496,15 @@ pub(crate) fn drain_report(
             } else {
                 1.0
             };
+            // infallible: build_nodes gives every cluster node a breaker
+            let breaker = n.breaker.as_ref().expect("cluster nodes carry a breaker");
             NodeReport {
                 completed: n.completed,
                 downtime_s: n.downtime_s,
                 availability,
-                breaker_trips: n.breaker.trips,
-                breaker_closes: n.breaker.closes,
-                breaker_final: n.breaker.state(),
+                breaker_trips: breaker.trips,
+                breaker_closes: breaker.closes,
+                breaker_final: breaker.state(),
                 queue_depth_peak: n.scheduler.queue_stats().depth_peak,
             }
         })
@@ -1149,6 +677,29 @@ mod tests {
         let single = crate::sim::simulate_serving(&cfg.serving, &CpuTeeConfig::tdx());
         assert_eq!(cluster.records, single.records);
         assert_eq!(cluster.completed, single.completed);
+    }
+
+    #[test]
+    fn degenerate_rate_or_horizon_returns_empty_report() {
+        // Faulty spot nodes under waves: a NaN horizon must not reach the
+        // fault-schedule generators, which would never terminate.
+        let wave = WaveModel {
+            waves_per_hr: 120.0,
+            frac: 0.5,
+            seed: 5,
+        };
+        let mk = |rate: f64, duration_s: f64| {
+            let mut cfg = small_cluster(vec![cgpu_node(1), tdx_node(2, true)], wave, true);
+            cfg.serving.arrivals.rate_per_s = rate;
+            cfg.serving.duration_s = duration_s;
+            simulate_cluster(&cfg)
+        };
+        let empty = mk(0.0, 30.0);
+        assert_eq!(empty.arrivals, 0);
+        assert_eq!(empty.nodes.len(), 2);
+        assert_eq!(mk(f64::NAN, 30.0), empty);
+        assert_eq!(mk(1.0, f64::NAN), empty);
+        assert_eq!(mk(1.0, -1.0), empty);
     }
 
     #[test]

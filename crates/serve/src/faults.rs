@@ -466,6 +466,12 @@ impl FaultPlan {
     }
 }
 
+/// Handshake seed unique per (node, sequence) so every re-attestation
+/// drives a distinct, deterministic session transcript.
+pub(crate) fn hs_seed(node_idx: usize, seq: u64) -> u64 {
+    ((node_idx as u64) << 32) ^ seq
+}
+
 /// Drive one failed-then-recovered attested session setup through the
 /// real `cllm_tee::session` state machine: the first response carries a
 /// rogue measurement and is rejected by the verifier, the re-handshake

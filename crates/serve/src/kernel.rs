@@ -1,8 +1,10 @@
-//! The discrete-event simulation kernel shared by both serving loops.
+//! The discrete-event simulation kernel shared by the serving drivers.
 //!
-//! [`sim`](crate::sim) (single node) and [`cluster`](crate::cluster)
-//! (fleet) used to be two hand-rolled event loops, each with its own
-//! ad-hoc retry bookkeeping. They now drive the same three primitives:
+//! [`sim`](crate::sim) (single node), [`cluster`](crate::cluster) (fixed
+//! fleet) and [`autoscale`](crate::autoscale) (dynamic fleet) keep their
+//! own arrival and routing loops, but every node in them runs the one
+//! fault path and batching iteration of the crate-internal `node`
+//! module, and all of them drive the same three primitives:
 //!
 //! * [`EventQueue`] — a binary-heap future-event list with a
 //!   deterministic `(time, key, seq)` total order. Dynamically scheduled

@@ -1,14 +1,16 @@
 //! Pre-kernel reference event loops, kept as oracles.
 //!
 //! These are the hand-rolled loops `sim` and `cluster` ran before the
-//! [`crate::kernel`] refactor, preserved verbatim apart from two
+//! [`crate::kernel`] refactor, preserved verbatim apart from three
 //! deliberate deltas:
 //!
 //! * the attestation-failure horizon clamp bugfix is applied here too,
 //!   so property tests compare kernel-backed runs against the *intended*
 //!   legacy semantics rather than the bug;
 //! * trace emission is stripped (the untraced twins never recorded
-//!   anything, so the float arithmetic is unchanged).
+//!   anything, so the float arithmetic is unchanged);
+//! * the degenerate-config guard is the drivers' own arrival-trace
+//!   helper, which also treats a NaN rate or horizon as empty.
 //!
 //! Per-request state lives in `HashMap`s/`HashSet`s and pending retries
 //! in a flat `Vec` re-scanned with `min_by` per delivery — the exact
@@ -17,14 +19,23 @@
 //! simulators produce **equal reports** across random fault plans,
 //! fleets and seeds; these loops exist only for that proof and must not
 //! grow features.
+//!
+//! They are the independent copy of the per-node logic that the
+//! crate-internal `node` module owns for every driver. They build their
+//! fleet and report through `cluster::build_nodes` and
+//! `cluster::drain_report` and use `NodeState` fields as plain data, but
+//! never call `node`'s fault path, retry rule, batching iteration,
+//! horizon clamp or dispatch choice. A new fault kind therefore changes
+//! `node` and this file, and the property tests compare the two.
 
-use crate::cluster::{build_nodes, drain_report, hs_seed, place, ClusterConfig, ClusterReport};
-use crate::faults::{attested_rehandshake_phased, FaultEvent, FaultKind, FaultPlan};
-use crate::scheduler::{ContinuousBatcher, QueueStats};
-use crate::sim::{build_report, RequestRecord, ServingConfig, ServingNode};
+use crate::cluster::{build_nodes, drain_report, ClusterConfig, ClusterReport};
+use crate::faults::{attested_rehandshake_phased, hs_seed, FaultEvent, FaultKind, FaultPlan};
+use crate::node::NodeState;
+use crate::router::CircuitBreaker;
+use crate::scheduler::ContinuousBatcher;
+use crate::sim::{build_report, empty_report, RequestRecord, ServingConfig, ServingNode};
 use crate::slo::ServingReport;
 use crate::workload::Request;
-use cllm_obs::TraceSink;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A crash victim waiting out its backoff (single-node loop).
@@ -42,36 +53,9 @@ pub fn simulate_serving_faulted(
     node: &ServingNode,
     plan: &FaultPlan,
 ) -> ServingReport {
-    if cfg.arrivals.rate_per_s <= 0.0 || cfg.duration_s <= 0.0 {
-        return build_report(
-            0,
-            0,
-            0.0,
-            Vec::new(),
-            0,
-            0,
-            0.0,
-            &QueueStats::default(),
-            0,
-            0.0,
-            0.0,
-        );
-    }
-    let trace = cfg.arrivals.trace(cfg.duration_s);
+    let trace = cfg.arrival_trace();
     if trace.is_empty() {
-        return build_report(
-            0,
-            0,
-            0.0,
-            Vec::new(),
-            0,
-            0,
-            0.0,
-            &QueueStats::default(),
-            0,
-            0.0,
-            0.0,
-        );
+        return empty_report();
     }
     let mut pending: VecDeque<Request> = trace.iter().copied().collect();
     let total_arrivals = pending.len();
@@ -286,16 +270,11 @@ struct ClusterRetryEntry {
 pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
     assert!(!cfg.nodes.is_empty(), "cluster needs at least one node");
     let horizon_s = cfg.serving.duration_s;
-    let mut sink = TraceSink::disabled();
-    let mut nodes = build_nodes(cfg, horizon_s);
-
-    if cfg.serving.arrivals.rate_per_s <= 0.0 || horizon_s <= 0.0 {
-        return drain_report(nodes, 0, 0, 0, 0, 0, Vec::new());
-    }
-    let trace = cfg.serving.arrivals.trace(horizon_s);
+    let trace = cfg.serving.arrival_trace();
     if trace.is_empty() {
-        return drain_report(nodes, 0, 0, 0, 0, 0, Vec::new());
+        return drain_report(build_nodes(cfg, 0.0), 0, 0, 0, 0, 0, Vec::new());
     }
+    let mut nodes = build_nodes(cfg, horizon_s);
 
     let mut pending: VecDeque<Request> = trace.iter().copied().collect();
     let total_arrivals = pending.len();
@@ -359,12 +338,12 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
                 let t = r.arrival_s;
                 let mut candidates = Vec::with_capacity(nodes.len());
                 for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.scheduler.queued() < cfg.admission.queue_cap && n.breaker.accepts(t) {
-                        candidates.push((i, n.depth()));
+                    if n.scheduler.queued() < cfg.admission.queue_cap && breaker(n).accepts(t) {
+                        candidates.push((i, depth(n)));
                     }
                 }
                 match crate::router::route_least_loaded(&candidates) {
-                    Some(i) => place(&mut nodes[i], i, r, t, &mut sink),
+                    Some(i) => place(&mut nodes[i], r, t),
                     None => rejected += 1,
                 }
             } else {
@@ -373,27 +352,24 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
                 let target = if cfg.failover {
                     let mut candidates = Vec::with_capacity(nodes.len());
                     for (i, n) in nodes.iter_mut().enumerate() {
-                        if n.scheduler.queued() < cfg.admission.queue_cap && n.breaker.accepts(t) {
-                            candidates.push((i, n.depth()));
+                        if n.scheduler.queued() < cfg.admission.queue_cap && breaker(n).accepts(t) {
+                            candidates.push((i, depth(n)));
                         }
                     }
                     crate::router::route_least_loaded(&candidates).unwrap_or_else(|| {
-                        let all: Vec<(usize, usize)> = nodes
-                            .iter()
-                            .map(crate::cluster::NodeState::depth)
-                            .enumerate()
-                            .collect();
+                        let all: Vec<(usize, usize)> =
+                            nodes.iter().map(depth).enumerate().collect();
                         // infallible: the fleet is non-empty by construction, so least-loaded always resolves
                         crate::router::route_least_loaded(&all).expect("fleet is non-empty")
                     })
                 } else {
                     e.origin
                 };
-                if nodes[target].is_gpu() != e.origin_gpu {
+                if is_gpu(&nodes[target]) != e.origin_gpu {
                     spills += 1;
                     spilled.insert(e.request.id);
                 }
-                place(&mut nodes[target], target, e.request, t, &mut sink);
+                place(&mut nodes[target], e.request, t);
             }
             continue;
         }
@@ -425,7 +401,8 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
                 }
                 continue;
             }
-            n.breaker.record_error(n.now);
+            let now = n.now;
+            breaker(n).record_error(now);
             if ev.kind == FaultKind::AttestationFailure {
                 n.handshake_seq += 1;
                 attested_rehandshake_phased(hs_seed(i, n.handshake_seq), &mut |_| {})
@@ -439,7 +416,7 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
             }
             let outage_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
             if ev.kind.loses_state() {
-                let origin_gpu = n.is_gpu();
+                let origin_gpu = is_gpu(n);
                 for victim in n.scheduler.drain_running() {
                     let id = victim.request.id;
                     let a = attempts_of.entry(id).or_insert(0);
@@ -519,7 +496,7 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
                 e2e_s: n.now - fin.request.arrival_s,
                 retries: attempts_of.get(&fin.request.id).copied().unwrap_or(0),
             });
-            if n.breaker.record_success() {
+            if breaker(n).record_success() {
                 n.handshake_seq += 1;
                 attested_rehandshake_phased(hs_seed(i, n.handshake_seq), &mut |_| {})
                     // infallible: simulated attestation over an in-process channel cannot fail
@@ -539,4 +516,27 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
         spills,
         records,
     )
+}
+
+/// The breaker every cluster node carries.
+fn breaker(n: &mut NodeState) -> &mut CircuitBreaker {
+    // infallible: build_nodes gives every cluster node a breaker
+    n.breaker.as_mut().expect("cluster nodes carry a breaker")
+}
+
+fn depth(n: &NodeState) -> usize {
+    n.scheduler.queued() + n.scheduler.running().len()
+}
+
+fn is_gpu(n: &NodeState) -> bool {
+    matches!(n.node, ServingNode::Gpu { .. })
+}
+
+/// Route one request onto a node, waking an idle node's clock forward to
+/// the dispatch time.
+fn place(n: &mut NodeState, request: Request, t: f64) {
+    if n.scheduler.idle() && t > n.now {
+        n.now = t;
+    }
+    n.scheduler.enqueue_at(request, t);
 }

@@ -6,11 +6,19 @@
 //! per-user bound. This crate closes that gap with a continuous-batching
 //! serving simulator in the style of vLLM/DeepSpeed-Inference schedulers:
 //!
-//! * [`kernel`] — the discrete-event core shared by the single-node and
-//!   cluster loops: a binary-heap event queue with deterministic
-//!   `(time, key, seq)` tie-breaking, slab-allocated per-request state
-//!   (dense indices, not hash lookups, on the hot path), and event
-//!   counters that make throughput measurable.
+//! * [`kernel`] — the discrete-event core shared by the single-node,
+//!   cluster and autoscale drivers: a binary-heap event queue with
+//!   deterministic `(time, key, seq)` tie-breaking, slab-allocated
+//!   per-request state (dense indices, not hash lookups, on the hot
+//!   path), and event counters that make throughput measurable.
+//! * `node` (crate-internal) — one node's live state and the only copies
+//!   of what happens on a node in any driver: the fault path, victim
+//!   requeue-or-abort under one retry rule, one batching iteration
+//!   (admit, prefill with re-attest/requant/swap-in, page-pressure
+//!   eviction, derated decode, completion records, breaker-close toll),
+//!   the horizon clamp, and the fleet drivers' dispatch-or-advance
+//!   choice. The drivers keep their own arrival, routing and control
+//!   loops, which really differ.
 //! * [`workload::ArrivalProcess`] — deterministic-seeded Poisson request
 //!   arrivals with configurable prompt/output length distributions.
 //! * [`scheduler::ContinuousBatcher`] — iteration-level scheduling:
@@ -22,10 +30,10 @@
 //!   page-by-page, and under pressure preempt tail-first, either
 //!   dropping the victim's pages (recompute) or swapping them through
 //!   the platform's priced paging path (swap).
-//! * [`sim`] — the event loop: prefill admission, per-step decode timing
-//!   from the calibrated `cllm-perf` roofline (so every TEE mechanism —
-//!   memory encryption, hugepage fallback, TD transitions — shapes the
-//!   tail), and per-request records.
+//! * [`sim`] — the single-node driver: prefill admission, per-step
+//!   decode timing from the calibrated `cllm-perf` roofline (so every TEE
+//!   mechanism — memory encryption, hugepage fallback, TD transitions —
+//!   shapes the tail), and per-request records.
 //! * [`slo`] — time-to-first-token / time-per-output-token percentiles
 //!   and SLO attainment, comparable across bare metal, TDX, SGX and
 //!   cGPUs.
@@ -53,8 +61,8 @@
 //!   carrying cost), graceful scale-down drains, tiered shedding, retry
 //!   budgets with a global storm circuit, and brownout degradation.
 //!
-//! Both event loops are instrumented with `cllm-obs` span tracing as a
-//! pure observer of the simulated clock: `sim::simulate_serving_traced`
+//! The single-node and cluster drivers are instrumented with `cllm-obs`
+//! span tracing as a pure observer of the simulated clock: `sim::simulate_serving_traced`
 //! and `cluster::simulate_cluster_traced` return the same report as
 //! their untraced twins plus a [`cllm_obs::Trace`] whose per-node spans
 //! tile the makespan (`busy + idle + outage`) and whose per-request
@@ -82,6 +90,7 @@ pub mod invariants;
 pub mod kernel;
 #[doc(hidden)]
 pub mod legacy;
+mod node;
 pub mod router;
 pub mod scheduler;
 pub mod sim;

@@ -271,8 +271,11 @@ impl TieredAdmission {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryBudget {
     /// Maximum re-queues a single request may consume before it is
-    /// aborted (tighter than or equal to the node-level
-    /// [`RecoveryPolicy::max_retries`](crate::faults::RecoveryPolicy)).
+    /// aborted. This is the autoscaler's only per-request cap: it never
+    /// reads the node-level
+    /// [`RecoveryPolicy::max_retries`](crate::faults::RecoveryPolicy),
+    /// so a budget above that cap allows more retries than the
+    /// single-node and cluster simulators would.
     pub per_request: u32,
     /// Sliding window the global retry rate is judged over, seconds.
     pub storm_window_s: f64,
@@ -291,8 +294,9 @@ impl Default for RetryBudget {
 }
 
 impl RetryBudget {
-    /// No budget: per-request retries bounded only by the recovery
-    /// policy, no global circuit. The baseline the storm test beats.
+    /// No budget: per-request retries are unbounded (the recovery
+    /// policy's `max_retries` is not consulted) and there is no global
+    /// circuit. The baseline the storm test beats.
     #[must_use]
     pub fn unbudgeted() -> Self {
         RetryBudget {

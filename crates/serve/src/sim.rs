@@ -20,21 +20,20 @@
 //! [`FaultPlan::none`] and is
 //! byte-identical to the historic fault-free loop.
 
-use crate::faults::{attested_rehandshake_phased, FaultEvent, FaultPlan};
-use crate::kernel::{EventQueue, KernelStats, RequestSlab};
-use crate::scheduler::{Admission, ContinuousBatcher, KvConfig, QueueStats, SchedulerLimits};
+use crate::faults::FaultPlan;
+use crate::kernel::KernelStats;
+use crate::node::{node_scope, NodeState, RetryRule, Run};
+use crate::scheduler::{KvConfig, QueueStats, SchedulerLimits};
 use crate::slo::{sorted_percentile, ServingReport};
 use crate::workload::{ArrivalProcess, Request};
+use cllm_cost::SpillPenalty;
 use cllm_hw::{DType, GpuModel};
-use cllm_obs::{Scope, SpanKind, Trace, TraceSink};
+use cllm_obs::{SpanKind, Trace, TraceSink};
 use cllm_perf::CpuTarget;
 use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
-use cllm_workload::{kv, zoo, ModelConfig};
+use cllm_workload::{zoo, ModelConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Single-node simulations always trace as node 0.
-const NODE0: Scope = Scope::Node(0);
 
 /// One completed request's timing record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,6 +104,17 @@ impl ServingConfig {
             arrivals: ArrivalProcess::chat(rate_per_s, 42),
             duration_s: 120.0,
             ..Self::small_test()
+        }
+    }
+
+    /// The arrival trace over the horizon, or none when the rate or the
+    /// horizon is not positive (NaN included): the degenerate configs
+    /// the drivers answer with an empty report.
+    pub(crate) fn arrival_trace(&self) -> Vec<Request> {
+        if self.arrivals.rate_per_s > 0.0 && self.duration_s > 0.0 {
+            self.arrivals.trace(self.duration_s)
+        } else {
+            Vec::new()
         }
     }
 }
@@ -216,9 +226,13 @@ impl ServingNode {
 
 /// Run the discrete-event serving simulation under `tee` with no faults.
 ///
-/// Degenerate configurations (non-positive arrival rate or horizon, or a
-/// trace that happens to contain no arrivals) return an empty, NaN-free
-/// [`ServingReport`] instead of panicking.
+/// Degenerate configurations (a non-positive or NaN arrival rate or
+/// horizon, or a trace that happens to contain no arrivals) return an
+/// empty, NaN-free [`ServingReport`] instead of panicking.
+///
+/// # Panics
+///
+/// Panics if the arrival rate or the horizon is infinite.
 #[must_use]
 pub fn simulate_serving(cfg: &ServingConfig, tee: &CpuTeeConfig) -> ServingReport {
     simulate_serving_faulted(
@@ -230,7 +244,7 @@ pub fn simulate_serving(cfg: &ServingConfig, tee: &CpuTeeConfig) -> ServingRepor
 
 /// Run the discrete-event serving simulation on `node` under `plan`.
 ///
-/// The loop applies every scheduled [`FaultEvent`]
+/// The loop applies every scheduled [`FaultEvent`](crate::faults::FaultEvent)
 /// at the first iteration boundary at or after its timestamp (outages
 /// serialize with compute, which is how a single-node deployment
 /// experiences them):
@@ -296,399 +310,99 @@ fn run_faulted(
     plan: &FaultPlan,
     sink: &mut TraceSink,
 ) -> (ServingReport, KernelStats) {
-    let mut stats = KernelStats::default();
-    if cfg.arrivals.rate_per_s <= 0.0 || cfg.duration_s <= 0.0 {
-        return (
-            build_report(
-                0,
-                0,
-                0.0,
-                Vec::new(),
-                0,
-                0,
-                0.0,
-                &QueueStats::default(),
-                0,
-                0.0,
-                0.0,
-            ),
-            stats,
-        );
-    }
-    let trace = cfg.arrivals.trace(cfg.duration_s);
+    let trace = cfg.arrival_trace();
     if trace.is_empty() {
-        return (
-            build_report(
-                0,
-                0,
-                0.0,
-                Vec::new(),
-                0,
-                0,
-                0.0,
-                &QueueStats::default(),
-                0,
-                0.0,
-                0.0,
-            ),
-            stats,
-        );
+        return (empty_report(), KernelStats::default());
     }
-    let mut pending: VecDeque<Request> = trace.iter().copied().collect();
-    let total_arrivals = pending.len();
-    let mut scheduler = ContinuousBatcher::configured(cfg.limits, cfg.kv);
-    // Pressure pricing inputs: bytes per KV token, bytes per page, and
-    // the node's protected-residency budget. All irrelevant (and unread)
-    // under the conservative policy, whose StepPrep is always empty.
-    let per_token_bytes = kv::kv_bytes_per_sequence(&cfg.model, 1, cfg.dtype);
-    #[allow(clippy::cast_precision_loss)]
-    let block_bytes = per_token_bytes * cfg.kv.block_tokens as f64;
-    let residency_budget = node.kv_residency_budget_bytes(cfg);
-    let mut swap_out_bytes = 0.0f64;
-    let mut swap_in_bytes = 0.0f64;
-    // Dynamically scheduled retry deliveries live in the kernel's heap,
-    // keyed by request id: pops come out in (eligibility, id) order —
-    // the same order the old per-delivery `min_by` rescan produced, at
-    // O(log n) instead of O(n) per delivered retry.
-    let mut retry_queue: EventQueue<Request> = EventQueue::new();
-    // Per-request attempt counts and span cursors, slab-indexed by the
-    // dense request id (cursors untouched when the sink is disabled).
-    let mut slab = RequestSlab::new(total_arrivals);
-    let mut now = 0.0f64;
-    let mut records: Vec<RequestRecord> = Vec::with_capacity(total_arrivals);
-    let mut useful_tokens = 0u64;
-    let mut retries = 0u64;
-    let mut aborted = 0usize;
-    let mut downtime_s = 0.0f64;
-    let mut next_event = 0usize;
-    let mut handshake_seq = 0u64;
-    // End of the latest DegradedThroughput window (horizon-clamped):
-    // while `now` is inside it, every decode step is derated.
-    let mut derate_until_s = 0.0f64;
+    let total_arrivals = trace.len();
+    let mut pending: VecDeque<Request> = trace.into();
+    // No router reads a breaker here, and nothing can spill.
+    let mut n = NodeState::new(0, node.clone(), plan.clone(), cfg, None);
+    let mut run = Run::new(
+        cfg,
+        SpillPenalty::none(),
+        RetryRule::Cap,
+        total_arrivals,
+        sink,
+    );
 
     loop {
-        // Apply faults that have fired by `now`, oldest first.
-        while plan.events.get(next_event).is_some_and(|e| e.at_s <= now) {
-            let ev = plan.events[next_event];
-            next_event += 1;
-            handshake_seq += 1;
-            stats.faults_applied += 1;
-            apply_fault(
-                &ev,
-                plan,
-                cfg.duration_s,
-                handshake_seq,
-                &mut scheduler,
-                &mut retry_queue,
-                &mut slab,
-                &mut now,
-                &mut downtime_s,
-                &mut derate_until_s,
-                &mut retries,
-                &mut aborted,
-                sink,
-            );
-        }
+        n.apply_due_faults(&mut run);
 
-        // Deliver arrivals that have happened by `now`.
-        while pending.front().is_some_and(|r| r.arrival_s <= now) {
+        // Deliver arrivals that have happened by the node clock.
+        while pending.front().is_some_and(|r| r.arrival_s <= n.now) {
             let r = pending.pop_front().expect("front checked");
-            stats.arrivals += 1;
-            if sink.is_enabled() {
-                slab.set_cursor(r.id, r.arrival_s);
+            run.stats.arrivals += 1;
+            if run.sink.is_enabled() {
+                run.slab.set_cursor(r.id, r.arrival_s);
             }
-            scheduler.enqueue(r);
+            n.scheduler.enqueue(r);
         }
-        // Deliver retried requests whose backoff has elapsed; the heap
-        // pops them in deterministic (eligibility, id) order. A retry's
-        // queue-wait clock starts at re-delivery, not at its original
-        // arrival — the spent time is already in its TTFT.
-        while let Some(request) = retry_queue.pop_due(now) {
-            stats.retries_delivered += 1;
-            if sink.is_enabled() {
-                if let Some(c) = slab.cursor(request.id) {
-                    sink.span(Scope::Request(request.id), SpanKind::Backoff, c, now);
-                    slab.set_cursor(request.id, now);
-                }
-            }
-            scheduler.enqueue_at(request, now);
+        // Deliver retried requests whose backoff has elapsed, in
+        // (eligibility, id) order. A retry's queue-wait clock starts at
+        // re-delivery; the spent time is already in its TTFT.
+        while let Some(retry) = run.retry_queue.pop_due(n.now) {
+            run.stats.retries_delivered += 1;
+            run.handoff(retry.request.id, SpanKind::Backoff, n.now);
+            n.scheduler.enqueue_at(retry.request, n.now);
         }
 
         // If nothing is runnable, jump to the next thing that can happen:
         // an arrival, a retry becoming eligible, or a fault firing first.
-        if scheduler.idle() {
-            let mut target = f64::INFINITY;
-            if let Some(next) = pending.front() {
-                target = target.min(next.arrival_s);
-            }
-            if let Some(t) = retry_queue.peek_time() {
-                target = target.min(t);
-            }
-            if !target.is_finite() {
+        // An idle single node takes its next fault while idle; a fleet
+        // node only meets it once work wakes it.
+        if n.scheduler.idle() {
+            let next_work = pending.front().map(|r| r.arrival_s);
+            let Some(target) = next_work
+                .into_iter()
+                .chain(run.retry_queue.peek_time())
+                .reduce(f64::min)
+            else {
                 break; // no work left anywhere
-            }
-            let idle_from = now;
-            match plan.events.get(next_event) {
-                Some(e) if e.at_s < target => now = e.at_s,
-                _ => now = target,
-            }
-            sink.span(NODE0, SpanKind::Idle, idle_from, now);
+            };
+            let idle_from = n.now;
+            n.now = match n.next_fault_s() {
+                Some(t) if t < target => t,
+                _ => target,
+            };
+            run.sink
+                .span(node_scope(0), SpanKind::Idle, idle_from, n.now);
             continue;
         }
-
-        // Admission + prefill at the iteration boundary. A re-queued
-        // victim must re-attest its session before its repeated prefill;
-        // a swapped-out sequence resumes with its progress after paying
-        // the swap-in stall instead of a prefill.
-        let admitted = scheduler.admit_any(&cfg.model, cfg.dtype, now);
-        for adm in admitted {
-            match adm {
-                Admission::Fresh(r) => {
-                    stats.admissions += 1;
-                    if sink.is_enabled() {
-                        if let Some(c) = slab.cursor(r.id) {
-                            sink.span(Scope::Request(r.id), SpanKind::QueueWait, c, now);
-                        }
-                    }
-                    if slab.attempts(r.id) > 0 {
-                        let t0 = now;
-                        now += plan.policy.reattest_s;
-                        sink.span(NODE0, SpanKind::Reattest, t0, now);
-                        sink.span(Scope::Request(r.id), SpanKind::Reattest, t0, now);
-                    }
-                    let t_prefill = node.prefill_time_s(cfg, r.prompt_tokens);
-                    let t0 = now;
-                    now += t_prefill;
-                    sink.span(NODE0, SpanKind::Prefill, t0, now);
-                    sink.span(Scope::Request(r.id), SpanKind::Prefill, t0, now);
-                    if sink.is_enabled() {
-                        slab.set_cursor(r.id, now);
-                    }
-                    scheduler.start(r, now);
-                }
-                Admission::Resumed {
-                    request,
-                    swap_in_tokens,
-                } => {
-                    stats.swap_ins += 1;
-                    #[allow(clippy::cast_precision_loss)]
-                    let bytes = swap_in_tokens as f64 * per_token_bytes;
-                    swap_in_bytes += bytes;
-                    let t0 = now;
-                    if sink.is_enabled() {
-                        if let Some(c) = slab.cursor(request.id) {
-                            sink.span(Scope::Request(request.id), SpanKind::Preempted, c, t0);
-                        }
-                    }
-                    now += node.kv_swap_time_s(bytes);
-                    sink.span(NODE0, SpanKind::SwapIn, t0, now);
-                    sink.span(Scope::Request(request.id), SpanKind::SwapIn, t0, now);
-                    if sink.is_enabled() {
-                        slab.set_cursor(request.id, now);
-                    }
-                }
-            }
-        }
-
-        if scheduler.running().is_empty() {
-            continue;
-        }
-
-        // Make the coming step fit in the page pool: on pressure the
-        // batcher evicts from the tail (recompute re-queues at the queue
-        // front; swap victims page out through the priced path).
-        let prep = scheduler.prepare_step(now);
-        for victim in &prep.preempted_recompute {
-            stats.preemptions += 1;
-            if sink.is_enabled() {
-                if let Some(c) = slab.cursor(victim.id) {
-                    sink.span(Scope::Request(victim.id), SpanKind::DecodeLost, c, now);
-                    slab.set_cursor(victim.id, now);
-                }
-            }
-        }
-        for victim in &prep.preempted_swap {
-            stats.preemptions += 1;
-            stats.swap_outs += 1;
-            #[allow(clippy::cast_precision_loss)]
-            let bytes = victim.context() as f64 * per_token_bytes;
-            swap_out_bytes += bytes;
-            let t0 = now;
-            if sink.is_enabled() {
-                if let Some(c) = slab.cursor(victim.request.id) {
-                    sink.span(Scope::Request(victim.request.id), SpanKind::Decode, c, t0);
-                }
-            }
-            now += node.kv_swap_time_s(bytes);
-            sink.span(NODE0, SpanKind::SwapOut, t0, now);
-            sink.span(
-                Scope::Request(victim.request.id),
-                SpanKind::SwapOut,
-                t0,
-                now,
-            );
-            if sink.is_enabled() {
-                slab.set_cursor(victim.request.id, now);
-            }
-        }
-
-        // One decode iteration for the whole running batch at its mean
-        // context length. Resident KV past the platform's protected
-        // budget pays the per-step paging/bounce stall instead of a flat
-        // admission cliff.
-        let batch = scheduler.running().len() as u64;
-        #[allow(clippy::cast_precision_loss)]
-        let mean_context = (scheduler.running().iter().map(|a| a.context()).sum::<u64>() as f64
-            / batch as f64)
-            .round() as u64;
-        let t0 = now;
-        let mut t_step = node.decode_step_time_s(cfg, batch, mean_context);
-        if prep.resident_pages > 0 {
-            #[allow(clippy::cast_precision_loss)]
-            let excess = prep.resident_pages as f64 * block_bytes - residency_budget;
-            if excess > 0.0 {
-                t_step += node.kv_pressure_stall_s(excess);
-            }
-        }
-        // A step that begins inside a gray DegradedThroughput window
-        // runs at the derated rate — the node is up (no downtime, no
-        // outage span), just slow.
-        if now < derate_until_s {
-            t_step *= crate::faults::DEGRADED_THROUGHPUT_FACTOR;
-        }
-        now += t_step;
-        stats.decode_steps += 1;
-        sink.span(NODE0, SpanKind::Decode, t0, now);
-
-        for fin in scheduler.step() {
-            let ttft = fin.first_token_s - fin.request.arrival_s;
-            let decode_span = now - fin.first_token_s;
-            #[allow(clippy::cast_precision_loss)]
-            let tpot = decode_span / (fin.request.output_tokens.saturating_sub(1).max(1)) as f64;
-            useful_tokens += fin.request.output_tokens;
-            stats.completions += 1;
-            if sink.is_enabled() {
-                if let Some(c) = slab.take_cursor(fin.request.id) {
-                    sink.span(Scope::Request(fin.request.id), SpanKind::Decode, c, now);
-                }
-            }
-            records.push(RequestRecord {
-                id: fin.request.id,
-                ttft_s: ttft,
-                tpot_s: tpot,
-                e2e_s: now - fin.request.arrival_s,
-                retries: slab.attempts(fin.request.id),
-            });
-        }
+        n.run_batch(&mut run);
     }
 
-    (
-        build_report(
-            total_arrivals,
-            useful_tokens,
-            now,
-            records,
-            retries,
-            aborted,
-            downtime_s,
-            scheduler.queue_stats(),
-            stats.preemptions,
-            swap_out_bytes,
-            swap_in_bytes,
-        ),
-        stats,
-    )
+    let report = build_report(
+        total_arrivals,
+        n.useful_tokens,
+        n.now,
+        run.records,
+        run.retries,
+        run.aborted.len(),
+        n.downtime_s,
+        n.scheduler.queue_stats(),
+        n.preemptions,
+        n.swap_out_bytes,
+        n.swap_in_bytes,
+    );
+    (report, run.stats)
 }
 
-/// Apply one fault event at an iteration boundary. An outage whose tail
-/// extends past the arrival horizon `horizon_s` is clamped at the
-/// horizon: the simulation stops charging unavailable time beyond the
-/// last instant the trace could still demand service, so a late long
-/// preemption cannot inflate the makespan (and depress availability)
-/// with downtime no request ever observed. The attestation-failure
-/// re-handshake toll takes the identical clamp — it is an outage like
-/// any other, just priced by the policy instead of the event.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    ev: &FaultEvent,
-    plan: &FaultPlan,
-    horizon_s: f64,
-    handshake_seq: u64,
-    scheduler: &mut ContinuousBatcher,
-    retry_queue: &mut EventQueue<Request>,
-    slab: &mut RequestSlab,
-    now: &mut f64,
-    downtime_s: &mut f64,
-    derate_until_s: &mut f64,
-    retries: &mut u64,
-    aborted: &mut usize,
-    sink: &mut TraceSink,
-) {
-    use crate::faults::FaultKind;
-    if ev.kind.is_gray() {
-        // Gray failures charge no downtime and emit no outage span —
-        // the node stays up. A degraded window extends the derate
-        // horizon (clamped like any outage tail, so a near-horizon
-        // window cannot derate steps the trace never demanded); a
-        // stuck drain has no scale-down to wedge on a single fixed
-        // node and is recorded as a no-op.
-        if ev.kind == FaultKind::DegradedThroughput {
-            let window_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-            *derate_until_s = derate_until_s.max(ev.at_s + window_s);
-        }
-        sink.event_fmt(NODE0, "gray", *now, || ev.kind.label().to_string());
-        return;
-    }
-    if ev.kind == FaultKind::AttestationFailure {
-        // The quote was rejected; re-handshake through the real session
-        // state machine while the node is unavailable.
-        let t0 = *now;
-        attested_rehandshake_phased(handshake_seq, &mut |phase| {
-            sink.event_fmt(NODE0, "handshake", t0, || phase.label().to_string());
-        })
-        // infallible: simulated attestation over an in-process channel cannot fail; crashes charge recovery time, not handshake errors
-        .expect("re-handshake must recover the session");
-        let outage_s = plan.policy.reattest_s.min((horizon_s - ev.at_s).max(0.0));
-        *now += outage_s;
-        *downtime_s += outage_s;
-        sink.span_labeled(NODE0, SpanKind::Outage, t0, *now, Some(ev.kind.label()));
-        return;
-    }
-    let outage_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-    if ev.kind.loses_state() {
-        for victim in scheduler.drain_running() {
-            let id = victim.request.id;
-            let n = slab.bump_attempts(id);
-            if n > plan.policy.max_retries {
-                *aborted += 1;
-                if sink.is_enabled() {
-                    if let Some(c) = slab.take_cursor(id) {
-                        sink.span(Scope::Request(id), SpanKind::DecodeLost, c, *now);
-                    }
-                    sink.event(Scope::Request(id), "abort", *now, String::new());
-                }
-            } else {
-                *retries += 1;
-                if sink.is_enabled() {
-                    if let Some(c) = slab.cursor(id) {
-                        sink.span(Scope::Request(id), SpanKind::DecodeLost, c, *now);
-                        slab.set_cursor(id, *now);
-                    }
-                    sink.event(Scope::Request(id), "requeue", *now, format!("attempt {n}"));
-                }
-                retry_queue.push_keyed(
-                    ev.at_s + outage_s + plan.policy.backoff_s(n),
-                    id,
-                    victim.request,
-                );
-            }
-        }
-    }
-    // Both crash- and stall-class events hold the node for the outage.
-    let t0 = *now;
-    *now += outage_s;
-    *downtime_s += outage_s;
-    sink.span_labeled(NODE0, SpanKind::Outage, t0, *now, Some(ev.kind.label()));
+/// The report of a run with no arrivals.
+pub(crate) fn empty_report() -> ServingReport {
+    build_report(
+        0,
+        0,
+        0.0,
+        Vec::new(),
+        0,
+        0,
+        0.0,
+        &QueueStats::default(),
+        0,
+        0.0,
+        0.0,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -919,6 +633,26 @@ mod tests {
         assert_eq!(report.arrivals, 0);
         assert_eq!(report.completed, 0);
         assert!(report.goodput_tps.is_finite());
+    }
+
+    #[test]
+    fn nan_rate_or_horizon_returns_empty_report() {
+        let mut nan_rate = ServingConfig::small_test();
+        nan_rate.arrivals.rate_per_s = f64::NAN;
+        let nan_horizon = ServingConfig {
+            duration_s: f64::NAN,
+            ..ServingConfig::small_test()
+        };
+        let empty = simulate_serving(
+            &ServingConfig {
+                duration_s: 0.0,
+                ..ServingConfig::small_test()
+            },
+            &CpuTeeConfig::tdx(),
+        );
+        for cfg in [nan_rate, nan_horizon] {
+            assert_eq!(simulate_serving(&cfg, &CpuTeeConfig::tdx()), empty);
+        }
     }
 
     fn faulted_small(kind: TeeKind, seed: u64) -> ServingReport {

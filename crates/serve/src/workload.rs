@@ -48,10 +48,19 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics if the rate is not positive or a range is empty/reversed.
+    /// Panics if the rate is not positive and finite, the horizon is not
+    /// finite, or a range is empty/reversed.
     #[must_use]
     pub fn trace(&self, duration_s: f64) -> Vec<Request> {
-        assert!(self.rate_per_s > 0.0, "arrival rate must be positive");
+        assert!(
+            self.rate_per_s > 0.0 && self.rate_per_s.is_finite(),
+            "arrival rate must be positive and finite, got {}",
+            self.rate_per_s
+        );
+        assert!(
+            duration_s.is_finite(),
+            "horizon must be finite, got {duration_s}"
+        );
         assert!(self.prompt_range.0 >= 1 && self.prompt_range.0 <= self.prompt_range.1);
         assert!(self.output_range.0 >= 1 && self.output_range.0 <= self.output_range.1);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5EED_5EED);
@@ -144,5 +153,11 @@ mod tests {
         let mut p = ArrivalProcess::chat(1.0, 0);
         p.rate_per_s = 0.0;
         let _ = p.trace(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite")]
+    fn infinite_horizon_rejected() {
+        let _ = ArrivalProcess::chat(1.0, 0).trace(f64::INFINITY);
     }
 }

@@ -327,12 +327,21 @@ impl TrafficModel {
     ///
     /// # Panics
     ///
-    /// Panics if the base rate is not positive.
+    /// Panics if the base rate is not positive, or if the peak rate or the
+    /// horizon is not finite.
     #[must_use]
     pub fn generate(&self, duration_s: f64) -> Vec<TraceRequest> {
         assert!(self.base_rate_per_s > 0.0, "base rate must be positive");
+        assert!(
+            duration_s.is_finite(),
+            "horizon must be finite, got {duration_s}"
+        );
         let onsets = self.bursts.onsets(duration_s);
         let rate_max = self.rate_max();
+        assert!(
+            rate_max.is_finite(),
+            "peak rate must be finite, got {rate_max}"
+        );
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7EAF_F1C5_EED0_0003);
         let mut out = Vec::new();
         let mut t = 0.0f64;
@@ -480,6 +489,12 @@ mod tests {
         assert_eq!(Tier::ALL[0], Tier::Free);
         assert_eq!(Tier::ALL[2], Tier::Premium);
         assert!(Tier::Free < Tier::Premium);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite")]
+    fn infinite_horizon_rejected() {
+        let _ = TrafficModel::steady(1.0, 0).generate(f64::INFINITY);
     }
 
     #[test]

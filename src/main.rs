@@ -58,9 +58,11 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let flags = parse_flags(&args[1..]);
-    match command {
-        "figures" => cmd_figures(args.get(1).filter(|a| !a.starts_with("--")).cloned()),
-        "insights" => cmd_insights(),
+    let outcome = match command {
+        "figures" => Ok(cmd_figures(
+            args.get(1).filter(|a| !a.starts_with("--")).cloned(),
+        )),
+        "insights" => Ok(cmd_insights()),
         "deploy" => cmd_deploy(&flags),
         "estimate" => cmd_estimate(&flags),
         "plan" => cmd_plan(&flags),
@@ -68,19 +70,24 @@ fn main() -> ExitCode {
         "chaos" => cmd_chaos(&flags),
         "help" | "--help" | "-h" => {
             print_usage();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         other => {
             // Experiment ids double as commands: `cllm serving --trace t.json`.
             if all_experiments().iter().any(|(id, _)| *id == other) {
-                cmd_experiment(other, &flags)
+                Ok(cmd_experiment(other, &flags))
             } else {
                 eprintln!("unknown command: {other}\n");
                 print_usage();
-                ExitCode::from(2)
+                Ok(ExitCode::from(2))
             }
         }
-    }
+    };
+    // A command's `Err` is a usage error: bad flags, specs or paths.
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })
 }
 
 /// Run one experiment by id, optionally exporting its span trace as
@@ -217,11 +224,47 @@ fn platform_from(flags: &HashMap<String, String>) -> Result<Platform, String> {
     })
 }
 
-fn num_flag(flags: &HashMap<String, String>, key: &str, default: u64) -> u64 {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The one parser for every numeric flag: `default` when `--key` is
+/// absent; otherwise its value must parse as `T` and, read as a number,
+/// be finite and non-negative. Anything else (a typo, `nan`, `inf`, a
+/// negative count, a missing value) is a usage error naming the flag.
+fn num_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(v) = flags.get(key) else {
+        return Ok(default);
+    };
+    match (v.parse::<T>(), v.parse::<f64>()) {
+        (Ok(x), Ok(f)) if f.is_finite() && f >= 0.0 => Ok(x),
+        _ => Err(format!(
+            "--{key} needs a finite, non-negative number, got {v:?}"
+        )),
+    }
+}
+
+/// Most arrivals a `cllm serve` run may expect (`--rate` × `--duration`,
+/// at the burst peak under `--autoscale`): the simulators generate the
+/// whole trace up front and keep per-request state for all of it.
+const MAX_EXPECTED_ARRIVALS: f64 = 1.0e6;
+
+/// Cap on `--faults` × `--duration` and on `--waves` × `--duration`.
+/// Both flags scale an hourly event rate (platform fault rates are a few
+/// events per node-hour at scale 1; `--waves` counts waves per hour), and
+/// every fault schedule is generated up front: this allows the
+/// equivalent of 1,000 per hour for an hour.
+const MAX_HOURLY_RATE_X_DURATION: f64 = 3.6e6;
+
+/// Most nodes a `--nodes` fleet spec may describe, summed over groups.
+const MAX_FLEET_NODES: usize = 1024;
+
+/// Reject `what` when it exceeds `cap` (see the caps above).
+fn capped(what: &str, value: f64, cap: f64) -> Result<(), String> {
+    if value > cap {
+        return Err(format!("{what} is {value:e}, above the cap of {cap:e}"));
+    }
+    Ok(())
 }
 
 /// KV-cache flags shared by the single-node and cluster serve paths:
@@ -233,7 +276,7 @@ fn kv_from(flags: &HashMap<String, String>) -> Result<KvConfig, String> {
             format!("unknown --kv-policy {name:?}; expected conservative|recompute|swap")
         })?;
     }
-    kv.block_tokens = num_flag(flags, "kv-block-tokens", kv.block_tokens).max(1);
+    kv.block_tokens = num_flag(flags, "kv-block-tokens", kv.block_tokens)?.max(1);
     Ok(kv)
 }
 
@@ -296,15 +339,8 @@ fn cmd_insights() -> ExitCode {
     }
 }
 
-fn cmd_deploy(flags: &HashMap<String, String>) -> ExitCode {
-    let platform = match platform_from(flags) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let spec = DeploymentSpec::tiny_demo(platform);
+fn cmd_deploy(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+    let spec = DeploymentSpec::tiny_demo(platform_from(flags)?);
     match ConfidentialPipeline::deploy(&spec) {
         Ok(pipeline) => {
             println!("platform    : {}", pipeline.spec().platform.label());
@@ -314,32 +350,26 @@ fn cmd_deploy(flags: &HashMap<String, String>) -> ExitCode {
                 .map_or("confidential inference", String::as_str);
             let out = pipeline.generate(prompt, 24);
             println!("generated   : {} bytes from prompt {prompt:?}", out.len());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("deployment failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_estimate(flags: &HashMap<String, String>) -> ExitCode {
-    let platform = match platform_from(flags) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_estimate(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+    let platform = platform_from(flags)?;
     let dtype = match flags.get("dtype").map(String::as_str) {
         Some("int8") => DType::Int8,
         Some("f32") => DType::F32,
         _ => DType::Bf16,
     };
     let req = RequestSpec::new(
-        num_flag(flags, "batch", 1),
-        num_flag(flags, "input", 1024),
-        num_flag(flags, "output", 128),
+        num_flag(flags, "batch", 1)?,
+        num_flag(flags, "input", 1024)?,
+        num_flag(flags, "output", 128)?,
     );
     let mut spec = DeploymentSpec::tiny_demo(platform);
     spec.dtype = dtype;
@@ -347,7 +377,7 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> ExitCode {
         Ok(p) => p,
         Err(e) => {
             eprintln!("deployment failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let est = pipeline.estimate(&req);
@@ -363,12 +393,12 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> ExitCode {
     println!("per token   : {:.1} ms", est.token_latency_s * 1e3);
     println!("decode rate : {:.1} tok/s", est.decode_tps);
     println!("e2e rate    : {:.1} tok/s", est.e2e_tps);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> ExitCode {
-    let batch = num_flag(flags, "batch", 16);
-    let input = num_flag(flags, "input", 512);
+fn cmd_plan(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+    let batch = num_flag(flags, "batch", 16)?;
+    let input = num_flag(flags, "input", 512)?;
     let model = zoo::llama2_7b();
     let req = RequestSpec::new(batch, input, 128);
 
@@ -411,47 +441,39 @@ fn cmd_plan(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         println!("recommend   : cost parity — decide by security policy (CPU TEE stricter)");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let rate = flags
-        .get("rate")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let duration = flags
-        .get("duration")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
-    let kv = match kv_from(flags) {
-        Ok(kv) => kv,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+    let rate: f64 = num_flag(flags, "rate", 2.0)?;
+    let duration: f64 = num_flag(flags, "duration", 60.0)?;
+    let kv = kv_from(flags)?;
     if flags.contains_key("autoscale") {
         return cmd_serve_autoscale(flags, rate, duration);
     }
+    capped(
+        "--rate x --duration",
+        rate * duration,
+        MAX_EXPECTED_ARRIVALS,
+    )?;
+    let fault_scale: f64 = num_flag(flags, "faults", 0.0)?;
+    capped(
+        "--faults x --duration",
+        fault_scale * duration,
+        MAX_HOURLY_RATE_X_DURATION,
+    )?;
+    let fault_seed = num_flag(flags, "fault-seed", 42)?;
     if let Some(spec) = flags.get("nodes") {
-        return cmd_serve_cluster(flags, spec, rate, duration, kv);
+        return cmd_serve_cluster(flags, spec, rate, duration, kv, fault_scale, fault_seed);
     }
-    let tee = match platform_from(flags) {
-        Ok(Platform::Cpu(tee)) => tee,
-        Ok(Platform::Gpu(_)) => {
-            eprintln!("serve simulates CPU platforms; use --platform bare|vm|tdx|sgx|sev-snp");
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    let tee = match platform_from(flags)? {
+        Platform::Cpu(tee) => tee,
+        Platform::Gpu(_) => {
+            return Err(
+                "serve simulates CPU platforms; use --platform bare|vm|tdx|sgx|sev-snp".into(),
+            )
         }
     };
-    let fault_scale = flags
-        .get("faults")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    let fault_seed = num_flag(flags, "fault-seed", 42);
     let plan = if fault_scale > 0.0 {
         let rates = FaultRates::for_platform(tee.kind, &SpotParams::gcp_spot()).scaled(fault_scale);
         FaultPlan::seeded(&rates, duration, fault_seed)
@@ -464,8 +486,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         kv,
         ..ServingConfig::small_test()
     };
-    if let Some(gib) = flags.get("kv-pool-gib").and_then(|v| v.parse::<f64>().ok()) {
-        cfg.limits.kv_budget_bytes = gib * cllm_hw::GIB;
+    if flags.contains_key("kv-pool-gib") {
+        cfg.limits.kv_budget_bytes = num_flag(flags, "kv-pool-gib", 0.0)? * cllm_hw::GIB;
     }
     let node = ServingNode::Cpu { tee: tee.clone() };
     let report = simulate_serving_faulted(&cfg, &node, &plan);
@@ -523,13 +545,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
             "conservation : ok ({} arrivals accounted for)",
             report.arrivals
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!(
             "conservation : VIOLATED ({})",
             invariants::describe(&violations)
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -546,30 +568,18 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
 ///
 /// Replay mode (`--repro FILE`): parse a repro file and demand the
 /// recorded digest and violations byte-for-byte.
-fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_chaos(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     use cllm_chaos::run::fnv1a_hex;
     use cllm_chaos::{run_point, sample_point, shrink, Repro};
 
     if let Some(path) = flags.get("repro") {
         if path.is_empty() {
-            eprintln!("--repro needs a file path");
-            return ExitCode::from(2);
+            return Err("--repro needs a file path".into());
         }
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let repro = match Repro::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        return match repro.replay() {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
+        let repro = Repro::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        return Ok(match repro.replay() {
             Ok(outcome) => {
                 println!(
                     "repro        : ok (digest {}, {} recorded violation(s) reproduced exactly)",
@@ -585,23 +595,20 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
                 println!("repro        : DRIFT ({e})");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    let seeds = num_flag(flags, "seeds", 24);
-    let base = num_flag(flags, "seed-base", 0);
+    let seeds: u64 = num_flag(flags, "seeds", 24)?;
+    let base: u64 = num_flag(flags, "seed-base", 0)?;
     let out_dir = flags.get("out").filter(|p| !p.is_empty());
     if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("failed to create {dir}: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::create_dir_all(dir).map_err(|e| format!("failed to create {dir}: {e}"))?;
     }
 
     let mut found = 0usize;
     let mut arrivals = 0usize;
     let mut fold = String::new();
-    for seed in base..base + seeds {
+    for seed in base..base.saturating_add(seeds) {
         let point = sample_point(seed);
         let outcome = run_point(&point);
         fold.push_str(&outcome.digest);
@@ -625,7 +632,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
             let path = format!("{dir}/repro-seed-{seed}.json");
             if let Err(e) = std::fs::write(&path, repro.to_json()) {
                 eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             println!("             -> {path}");
         } else {
@@ -640,11 +647,11 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         found,
         fnv1a_hex(fold.as_bytes())
     );
-    if found == 0 {
+    Ok(if found == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Total planted fault events across a repro's node lists.
@@ -660,7 +667,8 @@ fn repro_event_count(repro: &cllm_chaos::Repro) -> usize {
 
 /// Parse a fleet spec like `2xcgpu-spot,2xtdx` into node specs: each
 /// comma-separated group is `<count>x<platform>[-spot]`, with platforms
-/// named as in `--platform`.
+/// named as in `--platform`, and the groups together describe at most
+/// [`MAX_FLEET_NODES`] nodes.
 fn parse_fleet(spec: &str, fault_scale: f64, fault_seed: u64) -> Result<Vec<NodeSpec>, String> {
     use cllm_tee::platform::TeeKind;
     let mut nodes = Vec::new();
@@ -671,6 +679,11 @@ fn parse_fleet(spec: &str, fault_scale: f64, fault_seed: u64) -> Result<Vec<Node
         let count: usize = count
             .parse()
             .map_err(|_| format!("bad node count in {group:?}"))?;
+        if count > MAX_FLEET_NODES - nodes.len() {
+            return Err(format!(
+                "fleet spec {spec:?} describes more than {MAX_FLEET_NODES} nodes"
+            ));
+        }
         let (name, spot) = rest
             .strip_suffix("-spot")
             .map_or((rest, false), |base| (base, true));
@@ -744,13 +757,17 @@ fn parse_fleet(spec: &str, fault_scale: f64, fault_seed: u64) -> Result<Vec<Node
 
 /// `cllm serve --autoscale`: flash-crowd traffic against a one-node
 /// base fleet with a reactive autoscaler renting attested TEE capacity.
-fn cmd_serve_autoscale(flags: &HashMap<String, String>, rate: f64, duration: f64) -> ExitCode {
-    let (node, kind) = match platform_from(flags) {
-        Ok(Platform::Cpu(tee)) => {
+fn cmd_serve_autoscale(
+    flags: &HashMap<String, String>,
+    rate: f64,
+    duration: f64,
+) -> Result<ExitCode, String> {
+    let (node, kind) = match platform_from(flags)? {
+        Platform::Cpu(tee) => {
             let kind = tee.kind;
             (ServingNode::Cpu { tee }, kind)
         }
-        Ok(Platform::Gpu(tee)) => {
+        Platform::Gpu(tee) => {
             let kind = tee.kind;
             (
                 ServingNode::Gpu {
@@ -760,16 +777,15 @@ fn cmd_serve_autoscale(flags: &HashMap<String, String>, rate: f64, duration: f64
                 kind,
             )
         }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
     };
-    let burst_mult = flags
-        .get("burst-mult")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(10.0);
-    let traffic_seed = num_flag(flags, "traffic-seed", 9);
+    let burst_mult: f64 = num_flag(flags, "burst-mult", 10.0)?;
+    let peak_arrivals = rate * burst_mult.max(1.0) * duration;
+    capped(
+        "--rate x --burst-mult x --duration",
+        peak_arrivals,
+        MAX_EXPECTED_ARRIVALS,
+    )?;
+    let traffic_seed = num_flag(flags, "traffic-seed", 9)?;
     let mut traffic = TrafficModel::flash_crowd(rate, burst_mult, traffic_seed);
     // Production burst cadence is ~30/hr; a demo-length run needs a
     // denser schedule so a burst actually lands inside the horizon.
@@ -779,16 +795,20 @@ fn cmd_serve_autoscale(flags: &HashMap<String, String>, rate: f64, duration: f64
     // spot-class fault pressure scaled by S (default 60, the usual
     // short-horizon compression factor).
     let wave_scale = match flags.get("waves") {
-        None => 0.0,
         Some(v) if v.is_empty() => 60.0,
-        Some(v) => v.parse::<f64>().unwrap_or(60.0),
+        _ => num_flag(flags, "waves", 0.0)?,
     };
+    capped(
+        "--waves x --duration",
+        wave_scale * duration,
+        MAX_HOURLY_RATE_X_DURATION,
+    )?;
     let rates = if wave_scale > 0.0 {
         FaultRates::for_platform(kind, &SpotParams::gcp_spot()).scaled(wave_scale)
     } else {
         FaultRates::none()
     };
-    let warm_pool = num_flag(flags, "warm-pool", 0) as usize;
+    let warm_pool = num_flag(flags, "warm-pool", 0)?;
     let cfg = AutoscaleConfig {
         serving: ServingConfig {
             duration_s: duration,
@@ -807,7 +827,7 @@ fn cmd_serve_autoscale(flags: &HashMap<String, String>, rate: f64, duration: f64
         warm_pool,
         controller: ControllerConfig {
             control_interval_s: 2.0,
-            max_rented: num_flag(flags, "max-rented", 6) as usize,
+            max_rented: num_flag(flags, "max-rented", 6)?,
             ..ControllerConfig::default()
         },
         tiers: TieredAdmission::default(),
@@ -873,13 +893,13 @@ fn cmd_serve_autoscale(flags: &HashMap<String, String>, rate: f64, duration: f64
             "conservation : ok ({} completed + {} shed + {} aborted == {} arrivals)",
             r.completed, r.shed, r.aborted, r.arrivals
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!(
             "conservation : VIOLATED ({})",
             invariants::describe(&violations)
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -889,35 +909,22 @@ fn cmd_serve_cluster(
     rate: f64,
     duration: f64,
     kv: KvConfig,
-) -> ExitCode {
-    let fault_scale = flags
-        .get("faults")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    let fault_seed = num_flag(flags, "fault-seed", 42);
-    let nodes = match parse_fleet(spec, fault_scale, fault_seed) {
-        Ok(nodes) => nodes,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    fault_scale: f64,
+    fault_seed: u64,
+) -> Result<ExitCode, String> {
+    let nodes = parse_fleet(spec, fault_scale, fault_seed)?;
     let failover = match flags.get("failover").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
-        Some(other) => {
-            eprintln!("bad --failover {other:?}; expected on|off");
-            return ExitCode::from(2);
-        }
+        Some(other) => return Err(format!("bad --failover {other:?}; expected on|off")),
     };
-    let waves_per_hr = flags
-        .get("waves")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    let wave_frac = flags
-        .get("wave-frac")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.75);
+    let waves_per_hr: f64 = num_flag(flags, "waves", 0.0)?;
+    capped(
+        "--waves x --duration",
+        waves_per_hr * duration,
+        MAX_HOURLY_RATE_X_DURATION,
+    )?;
+    let wave_frac = num_flag(flags, "wave-frac", 0.75)?;
     let n_nodes = nodes.len();
     let cfg = ClusterConfig {
         serving: ServingConfig {
@@ -986,12 +993,12 @@ fn cmd_serve_cluster(
             "conservation : ok ({} arrivals accounted for)",
             report.arrivals
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!(
             "conservation : VIOLATED ({})",
             invariants::describe(&violations)
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
