@@ -1,100 +1,117 @@
 //! Wall-clock throughput bench for the unified discrete-event kernel.
 //!
-//! Runs the `serve_scale` cluster (64 nodes) and reports kernel
-//! events/sec. Three modes:
+//! Runs the `serve_scale` cluster (64 nodes) three times: on the
+//! conservative KV policy, on paged-recompute with a small page pool,
+//! and under the flash-crowd autoscaler. Each run reports kernel
+//! events/sec and keeps its own floor, so a regression on the paged or
+//! autoscale path cannot hide behind the conservative one. The full
+//! scale pushes 1M+ requests over a 520 s simulated horizon into
+//! `BENCH_serve.json`; the smoke scale is the golden table's ~12k.
+//! Modes, floors and the `--check` gate are `cllm_bench::pin`'s.
 //!
-//! * default / `--out <path>` — run the **full** scale (1M+ requests,
-//!   520 s simulated horizon) twice — once on the conservative KV
-//!   policy, once on paged-recompute with a small page pool — and write
-//!   `BENCH_serve.json`. When the output file already exists with
-//!   pinned `floor_events_per_s` / `floor_paged_events_per_s`, the pins
-//!   are preserved; otherwise each floor is set to a quarter of its
-//!   measured rate so machine variance cannot flake CI.
-//! * `--smoke` — run the reduced **smoke** scale (both policies) and
-//!   print events/sec without touching the pins. Fast enough for CI.
-//! * `--check <path>` — validate the `BENCH_serve.json` schema at
-//!   `path`, run both smoke scales, and exit non-zero if either
-//!   measured events/sec falls more than 30% below its pinned floor.
-//!
-//! Only this binary ever records wall time; the golden tables stay
-//! machine-independent.
+//! Only the measured benches ever record wall time; the golden tables
+//! stay machine-independent.
 
-use cllm_core::experiments::serve_scale::{autoscale_report, paged_report, report, Scale};
-use serde_json::{Number, Value};
-use std::path::{Path, PathBuf};
+use cllm_bench::pin::{self, field_f64, float, int, Bench, Scale};
+use cllm_core::experiments::serve_scale::{autoscale_report, paged_report, report};
+use cllm_serve::kernel::KernelStats;
+use serde_json::Value;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Schema fields every `BENCH_serve.json` must carry, with their JSON
-/// type class (`true` = number, `false` = string).
-const SCHEMA: [(&str, bool); 24] = [
-    ("schema_version", true),
-    ("scale", false),
-    ("nodes", true),
-    ("arrivals", true),
-    ("completed", true),
-    ("aborted", true),
-    ("rejected", true),
-    ("retries", true),
-    ("makespan_s", true),
-    ("goodput_tps", true),
-    ("kernel_events", true),
-    ("wall_s", true),
-    ("events_per_s", true),
-    ("floor_events_per_s", true),
-    ("paged_preemptions", true),
-    ("paged_kernel_events", true),
-    ("paged_wall_s", true),
-    ("paged_events_per_s", true),
-    ("floor_paged_events_per_s", true),
-    ("autoscale_scale_ups", true),
-    ("autoscale_kernel_events", true),
-    ("autoscale_wall_s", true),
-    ("autoscale_events_per_s", true),
-    ("floor_autoscale_events_per_s", true),
-];
+const BENCH: Bench = Bench {
+    file: "BENCH_serve.json",
+    schema: &[
+        ("schema_version", true),
+        ("scale", false),
+        ("nodes", true),
+        ("arrivals", true),
+        ("completed", true),
+        ("aborted", true),
+        ("rejected", true),
+        ("retries", true),
+        ("makespan_s", true),
+        ("goodput_tps", true),
+        ("kernel_events", true),
+        ("wall_s", true),
+        ("events_per_s", true),
+        ("floor_events_per_s", true),
+        ("paged_preemptions", true),
+        ("paged_kernel_events", true),
+        ("paged_wall_s", true),
+        ("paged_events_per_s", true),
+        ("floor_paged_events_per_s", true),
+        ("autoscale_scale_ups", true),
+        ("autoscale_kernel_events", true),
+        ("autoscale_wall_s", true),
+        ("autoscale_events_per_s", true),
+        ("floor_autoscale_events_per_s", true),
+    ],
+    measure,
+    rules,
+};
 
-fn int(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
+fn main() -> ExitCode {
+    pin::main(&BENCH)
 }
 
-fn float(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
-/// Replace or append a field on an object document.
-fn set(doc: &mut Value, key: &str, value: Value) {
-    let Value::Object(fields) = doc else {
-        panic!("document is not an object");
-    };
-    if let Some(slot) = fields.iter_mut().find(|(k, _)| k == key) {
-        slot.1 = value;
-    } else {
-        fields.push((key.to_string(), value));
-    }
-}
-
-fn field_f64(doc: &Value, key: &str) -> f64 {
-    doc.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)
-}
-
-/// One timed run at `scale`, rendered as the BENCH_serve.json document
-/// (floor left at zero for the caller to pin) plus the measured rate.
-fn measure(scale: Scale) -> (Value, f64) {
+/// Run `sim` once, returning its result, wall seconds and kernel
+/// events/sec.
+fn timed<R>(sim: impl FnOnce() -> (R, KernelStats)) -> (R, u64, f64, f64) {
     let t0 = Instant::now();
-    let (rep, stats) = report(scale);
+    let (rep, stats) = sim();
     let wall_s = t0.elapsed().as_secs_f64();
+    #[allow(clippy::cast_precision_loss)]
+    let events_per_s = stats.events() as f64 / wall_s.max(1e-9);
+    (rep, stats.events(), wall_s, events_per_s)
+}
+
+/// Time the three operating points at `scale` and render the
+/// BENCH_serve.json document, floors at zero. Panics if a run loses a
+/// request or skips the path its row exists to time.
+fn measure(scale: Scale) -> Value {
+    let label = scale.label();
+    let (rep, events, wall_s, events_per_s) = timed(|| report(scale));
     assert_eq!(
         rep.completed + rep.aborted + rep.rejected,
         rep.arrivals,
-        "conservation violated at {} scale",
-        scale.label()
+        "conservation violated at {label} scale"
     );
-    #[allow(clippy::cast_precision_loss)]
-    let events_per_s = stats.events() as f64 / wall_s.max(1e-9);
-    let doc = Value::Object(vec![
+    println!(
+        "{label}: {} arrivals, {events} kernel events in {wall_s:.2}s wall = {events_per_s:.0} events/s",
+        rep.arrivals
+    );
+    let (paged, paged_events, paged_wall_s, paged_events_per_s) = timed(|| paged_report(scale));
+    assert_eq!(
+        paged.completed + paged.aborted + paged.rejected,
+        paged.arrivals,
+        "paged conservation violated at {label} scale"
+    );
+    assert!(
+        paged.preemptions > 0,
+        "paged bench must exercise the preemption path at {label} scale"
+    );
+    println!(
+        "{label} paged: {} preemptions, {paged_events} kernel events in {paged_wall_s:.2}s wall = {paged_events_per_s:.0} events/s",
+        paged.preemptions
+    );
+    let (auto, auto_events, auto_wall_s, auto_events_per_s) = timed(|| autoscale_report(scale));
+    assert_eq!(
+        auto.completed + auto.shed + auto.aborted,
+        auto.arrivals,
+        "autoscale conservation violated at {label} scale"
+    );
+    assert!(
+        auto.scale_ups > 0,
+        "autoscale bench must exercise the scale-up path at {label} scale"
+    );
+    println!(
+        "{label} autoscale: {} scale-ups, {auto_events} kernel events in {auto_wall_s:.2}s wall = {auto_events_per_s:.0} events/s",
+        auto.scale_ups
+    );
+    Value::Object(vec![
         ("schema_version".into(), int(1)),
-        ("scale".into(), Value::String(scale.label().into())),
+        ("scale".into(), Value::String(label.into())),
         ("nodes".into(), int(rep.nodes.len() as u64)),
         ("arrivals".into(), int(rep.arrivals as u64)),
         ("completed".into(), int(rep.completed as u64)),
@@ -103,412 +120,65 @@ fn measure(scale: Scale) -> (Value, f64) {
         ("retries".into(), int(rep.retries)),
         ("makespan_s".into(), float(rep.makespan_s)),
         ("goodput_tps".into(), float(rep.goodput_tps)),
-        ("kernel_events".into(), int(stats.events())),
+        ("kernel_events".into(), int(events)),
         ("wall_s".into(), float(wall_s)),
         ("events_per_s".into(), float(events_per_s)),
         ("floor_events_per_s".into(), float(0.0)),
-    ]);
-    (doc, events_per_s)
+        ("paged_preemptions".into(), int(paged.preemptions)),
+        ("paged_kernel_events".into(), int(paged_events)),
+        ("paged_wall_s".into(), float(paged_wall_s)),
+        ("paged_events_per_s".into(), float(paged_events_per_s)),
+        ("floor_paged_events_per_s".into(), float(0.0)),
+        ("autoscale_scale_ups".into(), int(auto.scale_ups)),
+        ("autoscale_kernel_events".into(), int(auto_events)),
+        ("autoscale_wall_s".into(), float(auto_wall_s)),
+        ("autoscale_events_per_s".into(), float(auto_events_per_s)),
+        ("floor_autoscale_events_per_s".into(), float(0.0)),
+    ])
 }
 
-/// One timed run of the paged-recompute operating point at `scale`,
-/// returning the `paged_*` fields to append to the document (floor left
-/// at zero) plus the measured rate. A separate row because the paged
-/// path exercises the allocator, eviction and readmission code the
-/// conservative run never touches — a regression there must not hide
-/// behind the conservative floor.
-fn measure_paged(scale: Scale) -> (Vec<(String, Value)>, f64) {
-    let t0 = Instant::now();
-    let (rep, stats) = paged_report(scale);
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        rep.completed + rep.aborted + rep.rejected,
-        rep.arrivals,
-        "paged conservation violated at {} scale",
-        scale.label()
-    );
-    assert!(
-        rep.preemptions > 0,
-        "paged bench must exercise the preemption path at {} scale",
-        scale.label()
-    );
-    #[allow(clippy::cast_precision_loss)]
-    let events_per_s = stats.events() as f64 / wall_s.max(1e-9);
-    let fields = vec![
-        ("paged_preemptions".to_string(), int(rep.preemptions)),
-        ("paged_kernel_events".to_string(), int(stats.events())),
-        ("paged_wall_s".to_string(), float(wall_s)),
-        ("paged_events_per_s".to_string(), float(events_per_s)),
-        ("floor_paged_events_per_s".to_string(), float(0.0)),
-    ];
-    (fields, events_per_s)
-}
-
-/// One timed run of the flash-crowd autoscale operating point at
-/// `scale`, returning the `autoscale_*` fields to append (floor left at
-/// zero) plus the measured rate. A separate row because the autoscale
-/// path layers generative tiered traffic, controller ticks, attested
-/// cold starts and drain scale-downs on top of the kernel — a
-/// regression there must not hide behind the cluster floors.
-fn measure_autoscale(scale: Scale) -> (Vec<(String, Value)>, f64) {
-    let t0 = Instant::now();
-    let (rep, stats) = autoscale_report(scale);
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        rep.completed + rep.shed + rep.aborted,
-        rep.arrivals,
-        "autoscale conservation violated at {} scale",
-        scale.label()
-    );
-    assert!(
-        rep.scale_ups > 0,
-        "autoscale bench must exercise the scale-up path at {} scale",
-        scale.label()
-    );
-    #[allow(clippy::cast_precision_loss)]
-    let events_per_s = stats.events() as f64 / wall_s.max(1e-9);
-    let fields = vec![
-        ("autoscale_scale_ups".to_string(), int(rep.scale_ups)),
-        ("autoscale_kernel_events".to_string(), int(stats.events())),
-        ("autoscale_wall_s".to_string(), float(wall_s)),
-        ("autoscale_events_per_s".to_string(), float(events_per_s)),
-        ("floor_autoscale_events_per_s".to_string(), float(0.0)),
-    ];
-    (fields, events_per_s)
-}
-
-/// Validate the pinned document: every schema field present with the
-/// right JSON type, counts conserved, floor positive and honest.
-fn validate(doc: &Value) -> Result<(), String> {
-    if !matches!(doc, Value::Object(_)) {
-        return Err("document is not a JSON object".into());
-    }
-    for (key, numeric) in SCHEMA {
-        let v = doc
-            .get(key)
-            .ok_or_else(|| format!("missing field `{key}`"))?;
-        let ok = if numeric {
-            matches!(v, Value::Number(_))
-        } else {
-            matches!(v, Value::String(_))
-        };
-        if !ok {
-            let want = if numeric { "number" } else { "string" };
-            return Err(format!("field `{key}` must be a {want}"));
-        }
-    }
-    let arrivals = field_f64(doc, "arrivals");
+/// Every arrival of the conservative run ends completed, aborted or
+/// rejected.
+fn rules(doc: &Value) -> Result<(), String> {
     let terminal =
         field_f64(doc, "completed") + field_f64(doc, "aborted") + field_f64(doc, "rejected");
-    if (terminal - arrivals).abs() > 0.0 {
+    if (terminal - field_f64(doc, "arrivals")).abs() > 0.0 {
         return Err("terminal states do not sum to arrivals".into());
     }
-    for (rate_key, floor_key) in [
-        ("events_per_s", "floor_events_per_s"),
-        ("paged_events_per_s", "floor_paged_events_per_s"),
-        ("autoscale_events_per_s", "floor_autoscale_events_per_s"),
-    ] {
-        let floor = field_f64(doc, floor_key);
-        if floor.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(format!("{floor_key} must be positive"));
-        }
-        if field_f64(doc, rate_key) < floor {
-            return Err(format!("pinned {rate_key} is below its own floor"));
-        }
-    }
     Ok(())
-}
-
-/// Default output path: the repository root, next to EXPERIMENTS.md.
-fn default_out() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-}
-
-fn read_floor(path: &Path, key: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc: Value = serde_json::from_str(&text).ok()?;
-    let floor = doc.get(key)?.as_f64()?;
-    (floor > 0.0).then_some(floor)
-}
-
-fn run_full(out: &Path) -> ExitCode {
-    println!("running full scale (1M+ requests, 64 nodes)...");
-    let (mut doc, events_per_s) = measure(Scale::Full);
-    println!("running full scale again on the paged-recompute policy...");
-    let (paged_fields, paged_events_per_s) = measure_paged(Scale::Full);
-    for (key, value) in paged_fields {
-        set(&mut doc, &key, value);
-    }
-    println!("running full scale on the flash-crowd autoscaler...");
-    let (autoscale_fields, autoscale_events_per_s) = measure_autoscale(Scale::Full);
-    for (key, value) in autoscale_fields {
-        set(&mut doc, &key, value);
-    }
-    // Preserve existing pins so reruns on faster machines don't
-    // silently raise the regression bar; a first run pins measured/4.
-    let floor = read_floor(out, "floor_events_per_s").unwrap_or(events_per_s / 4.0);
-    let paged_floor =
-        read_floor(out, "floor_paged_events_per_s").unwrap_or(paged_events_per_s / 4.0);
-    let autoscale_floor =
-        read_floor(out, "floor_autoscale_events_per_s").unwrap_or(autoscale_events_per_s / 4.0);
-    set(&mut doc, "floor_events_per_s", float(floor));
-    set(&mut doc, "floor_paged_events_per_s", float(paged_floor));
-    set(
-        &mut doc,
-        "floor_autoscale_events_per_s",
-        float(autoscale_floor),
-    );
-    validate(&doc).expect("freshly measured document must be schema-valid");
-    let pretty = serde_json::to_string_pretty(&doc).expect("doc serializes");
-    std::fs::write(out, pretty + "\n").expect("write BENCH_serve.json");
-    println!(
-        "full: {:.0} arrivals, {:.0} kernel events in {:.2}s wall = {events_per_s:.0} events/s (floor {floor:.0})",
-        field_f64(&doc, "arrivals"),
-        field_f64(&doc, "kernel_events"),
-        field_f64(&doc, "wall_s"),
-    );
-    println!(
-        "paged: {:.0} preemptions, {:.0} kernel events in {:.2}s wall = {paged_events_per_s:.0} events/s (floor {paged_floor:.0})",
-        field_f64(&doc, "paged_preemptions"),
-        field_f64(&doc, "paged_kernel_events"),
-        field_f64(&doc, "paged_wall_s"),
-    );
-    println!(
-        "autoscale: {:.0} scale-ups, {:.0} kernel events in {:.2}s wall = {autoscale_events_per_s:.0} events/s (floor {autoscale_floor:.0})",
-        field_f64(&doc, "autoscale_scale_ups"),
-        field_f64(&doc, "autoscale_kernel_events"),
-        field_f64(&doc, "autoscale_wall_s"),
-    );
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
-}
-
-fn run_smoke() -> ((f64, f64, f64), ExitCode) {
-    let (doc, events_per_s) = measure(Scale::Smoke);
-    println!(
-        "smoke: {:.0} arrivals, {:.0} kernel events in {:.3}s wall = {events_per_s:.0} events/s",
-        field_f64(&doc, "arrivals"),
-        field_f64(&doc, "kernel_events"),
-        field_f64(&doc, "wall_s"),
-    );
-    let (paged_fields, paged_events_per_s) = measure_paged(Scale::Smoke);
-    let preemptions = paged_fields
-        .iter()
-        .find(|(k, _)| k == "paged_preemptions")
-        .and_then(|(_, v)| v.as_f64())
-        .unwrap_or(0.0);
-    println!("smoke paged: {preemptions:.0} preemptions = {paged_events_per_s:.0} events/s");
-    let (autoscale_fields, autoscale_events_per_s) = measure_autoscale(Scale::Smoke);
-    let scale_ups = autoscale_fields
-        .iter()
-        .find(|(k, _)| k == "autoscale_scale_ups")
-        .and_then(|(_, v)| v.as_f64())
-        .unwrap_or(0.0);
-    println!("smoke autoscale: {scale_ups:.0} scale-ups = {autoscale_events_per_s:.0} events/s");
-    (
-        (events_per_s, paged_events_per_s, autoscale_events_per_s),
-        ExitCode::SUCCESS,
-    )
-}
-
-fn run_check(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc: Value = match serde_json::from_str(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("check failed: {} is not valid JSON: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = validate(&doc) {
-        eprintln!("check failed: schema error in {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    let ((measured, paged_measured, autoscale_measured), _) = run_smoke();
-    for (label, rate, floor_key) in [
-        ("smoke", measured, "floor_events_per_s"),
-        ("smoke paged", paged_measured, "floor_paged_events_per_s"),
-        (
-            "smoke autoscale",
-            autoscale_measured,
-            "floor_autoscale_events_per_s",
-        ),
-    ] {
-        let floor = field_f64(&doc, floor_key);
-        let bar = floor * 0.7;
-        if rate < bar {
-            eprintln!(
-                "check failed: {label} events/sec {rate:.0} regressed >30% below pinned floor {floor:.0} (bar {bar:.0})"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("check ok: {label} {rate:.0} events/s >= 0.7 x floor {floor:.0}");
-    }
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None => run_full(&default_out()),
-        Some("--out") => {
-            let path = args.get(1).map_or_else(default_out, PathBuf::from);
-            run_full(&path)
-        }
-        Some("--smoke") => run_smoke().1,
-        Some("--check") => match args.get(1) {
-            Some(p) => run_check(Path::new(p)),
-            None => {
-                eprintln!("--check requires a path to BENCH_serve.json");
-                ExitCode::FAILURE
-            }
-        },
-        Some(other) => {
-            eprintln!("unknown argument `{other}`; use --smoke, --check <path>, or --out <path>");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cllm_bench::pin::set;
 
-    fn sample() -> Value {
-        Value::Object(vec![
-            ("schema_version".into(), int(1)),
-            ("scale".into(), Value::String("full".into())),
-            ("nodes".into(), int(64)),
-            ("arrivals".into(), int(1_040_000)),
-            ("completed".into(), int(1_030_000)),
-            ("aborted".into(), int(10_000)),
-            ("rejected".into(), int(0)),
-            ("retries".into(), int(5_000)),
-            ("makespan_s".into(), float(523.4)),
-            ("goodput_tps".into(), float(39_000.0)),
-            ("kernel_events".into(), int(25_000_000)),
-            ("wall_s".into(), float(3.2)),
-            ("events_per_s".into(), float(7_800_000.0)),
-            ("floor_events_per_s".into(), float(1_950_000.0)),
-            ("paged_preemptions".into(), int(120_000)),
-            ("paged_kernel_events".into(), int(27_000_000)),
-            ("paged_wall_s".into(), float(3.6)),
-            ("paged_events_per_s".into(), float(7_500_000.0)),
-            ("floor_paged_events_per_s".into(), float(1_875_000.0)),
-            ("autoscale_scale_ups".into(), int(12)),
-            ("autoscale_kernel_events".into(), int(9_000_000)),
-            ("autoscale_wall_s".into(), float(2.1)),
-            ("autoscale_events_per_s".into(), float(4_300_000.0)),
-            ("floor_autoscale_events_per_s".into(), float(1_075_000.0)),
-        ])
+    #[test]
+    fn every_run_has_its_own_floor() {
+        let gated: Vec<_> = BENCH.floors().map(|(rate, _)| rate).collect();
+        assert_eq!(
+            gated,
+            [
+                "events_per_s",
+                "paged_events_per_s",
+                "autoscale_events_per_s"
+            ]
+        );
     }
 
     #[test]
-    fn sample_document_is_schema_valid() {
-        validate(&sample()).expect("sample must validate");
-    }
-
-    #[test]
-    fn missing_field_is_rejected() {
-        let Value::Object(mut fields) = sample() else {
-            unreachable!()
-        };
-        fields.retain(|(k, _)| k != "events_per_s");
-        let err = validate(&Value::Object(fields)).unwrap_err();
-        assert!(err.contains("events_per_s"), "{err}");
-    }
-
-    #[test]
-    fn wrong_type_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "nodes", Value::String("sixty-four".into()));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("nodes"), "{err}");
-    }
-
-    #[test]
-    fn non_conserved_counts_are_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "completed", int(1));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("arrivals"), "{err}");
-    }
-
-    #[test]
-    fn zero_floor_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "floor_events_per_s", float(0.0));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("floor"), "{err}");
-    }
-
-    #[test]
-    fn zero_paged_floor_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "floor_paged_events_per_s", float(0.0));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("floor_paged"), "{err}");
-    }
-
-    #[test]
-    fn paged_rate_below_its_floor_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "paged_events_per_s", float(1.0));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("paged_events_per_s"), "{err}");
-    }
-
-    #[test]
-    fn zero_autoscale_floor_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "floor_autoscale_events_per_s", float(0.0));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("floor_autoscale"), "{err}");
-    }
-
-    #[test]
-    fn autoscale_rate_below_its_floor_is_rejected() {
-        let mut doc = sample();
-        set(&mut doc, "autoscale_events_per_s", float(1.0));
-        let err = validate(&doc).unwrap_err();
-        assert!(err.contains("autoscale_events_per_s"), "{err}");
-    }
-
-    #[test]
-    fn round_trip_through_text_stays_valid() {
-        let pretty = serde_json::to_string_pretty(sample()).expect("serializes");
-        let back: Value = serde_json::from_str(&pretty).expect("parses");
-        validate(&back).expect("round-tripped document must validate");
-    }
-
-    #[test]
-    fn smoke_measure_is_conservative() {
-        let (mut doc, events_per_s) = measure(Scale::Smoke);
-        assert!(events_per_s > 0.0);
+    fn smoke_measurement_validates_and_lost_arrivals_do_not() {
+        let mut doc = measure(Scale::Smoke);
         assert_eq!(doc.get("scale").and_then(Value::as_str), Some("smoke"));
         assert_eq!(field_f64(&doc, "nodes") as u64, 64);
-        let (paged_fields, paged_events_per_s) = measure_paged(Scale::Smoke);
-        assert!(paged_events_per_s > 0.0);
-        for (key, value) in paged_fields {
-            set(&mut doc, &key, value);
+        for (_, floor) in BENCH.floors() {
+            set(&mut doc, floor, float(1.0));
         }
-        assert!(field_f64(&doc, "paged_preemptions") > 0.0);
-        let (autoscale_fields, autoscale_events_per_s) = measure_autoscale(Scale::Smoke);
-        assert!(autoscale_events_per_s > 0.0);
-        for (key, value) in autoscale_fields {
-            set(&mut doc, &key, value);
-        }
-        assert!(field_f64(&doc, "autoscale_scale_ups") > 0.0);
-        // Floors are the caller's to pin; everything else must be present.
-        set(&mut doc, "floor_events_per_s", float(1.0));
-        set(&mut doc, "floor_paged_events_per_s", float(1.0));
-        set(&mut doc, "floor_autoscale_events_per_s", float(1.0));
-        validate(&doc).expect("measured smoke doc must be schema-valid");
+        BENCH
+            .validate(&doc)
+            .expect("measured smoke doc must be valid");
+        set(&mut doc, "completed", int(1));
+        let err = BENCH.validate(&doc).unwrap_err();
+        assert!(err.contains("arrivals"), "{err}");
     }
 }

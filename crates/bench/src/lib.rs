@@ -1,32 +1,19 @@
-//! Benchmark-harness support: shared runner for the per-figure binaries.
+//! Benchmark-harness support: the results writer behind `all_figures`
+//! and the measured-bench contract ([`pin`]) behind `serve_bench` and
+//! `bench_infer`.
 //!
-//! Each `figN` binary regenerates one table/figure of the paper: it runs
-//! the corresponding `cllm-core` experiment (through the parallel runner
-//! machinery — heavy grids fan out over `cllm_core::runner::par_map`),
-//! prints the aligned table the paper's plot encodes, and writes
-//! machine-readable JSON into the results directory.
+//! `all_figures` regenerates every table and figure of the paper and is
+//! the one writer of the results directory; `cllm <id>` prints a single
+//! experiment. The two measured benches time real code on this machine
+//! and pin their rates in `BENCH_serve.json` and `BENCH_infer.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cllm_core::experiments::ExperimentResult;
-use cllm_core::runner;
-use std::path::PathBuf;
+pub mod pin;
 
-/// Run one experiment by id, print its table, and persist JSON under
-/// [`results_dir`]. Exits the process with an error message if the id
-/// is unknown.
-pub fn run_and_emit(id: &str) -> ExperimentResult {
-    let Some(result) = runner::run_one(id) else {
-        eprintln!("unknown experiment id: {id}");
-        std::process::exit(2);
-    };
-    println!("{}", result.render());
-    if let Err(e) = persist(&result) {
-        eprintln!("warning: could not write results JSON: {e}");
-    }
-    result
-}
+use cllm_core::experiments::ExperimentResult;
+use std::path::PathBuf;
 
 /// Write one result's JSON to `<results_dir>/<id>.json`, reporting the
 /// chosen path on stdout.

@@ -60,7 +60,8 @@ fn main() -> ExitCode {
     let flags = parse_flags(&args[1..]);
     let outcome = match command {
         "figures" => Ok(cmd_figures(
-            args.get(1).filter(|a| !a.starts_with("--")).cloned(),
+            args.get(1).filter(|a| !a.starts_with("--")),
+            &flags,
         )),
         "insights" => Ok(cmd_insights()),
         "deploy" => cmd_deploy(&flags),
@@ -94,7 +95,17 @@ fn main() -> ExitCode {
 /// Chrome trace-event JSON (`--trace out.json`) with the conservation
 /// invariants checked and reported.
 fn cmd_experiment(id: &str, flags: &HashMap<String, String>) -> ExitCode {
-    let result = run_by_id(id).expect("caller verified the id is registered");
+    let Some(result) = run_by_id(id) else {
+        eprintln!(
+            "unknown experiment {id:?}; available: {}",
+            all_experiments()
+                .iter()
+                .map(|(i, _)| *i)
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        return ExitCode::from(2);
+    };
     println!("{}", result.render());
     let Some(path) = flags.get("trace") else {
         return ExitCode::SUCCESS;
@@ -280,25 +291,9 @@ fn kv_from(flags: &HashMap<String, String>) -> Result<KvConfig, String> {
     Ok(kv)
 }
 
-fn cmd_figures(id: Option<String>) -> ExitCode {
+fn cmd_figures(id: Option<&String>, flags: &HashMap<String, String>) -> ExitCode {
     match id {
-        Some(id) => match run_by_id(&id) {
-            Some(result) => {
-                println!("{}", result.render());
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {id:?}; available: {}",
-                    all_experiments()
-                        .iter()
-                        .map(|(i, _)| *i)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                ExitCode::from(2)
-            }
-        },
+        Some(id) => cmd_experiment(id, flags),
         None => {
             // Full sweep: fan out over the parallel runner; tables still
             // print in paper order. Profiles (wall time + cache hits) go
