@@ -10,6 +10,12 @@
 //! 105 MiB L3 they stay L3-resident, on a smaller L3 they stream from
 //! DRAM. The **smoke** shape (~3M params) is fast enough for CI.
 //!
+//! Two rates time the crypto that every confidential request and
+//! deployment pays: `unseal_mb_per_s`, the enclave's weight unseal
+//! (`ModelOwner::decrypt_model`, AES-GCM open and parse) on a sealed copy
+//! of the measured model, and `handshakes_per_s`, attested session
+//! handshakes (`Verifier::start`, `enclave_respond`, `Verifier::finish`).
+//!
 //! Besides the floors, a pinned document must restate each decode
 //! speedup ratio from its rates, keep every ratio inside its
 //! measured-vs-modeled band in `cllm_perf::calib::measured`, and meet
@@ -20,10 +26,13 @@
 //! stay machine-independent.
 
 use cllm_bench::pin::{self, field_f64, float, int, set, Bench, Scale};
+use cllm_core::owner::ModelOwner;
 use cllm_infer::kernels::argmax;
 use cllm_infer::model::{TinyConfig, TinyModel};
 use cllm_infer::speculative::speculative_generate;
 use cllm_perf::calib::measured::{CalibrationReport, MeasuredRatios};
+use cllm_tee::attestation::{generate_quote, Measurement};
+use cllm_tee::session::{enclave_respond, Verifier};
 use serde_json::Value;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -50,6 +59,8 @@ const BENCH: Bench = Bench {
         ("int4_decode_tps", true),
         ("spec_decode_tps", true),
         ("spec_acceptance", true),
+        ("unseal_mb_per_s", true),
+        ("handshakes_per_s", true),
         ("ratio_tiled_over_naive_decode", true),
         ("ratio_int8_over_tiled_decode", true),
         ("ratio_int4_over_int8_decode", true),
@@ -61,6 +72,8 @@ const BENCH: Bench = Bench {
         ("floor_int8_decode_tps", true),
         ("floor_int4_decode_tps", true),
         ("floor_spec_decode_tps", true),
+        ("floor_unseal_mb_per_s", true),
+        ("floor_handshakes_per_s", true),
     ],
     measure,
     rules,
@@ -199,6 +212,60 @@ fn spec_tps(target: &TinyModel, draft: &TinyModel) -> (f64, f64) {
     }
 }
 
+/// The platform secret, golden measurement and TCB level of the
+/// enclave the crypto rates attest.
+const HW_ROOT: &[u8] = b"bench-hw-root";
+const GOLDEN: Measurement = Measurement([0xB0; 32]);
+const SVN: u16 = 7;
+/// Handshakes timed for `handshakes_per_s`.
+const HANDSHAKES: u64 = 2000;
+
+/// MB/s of the enclave's weight unseal, `ModelOwner::decrypt_model`
+/// (AES-GCM open of the serialized weights, then parse), on a copy of
+/// `model` sealed by its owner and opened with the key the owner
+/// releases to the attested enclave.
+fn unseal_mb_per_s(model: &TinyModel) -> f64 {
+    let mut owner = ModelOwner::new(HW_ROOT, GOLDEN, SVN, b"bench-owner");
+    let sealed = owner
+        .encrypt_model(model)
+        .expect("the bench model serializes");
+    let nonce = owner.challenge();
+    let quote = generate_quote(HW_ROOT, GOLDEN, SVN, &nonce);
+    let key = owner
+        .release_key(&quote, &nonce)
+        .expect("the bench enclave meets the owner's policy");
+    let t0 = Instant::now();
+    let opened = ModelOwner::decrypt_model(&key, &sealed).expect("the sealed copy opens");
+    let wall = t0.elapsed().as_secs_f64().max(1e-9);
+    std::hint::black_box(&opened);
+    #[allow(clippy::cast_precision_loss)]
+    {
+        sealed.len() as f64 / 1e6 / wall
+    }
+}
+
+/// Attested handshakes per second: each a fresh challenge, an enclave
+/// response quoting the transcript, and its verification and key
+/// derivation.
+fn handshakes_per_s() -> f64 {
+    let t0 = Instant::now();
+    for i in 0..HANDSHAKES {
+        let (verifier, challenge) = Verifier::start(GOLDEN, HW_ROOT, &(2 * i).to_le_bytes());
+        let (response, _enclave) =
+            enclave_respond(HW_ROOT, GOLDEN, SVN, &challenge, &(2 * i + 1).to_le_bytes())
+                .expect("the verifier's key share is valid");
+        let channel = verifier
+            .finish(&response)
+            .expect("the bench enclave attests");
+        std::hint::black_box(channel);
+    }
+    let wall = t0.elapsed().as_secs_f64().max(1e-9);
+    #[allow(clippy::cast_precision_loss)]
+    {
+        HANDSHAKES as f64 / wall
+    }
+}
+
 /// The decode ratios a document states, as the calibration bands read
 /// them.
 fn stated(doc: &Value) -> MeasuredRatios {
@@ -218,6 +285,8 @@ fn stated(doc: &Value) -> MeasuredRatios {
 fn measure(scale: Scale) -> Value {
     let label = scale.label();
     let tiled = TinyModel::init(&config(scale), 42);
+    let (unseal, handshakes) = (unseal_mb_per_s(&tiled), handshakes_per_s());
+    println!("{label} crypto: unseal {unseal:.1} MB/s, {handshakes:.0} handshakes/s");
     let naive = tiled.naive();
     let int8 = tiled.quantized();
     let int4 = tiled.quantized4();
@@ -240,6 +309,8 @@ fn measure(scale: Scale) -> Value {
     );
     rates.push(("spec_decode_tps".into(), spec));
     rates.push(("spec_acceptance".into(), acceptance));
+    rates.push(("unseal_mb_per_s".into(), unseal));
+    rates.push(("handshakes_per_s".into(), handshakes));
     let doc = document(scale, tiled.param_count(), rates);
     print!("{}", CalibrationReport::new(&stated(&doc)).render());
     doc
@@ -325,6 +396,8 @@ mod tests {
             ("int4_decode_tps", 300.0),
             ("spec_decode_tps", 100.0),
             ("spec_acceptance", 0.85),
+            ("unseal_mb_per_s", 90.0),
+            ("handshakes_per_s", 30_000.0),
         ];
         let rates = rates.map(|(key, rate)| (key.to_string(), rate)).to_vec();
         let mut doc = document(Scale::Full, 20_000_000, rates);
@@ -341,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rates_and_tiled_prefill_are_gated() {
+    fn decode_tiled_prefill_and_crypto_rates_are_gated() {
         let gated: Vec<_> = BENCH.floors().map(|(rate, _)| rate).collect();
         assert_eq!(
             gated,
@@ -352,6 +425,8 @@ mod tests {
                 "int8_decode_tps",
                 "int4_decode_tps",
                 "spec_decode_tps",
+                "unseal_mb_per_s",
+                "handshakes_per_s",
             ]
         );
     }
@@ -405,7 +480,7 @@ mod tests {
         assert!(field_f64(&doc, "params") > 1_000_000.0);
         for (key, _) in BENCH.schema {
             assert!(doc.get(key).is_some(), "smoke document lacks {key}");
-            if key.ends_with("_tps") && !key.starts_with("floor_") {
+            if (key.ends_with("_tps") || key.ends_with("_per_s")) && !key.starts_with("floor_") {
                 assert!(field_f64(&doc, key) > 0.0, "{key} must be positive");
             }
         }

@@ -62,7 +62,6 @@ impl std::fmt::Display for OwnerError {
 impl std::error::Error for OwnerError {}
 
 /// The model owner: holds the model key and the verification policy.
-#[derive(Debug)]
 pub struct ModelOwner {
     model_key: [u8; 16],
     golden: Measurement,
@@ -71,6 +70,17 @@ pub struct ModelOwner {
     /// Intel PCS certificate chain).
     hw_root: Vec<u8>,
     nonce_gen: HashDrbg,
+}
+
+impl std::fmt::Debug for ModelOwner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the model key, the hardware root or the nonce
+        // generator's state.
+        f.debug_struct("ModelOwner")
+            .field("golden", &self.golden)
+            .field("min_svn", &self.min_svn)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ModelOwner {
@@ -219,6 +229,20 @@ mod tests {
         // The serialized plaintext starts with the CLLM magic; the
         // ciphertext must not.
         assert_ne!(&encrypted.ciphertext[..4], b"CLLM");
+    }
+
+    #[test]
+    fn debug_hides_the_model_key() {
+        let owner = ModelOwner::new(b"hw", golden(), 5, b"seed");
+        let dbg = format!("{owner:?}");
+        assert!(
+            dbg.starts_with("ModelOwner { golden: Measurement("),
+            "{dbg}"
+        );
+        assert!(dbg.ends_with("min_svn: 5, .. }"), "{dbg}");
+        let key = owner.model_key;
+        assert!(!dbg.contains(&format!("{key:?}")), "{dbg}");
+        assert!(!dbg.contains(&cllm_crypto::sha256::to_hex(&key)), "{dbg}");
     }
 
     #[test]

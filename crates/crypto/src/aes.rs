@@ -2,6 +2,12 @@
 //!
 //! Stand-in for the hardware memory-encryption engines (Intel MKTME/TDX
 //! MEE, SGX MEE) and for the software crypto of Gramine protected files.
+//!
+//! The state is four big-endian column words. Each of the nine full
+//! rounds is sixteen lookups into four 256-entry T-tables, which fold
+//! SubBytes, ShiftRows and MixColumns into one step and are built at
+//! compile time from the S-box; the last round, which has no
+//! MixColumns, goes through the S-box itself.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -26,32 +32,132 @@ const SBOX: [u8; 256] = [
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// An expanded AES-128 key (11 round keys).
+/// Multiplication by x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
+const fn xtime(b: u8) -> u8 {
+    (b << 1) ^ ((b >> 7) * 0x1b)
+}
+
+/// The T-tables. `TE[0][x]` is the MixColumns image of a column holding
+/// `S[x]` in row 0 and zeros elsewhere: the word `(2·S[x], S[x], S[x],
+/// 3·S[x])`. `TE[r]` is that word rotated right by `8·r` bits, the image
+/// of `S[x]` in row `r`.
+const TE: [[u32; 256]; 4] = t_tables();
+
+const fn t_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let word = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        te[0][x] = word;
+        te[1][x] = word.rotate_right(8);
+        te[2][x] = word.rotate_right(16);
+        te[3][x] = word.rotate_right(24);
+        x += 1;
+    }
+    te
+}
+
+/// Byte `row` (0 = most significant) of a column word, as a table index.
+fn row(word: u32, row: usize) -> usize {
+    usize::from(word.to_be_bytes()[row])
+}
+
+/// SubWord: the S-box applied to each byte of a word.
+fn sub_word(word: u32) -> u32 {
+    u32::from_be_bytes(word.to_be_bytes().map(|b| SBOX[usize::from(b)]))
+}
+
+/// An expanded AES-128 key: 44 round-key words, four per round.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [u32; 44],
 }
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
-        f.write_str("Aes128 {{ .. }}")
+        f.debug_struct("Aes128").finish_non_exhaustive()
     }
-}
-
-fn xtime(b: u8) -> u8 {
-    let hi = b & 0x80;
-    let mut r = b << 1;
-    if hi != 0 {
-        r ^= 0x1b;
-    }
-    r
 }
 
 impl Aes128 {
     /// Expand a 16-byte key.
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
+        let mut w = [0u32; 44];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+        }
+        for i in 4..44 {
+            let mut temp = w[i - 1];
+            if i % 4 == 0 {
+                // RotWord + SubWord + Rcon.
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
+            }
+            w[i] = w[i - 4] ^ temp;
+        }
+        Aes128 { round_keys: w }
+    }
+
+    /// Encrypt a copy of the block and return it.
+    #[must_use]
+    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+        let (first, rest) = self.round_keys.split_at(4);
+        let (middle, last) = rest.split_at(36);
+        let mut s: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4-byte column"))
+                ^ first[c]
+        });
+        for rk in middle.chunks_exact(4) {
+            // Column c of the result takes row r from column c + r.
+            s = std::array::from_fn(|c| {
+                (0..4).fold(rk[c], |acc, r| acc ^ TE[r][row(s[(c + r) % 4], r)])
+            });
+        }
+        let mut out = [0u8; 16];
+        for (c, column) in out.chunks_exact_mut(4).enumerate() {
+            let sub: [u8; 4] = std::array::from_fn(|r| SBOX[row(s[(c + r) % 4], r)]);
+            column.copy_from_slice(&(u32::from_be_bytes(sub) ^ last[c]).to_be_bytes());
+        }
+        out
+    }
+}
+
+/// The byte-wise FIPS-197 round functions, kept as the oracle the
+/// T-table rounds are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{RCON, SBOX};
+
+    fn xtime(b: u8) -> u8 {
+        let hi = b & 0x80;
+        let mut r = b << 1;
+        if hi != 0 {
+            r ^= 0x1b;
+        }
+        r
+    }
+
+    /// Expand `key` byte-wise and encrypt `block` one round function at
+    /// a time.
+    pub(super) fn encrypt(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
+        let rk = expand(key);
+        let mut state = *block;
+        add_round_key(&mut state, &rk[0]);
+        for round_key in &rk[1..10] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, round_key);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &rk[10]);
+        state
+    }
+
+    fn expand(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let mut rk = [[0u8; 16]; 11];
         rk[0] = *key;
         for round in 1..11 {
@@ -70,75 +176,53 @@ impl Aes128 {
                 rk[round][i] = prev[i] ^ rk[round][i - 4];
             }
         }
-        Aes128 { round_keys: rk }
+        rk
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Encrypt a copy of the block and return it.
-    #[must_use]
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
     }
-}
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+    /// State is column-major: byte `state[4*c + r]` is row `r`, column `c`.
+    fn shift_rows(state: &mut [u8; 16]) {
+        // Row 1: shift left by 1.
+        let t = state[1];
+        state[1] = state[5];
+        state[5] = state[9];
+        state[9] = state[13];
+        state[13] = t;
+        // Row 2: shift left by 2.
+        state.swap(2, 10);
+        state.swap(6, 14);
+        // Row 3: shift left by 3 (= right by 1).
+        let t = state[15];
+        state[15] = state[11];
+        state[11] = state[7];
+        state[7] = state[3];
+        state[3] = t;
     }
-}
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State is column-major: byte `state[4*c + r]` is row `r`, column `c`.
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift left by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: shift left by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        let xor_all = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            let rotated = col[(r + 1) % 4];
-            state[4 * c + r] = col[r] ^ xor_all ^ xtime(col[r] ^ rotated);
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[4 * c],
+                state[4 * c + 1],
+                state[4 * c + 2],
+                state[4 * c + 3],
+            ];
+            let xor_all = col[0] ^ col[1] ^ col[2] ^ col[3];
+            for r in 0..4 {
+                let rotated = col[(r + 1) % 4];
+                state[4 * c + r] = col[r] ^ xor_all ^ xtime(col[r] ^ rotated);
+            }
         }
     }
 }
@@ -147,6 +231,16 @@ fn mix_columns(state: &mut [u8; 16]) {
 mod tests {
     use super::*;
     use crate::sha256::{from_hex, to_hex};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn t_tables_match_the_byte_wise_rounds(key in any::<[u8; 16]>(),
+                                               block in any::<[u8; 16]>()) {
+            prop_assert_eq!(Aes128::new(&key).encrypt(&block), reference::encrypt(&key, &block));
+        }
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {

@@ -9,12 +9,22 @@ use crate::sha256::Sha256;
 
 /// A simple hash-counter DRBG: `output_i = SHA256(key || counter_i)`,
 /// rekeyed every 2^32 blocks.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HashDrbg {
     key: [u8; 32],
     counter: u64,
     buffer: [u8; 32],
     buffered: usize,
+}
+
+impl std::fmt::Debug for HashDrbg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the key or the buffered output: they give away
+        // every later nonce and key drawn from this generator.
+        f.debug_struct("HashDrbg")
+            .field("counter", &self.counter)
+            .finish_non_exhaustive()
+    }
 }
 
 impl HashDrbg {
@@ -113,6 +123,18 @@ mod tests {
         for _ in 0..1000 {
             let v = d.next_f64();
             assert!((0.0..1.0).contains(&v));
+        }
+    }
+
+    #[test]
+    fn debug_hides_the_key_and_buffered_output() {
+        let mut d = HashDrbg::new(b"dbg");
+        let _ = d.next_u64();
+        let dbg = format!("{d:?}");
+        assert_eq!(dbg, "HashDrbg { counter: 1, .. }");
+        for secret in [d.key, d.buffer] {
+            assert!(!dbg.contains(&format!("{secret:?}")), "{dbg}");
+            assert!(!dbg.contains(&crate::sha256::to_hex(&secret)), "{dbg}");
         }
     }
 

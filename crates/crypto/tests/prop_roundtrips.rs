@@ -18,14 +18,22 @@ proptest! {
     }
 
     #[test]
-    fn gcm_detects_any_single_bitflip(key in any::<[u8; 16]>(), iv in any::<[u8; 12]>(),
-                                      pt in proptest::collection::vec(any::<u8>(), 1..128),
-                                      byte_idx in 0usize..128, bit in 0u8..8) {
+    fn gcm_detects_any_single_bitflip(key in any::<[u8; 16]>(), nonce in any::<[u8; 12]>(),
+                                      pt in proptest::collection::vec(any::<u8>(), 0..128),
+                                      aad in proptest::collection::vec(any::<u8>(), 0..40),
+                                      pick in any::<usize>(), bit in 0u8..8) {
+        // Flip one bit anywhere in ciphertext, tag or AAD.
         let gcm = Gcm::new(&key);
-        let (mut ct, tag) = gcm.encrypt(&iv, &pt, b"");
-        let idx = byte_idx % ct.len();
-        ct[idx] ^= 1 << bit;
-        prop_assert!(gcm.decrypt(&iv, &ct, b"", &tag).is_none());
+        let mut sealed = gcm.seal(&nonce, &pt, &aad);
+        let mut aad = aad;
+        let idx = pick % (sealed.len() + aad.len());
+        if let Some(byte) = sealed.get_mut(idx) {
+            *byte ^= 1 << bit;
+        } else {
+            aad[idx - sealed.len()] ^= 1 << bit;
+        }
+        prop_assert!(gcm.open(&nonce, &sealed, &aad).is_err());
+        prop_assert!(aead_open(&key, &nonce, &sealed, &aad).is_err());
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::attestation::{generate_quote, verify_quote, AttestError, Measurement,
 use cllm_crypto::dh::DhKeyPair;
 use cllm_crypto::drbg::HashDrbg;
 use cllm_crypto::kdf::hkdf;
+use cllm_crypto::modes::Gcm;
 use cllm_crypto::sha256::Sha256;
-use cllm_crypto::{aead_open, aead_seal};
 
 /// Errors during session establishment or record exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +197,25 @@ pub fn enclave_respond(
 
 /// An established record channel: AES-GCM with strictly increasing
 /// sequence numbers on both directions.
-#[derive(Debug)]
+///
+/// The session key is expanded once, into the cipher and GHASH table
+/// every record of the session uses; they are dropped with the channel.
+/// Each record is byte-for-byte what [`cllm_crypto::aead_seal`] gives
+/// under the session key.
 pub struct SecureChannel {
-    key: [u8; 16],
+    gcm: Gcm,
     send_seq: u64,
     recv_seq: u64,
+}
+
+impl std::fmt::Debug for SecureChannel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the session key.
+        f.debug_struct("SecureChannel")
+            .field("send_seq", &self.send_seq)
+            .field("recv_seq", &self.recv_seq)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One protected record.
@@ -216,7 +230,7 @@ pub struct Record {
 impl SecureChannel {
     fn new(key: [u8; 16]) -> Self {
         SecureChannel {
-            key,
+            gcm: Gcm::new(&key),
             send_seq: 0,
             recv_seq: 0,
         }
@@ -229,7 +243,7 @@ impl SecureChannel {
         let mut nonce = Vec::with_capacity(24);
         nonce.extend_from_slice(b"rec");
         nonce.extend_from_slice(&seq.to_be_bytes());
-        let body = aead_seal(&self.key, &nonce, plaintext, &seq.to_be_bytes());
+        let body = self.gcm.seal(&nonce, plaintext, &seq.to_be_bytes());
         Record { seq, body }
     }
 
@@ -242,7 +256,9 @@ impl SecureChannel {
         let mut nonce = Vec::with_capacity(24);
         nonce.extend_from_slice(b"rec");
         nonce.extend_from_slice(&record.seq.to_be_bytes());
-        let plaintext = aead_open(&self.key, &nonce, &record.body, &record.seq.to_be_bytes())
+        let plaintext = self
+            .gcm
+            .open(&nonce, &record.body, &record.seq.to_be_bytes())
             .map_err(|_| SessionError::BadRecord)?;
         self.recv_seq += 1;
         Ok(plaintext)
@@ -338,6 +354,32 @@ mod tests {
             fresh_verifier.finish(&old_response),
             Err(SessionError::Attestation(_))
         ));
+    }
+
+    #[test]
+    fn records_are_aead_seal_under_the_session_key() {
+        // The record format: `aead_seal(key, "rec" || seq, msg, seq)`.
+        let key = [0x3a; 16];
+        let (mut tx, mut rx) = (SecureChannel::new(key), SecureChannel::new(key));
+        for (seq, msg) in [&b""[..], b"x", &[7u8; 40]].into_iter().enumerate() {
+            let seq = seq as u64;
+            let nonce = [&b"rec"[..], &seq.to_be_bytes()].concat();
+            let record = tx.send(msg);
+            assert_eq!(
+                record.body,
+                cllm_crypto::aead_seal(&key, &nonce, msg, &seq.to_be_bytes())
+            );
+            assert_eq!(rx.recv(&record).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn debug_hides_the_session_key() {
+        let mut channel = SecureChannel::new([0x5c; 16]);
+        let _ = channel.send(b"advance the send window");
+        let dbg = format!("{channel:?}");
+        assert_eq!(dbg, "SecureChannel { send_seq: 1, recv_seq: 0, .. }");
+        assert!(!dbg.contains("92") && !dbg.contains("5c"), "{dbg}");
     }
 
     #[test]
