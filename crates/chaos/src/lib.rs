@@ -34,8 +34,8 @@ pub mod repro;
 pub mod run;
 pub mod shrink;
 
-pub use point::{sample_point, ChaosPoint};
-pub use repro::Repro;
+pub use point::{sample_point, ChaosPoint, InvalidPoint};
+pub use repro::{Repro, ReproError};
 pub use run::{run_point, RunOutcome};
 pub use shrink::shrink;
 

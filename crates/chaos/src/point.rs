@@ -20,94 +20,17 @@ use cllm_serve::router::{
 use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{ServingConfig, ServingNode};
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, TeeKind};
+use cllm_tee::platform::TeeKind;
 use cllm_workload::trace::{LognormalLen, TrafficModel};
 use serde::{Deserialize, Serialize};
 
 use crate::Rng;
 
-/// Serializable stand-in for [`ServingNode`]: the platform axis of the
-/// search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeKind {
-    /// Unprotected bare-metal CPU host.
-    BareMetal,
-    /// Unprotected virtual machine.
-    Vm,
-    /// Intel TDX trust domain.
-    Tdx,
-    /// AMD SEV-SNP VM.
-    SevSnp,
-    /// Intel SGX enclave (Gramine).
-    Sgx,
-    /// GPU without confidential compute.
-    GpuNative,
-    /// NVIDIA confidential GPU.
-    GpuCc,
-}
-
-impl NodeKind {
-    /// Every platform, in sampling order.
-    pub const ALL: [NodeKind; 7] = [
-        NodeKind::BareMetal,
-        NodeKind::Vm,
-        NodeKind::Tdx,
-        NodeKind::SevSnp,
-        NodeKind::Sgx,
-        NodeKind::GpuNative,
-        NodeKind::GpuCc,
-    ];
-
-    /// The simulator node this kind materializes to.
-    #[must_use]
-    pub fn serving_node(self) -> ServingNode {
-        match self {
-            NodeKind::BareMetal => ServingNode::Cpu {
-                tee: CpuTeeConfig::bare_metal(),
-            },
-            NodeKind::Vm => ServingNode::Cpu {
-                tee: CpuTeeConfig::vm(),
-            },
-            NodeKind::Tdx => ServingNode::Cpu {
-                tee: CpuTeeConfig::tdx(),
-            },
-            NodeKind::SevSnp => ServingNode::Cpu {
-                tee: CpuTeeConfig::sev_snp(),
-            },
-            NodeKind::Sgx => ServingNode::Cpu {
-                tee: CpuTeeConfig::sgx(),
-            },
-            NodeKind::GpuNative => ServingNode::Gpu {
-                gpu: cllm_hw::presets::h100_nvl(),
-                tee: GpuTeeConfig::native(),
-            },
-            NodeKind::GpuCc => ServingNode::Gpu {
-                gpu: cllm_hw::presets::h100_nvl(),
-                tee: GpuTeeConfig::confidential(),
-            },
-        }
-    }
-
-    /// The platform's fault-rate preset key.
-    #[must_use]
-    pub fn tee_kind(self) -> TeeKind {
-        match self {
-            NodeKind::BareMetal => TeeKind::BareMetal,
-            NodeKind::Vm => TeeKind::Vm,
-            NodeKind::Tdx => TeeKind::Tdx,
-            NodeKind::SevSnp => TeeKind::SevSnp,
-            NodeKind::Sgx => TeeKind::Sgx,
-            NodeKind::GpuNative => TeeKind::GpuNative,
-            NodeKind::GpuCc => TeeKind::GpuCc,
-        }
-    }
-}
-
 /// One fleet member: a platform plus its materialized fault schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosNode {
     /// Platform class.
-    pub kind: NodeKind,
+    pub kind: TeeKind,
     /// Spot rental (subject to correlated preemption waves).
     pub spot: bool,
     /// The node's full fault schedule, pre-materialized so the
@@ -117,7 +40,12 @@ pub struct ChaosNode {
 
 impl ChaosNode {
     fn node_spec(&self) -> NodeSpec {
-        let mut spec = NodeSpec::new(self.kind.serving_node(), self.spot, FaultRates::none(), 0);
+        let mut spec = NodeSpec::new(
+            ServingNode::preset(self.kind),
+            self.spot,
+            FaultRates::none(),
+            0,
+        );
         spec.extra_events = self.events.clone();
         spec
     }
@@ -142,6 +70,24 @@ pub struct BasePoint {
 }
 
 impl BasePoint {
+    /// The batching and paging preconditions every simulator path
+    /// shares, plus the Poisson length ranges when `arrivals` drives
+    /// the trace (the autoscale path ignores it).
+    fn check(&self, arrivals: bool) -> Result<(), InvalidPoint> {
+        let range_ok = |(lo, hi): (u64, u64)| lo >= 1 && lo <= hi;
+        if self.max_batch == 0 {
+            Err(InvalidPoint::ZeroBatch)
+        } else if self.kv.block_tokens == 0 {
+            Err(InvalidPoint::ZeroPageTokens)
+        } else if arrivals
+            && !(range_ok(self.arrivals.prompt_range) && range_ok(self.arrivals.output_range))
+        {
+            Err(InvalidPoint::EmptyLengthRange)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Materialize into a [`ServingConfig`] (model and hardware tables
     /// come from the repo's pinned `small_test` baseline).
     #[must_use]
@@ -222,7 +168,7 @@ pub struct AutoscalePoint {
     /// Always-on fleet; at least one node.
     pub base_fleet: Vec<ChaosNode>,
     /// Rented platform class.
-    pub rental_kind: NodeKind,
+    pub rental_kind: TeeKind,
     /// Per-kind fault rates for rented nodes (kept as rates: rentals
     /// are created dynamically, so their schedules cannot be
     /// materialized up front; the shrinker zeroes these as one pass).
@@ -250,7 +196,7 @@ impl AutoscalePoint {
             base_fleet: self.base_fleet.iter().map(ChaosNode::node_spec).collect(),
             base_price_per_hr: 3.0,
             rental: RentalSpec {
-                node: self.rental_kind.serving_node(),
+                node: ServingNode::preset(self.rental_kind),
                 rates: self.rental_rates,
                 price_per_hr: 4.0,
                 attest_s: 0.5,
@@ -341,15 +287,116 @@ pub struct ChaosPoint {
     pub path: PathSpec,
 }
 
+/// A point the simulators or the engine refuse to run: each variant
+/// names a precondition [`run::run_point`](crate::run::run_point) would
+/// otherwise panic on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InvalidPoint {
+    /// A batch cap of zero: no request could ever run.
+    ZeroBatch,
+    /// KV pages of zero tokens.
+    ZeroPageTokens,
+    /// A Poisson arrival length range that is empty or starts at zero.
+    EmptyLengthRange,
+    /// A cluster point with no nodes.
+    EmptyCluster,
+    /// An autoscale point with an empty base fleet.
+    EmptyBaseFleet,
+    /// An infer prompt token outside the tiny model's vocabulary.
+    TokenOutOfVocab {
+        /// The offending token id.
+        token: usize,
+        /// The vocabulary size.
+        vocab: usize,
+    },
+    /// An infer point with a zero draft window.
+    ZeroDraftWindow,
+    /// An infer point whose prompt, output and draft window do not fit
+    /// the KV cache (verification holds up to `draft_k` extra positions).
+    KvOverflow {
+        /// `prompt.len() + max_new + draft_k`.
+        needed: usize,
+        /// The tiny model's `max_seq`.
+        max_seq: usize,
+    },
+}
+
+impl std::fmt::Display for InvalidPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidPoint::ZeroBatch => f.write_str("max_batch is 0"),
+            InvalidPoint::ZeroPageTokens => f.write_str("kv.block_tokens is 0"),
+            InvalidPoint::EmptyLengthRange => {
+                f.write_str("an arrival prompt_range or output_range is empty or starts at 0")
+            }
+            InvalidPoint::EmptyCluster => f.write_str("cluster point has no nodes"),
+            InvalidPoint::EmptyBaseFleet => f.write_str("autoscale point has an empty base_fleet"),
+            InvalidPoint::TokenOutOfVocab { token, vocab } => write!(
+                f,
+                "infer prompt token {token} is outside the {vocab}-token vocabulary"
+            ),
+            InvalidPoint::ZeroDraftWindow => f.write_str("infer point has draft_k 0"),
+            InvalidPoint::KvOverflow { needed, max_seq } => write!(
+                f,
+                "infer prompt + max_new + draft_k is {needed}, above max_seq {max_seq}"
+            ),
+        }
+    }
+}
+
+impl ChaosPoint {
+    /// Check the preconditions of the point's serving path or engine
+    /// run, so a hand-edited repro fails with a typed error instead of
+    /// a panic inside the simulator.
+    ///
+    /// # Errors
+    /// The first precondition the point breaks.
+    pub fn check(&self) -> Result<(), InvalidPoint> {
+        match &self.path {
+            PathSpec::Single(p) => p.base.check(true),
+            PathSpec::Cluster(p) if p.nodes.is_empty() => Err(InvalidPoint::EmptyCluster),
+            PathSpec::Cluster(p) => p.base.check(true),
+            PathSpec::Autoscale(p) if p.base_fleet.is_empty() => Err(InvalidPoint::EmptyBaseFleet),
+            PathSpec::Autoscale(p) => p.base.check(false),
+            PathSpec::Infer(p) => {
+                let cfg = p.config();
+                if let Some(&token) = p.prompt.iter().find(|&&t| t >= cfg.vocab) {
+                    return Err(InvalidPoint::TokenOutOfVocab {
+                        token,
+                        vocab: cfg.vocab,
+                    });
+                }
+                if p.draft_k == 0 {
+                    return Err(InvalidPoint::ZeroDraftWindow);
+                }
+                let needed = p
+                    .prompt
+                    .len()
+                    .saturating_add(p.max_new)
+                    .saturating_add(p.draft_k);
+                if needed > cfg.max_seq {
+                    return Err(InvalidPoint::KvOverflow {
+                        needed,
+                        max_seq: cfg.max_seq,
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// Materialize a platform-rated fault schedule, gray kinds included.
-fn sample_events(rng: &mut Rng, kind: NodeKind, spot: bool, horizon_s: f64) -> Vec<FaultEvent> {
+/// Spot nodes of every kind, GPUs too, are preempted at GCP's spot
+/// rate here (not [`FaultRates::for_rental`]'s Azure rate for GPUs):
+/// changing that would re-sample every pinned chaos point.
+fn sample_events(rng: &mut Rng, kind: TeeKind, spot: bool, horizon_s: f64) -> Vec<FaultEvent> {
     let spot_params = if spot {
         cllm_cost::SpotParams::gcp_spot()
     } else {
         cllm_cost::SpotParams::reserved()
     };
-    let mut rates =
-        FaultRates::for_platform(kind.tee_kind(), &spot_params).scaled(rng.range_f64(50.0, 900.0));
+    let mut rates = FaultRates::for_platform(kind, &spot_params).scaled(rng.range_f64(50.0, 900.0));
     // Gray failures ride the same per-kind salted streams.
     rates.degraded_windows_per_hr = rng.range_f64(0.0, 400.0);
     rates.stuck_drains_per_hr = rng.range_f64(0.0, 200.0);
@@ -388,7 +435,7 @@ fn sample_base(rng: &mut Rng) -> BasePoint {
 }
 
 fn sample_node(rng: &mut Rng, horizon_s: f64) -> ChaosNode {
-    let kind = NodeKind::ALL[rng.range_usize(0, NodeKind::ALL.len())];
+    let kind = TeeKind::ALL[rng.range_usize(0, TeeKind::ALL.len())];
     let spot = rng.chance(0.4);
     ChaosNode {
         kind,
@@ -467,7 +514,7 @@ pub fn sample_point(seed: u64) -> ChaosPoint {
                 base_fleet: (0..n_base)
                     .map(|_| sample_node(&mut rng, horizon_s))
                     .collect(),
-                rental_kind: NodeKind::ALL[rng.range_usize(0, NodeKind::ALL.len())],
+                rental_kind: TeeKind::ALL[rng.range_usize(0, TeeKind::ALL.len())],
                 rental_rates: {
                     let mut r =
                         FaultRates::for_platform(TeeKind::Tdx, &cllm_cost::SpotParams::gcp_spot())
@@ -561,11 +608,11 @@ pub fn planted_demo() -> ChaosPoint {
             },
             traffic,
             base_fleet: vec![ChaosNode {
-                kind: NodeKind::Tdx,
+                kind: TeeKind::Tdx,
                 spot: false,
                 events: crashes,
             }],
-            rental_kind: NodeKind::Tdx,
+            rental_kind: TeeKind::Tdx,
             rental_rates: FaultRates::none(),
             warm_pool: 0,
             controller: ControllerConfig {
@@ -649,6 +696,36 @@ mod tests {
                 assert!(!p.plant_nan_lm_head, "sampled points never plant faults");
             }
         }
+    }
+
+    #[test]
+    fn sampled_and_planted_points_pass_the_check() {
+        for seed in 0..200 {
+            assert_eq!(sample_point(seed).check(), Ok(()), "seed {seed}");
+        }
+        assert_eq!(planted_demo().check(), Ok(()));
+        assert_eq!(planted_infer_demo().check(), Ok(()));
+    }
+
+    #[test]
+    fn kv_overflow_is_checked_at_the_boundary() {
+        let mut point = planted_infer_demo();
+        let PathSpec::Infer(p) = &mut point.path else {
+            unreachable!("the infer demo is an infer point")
+        };
+        let max_seq = p.config().max_seq;
+        p.max_new = max_seq - p.prompt.len() - p.draft_k;
+        assert_eq!(point.check(), Ok(()));
+        if let PathSpec::Infer(p) = &mut point.path {
+            p.max_new += 1;
+        }
+        assert_eq!(
+            point.check(),
+            Err(InvalidPoint::KvOverflow {
+                needed: max_seq + 1,
+                max_seq
+            })
+        );
     }
 
     #[test]

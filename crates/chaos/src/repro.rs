@@ -6,8 +6,29 @@
 use cllm_serve::invariants::InvariantViolation;
 use serde::{Deserialize, Serialize};
 
-use crate::point::ChaosPoint;
+use crate::point::{ChaosPoint, InvalidPoint};
 use crate::run::{run_point, RunOutcome};
+
+/// Why a repro file cannot be replayed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReproError {
+    /// The text is not a repro document (the JSON parser's message).
+    Parse(String),
+    /// The document parses, but its point is one the simulators or the
+    /// engine refuse to run.
+    Invalid(InvalidPoint),
+}
+
+impl std::fmt::Display for ReproError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReproError::Parse(e) => write!(f, "invalid repro: {e}"),
+            ReproError::Invalid(e) => write!(f, "invalid repro: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReproError {}
 
 /// A self-contained, replayable chaos finding.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,12 +60,17 @@ impl Repro {
         serde_json::to_string_pretty(self).expect("repro serializes")
     }
 
-    /// Parse a repro file.
+    /// Parse a repro file and check that its point can run.
     ///
     /// # Errors
-    /// Returns the JSON parser's message when the text is not a repro.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid repro: {e}"))
+    /// [`ReproError::Parse`] when the text is not a repro,
+    /// [`ReproError::Invalid`] when its point breaks a precondition of
+    /// the simulators or the engine ([`ChaosPoint::check`]).
+    pub fn from_json(text: &str) -> Result<Self, ReproError> {
+        let repro: Repro =
+            serde_json::from_str(text).map_err(|e| ReproError::Parse(e.to_string()))?;
+        repro.point.check().map_err(ReproError::Invalid)?;
+        Ok(repro)
     }
 
     /// Replay the point and demand the recorded digest and violations.

@@ -47,7 +47,7 @@ pub fn run_point(point: &ChaosPoint) -> RunOutcome {
     match &point.path {
         PathSpec::Single(p) => {
             let cfg = p.base.serving_config();
-            let node = p.node.kind.serving_node();
+            let node = sim::ServingNode::preset(p.node.kind);
             let plan = p.plan();
             let report = sim::simulate_serving_faulted(&cfg, &node, &plan);
             let mut violations = invariants::check_serving(&report);

@@ -22,7 +22,7 @@ use cllm_serve::scheduler::{KvConfig, KvPolicy, SchedulerLimits};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::percentile_of;
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
+use cllm_tee::platform::{CpuTeeConfig, TeeKind};
 use cllm_workload::zoo;
 
 /// Fixed arrival seed: the trace (and the golden snapshot) is pinned.
@@ -63,19 +63,12 @@ fn sgx_small_epc() -> CpuTeeConfig {
 
 fn node_for(platform: &str) -> ServingNode {
     match platform {
-        "bare-metal" => ServingNode::Cpu {
-            tee: CpuTeeConfig::bare_metal(),
-        },
-        "tdx" => ServingNode::Cpu {
-            tee: CpuTeeConfig::tdx(),
-        },
+        "bare-metal" => ServingNode::preset(TeeKind::BareMetal),
+        "tdx" => ServingNode::preset(TeeKind::Tdx),
         "sgx-small-epc" => ServingNode::Cpu {
             tee: sgx_small_epc(),
         },
-        "cgpu-h100" => ServingNode::Gpu {
-            gpu: cllm_hw::presets::h100_nvl(),
-            tee: GpuTeeConfig::confidential(),
-        },
+        "cgpu-h100" => ServingNode::preset(TeeKind::GpuCc),
         other => unreachable!("unknown platform {other}"),
     }
 }

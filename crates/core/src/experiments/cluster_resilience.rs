@@ -23,13 +23,12 @@
 
 use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::Sweep;
-use cllm_cost::{cost_per_mtok, CpuPricing, GpuPricing, SpillPenalty, SpotParams};
+use cllm_cost::{cost_per_mtok, SpillPenalty};
 use cllm_serve::cluster::{simulate_cluster, ClusterConfig, ClusterReport, NodeSpec, WaveModel};
-use cllm_serve::faults::FaultRates;
 use cllm_serve::router::{AdmissionPolicy, BreakerConfig};
-use cllm_serve::sim::{ServingConfig, ServingNode};
+use cllm_serve::sim::ServingConfig;
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, TeeKind};
+use cllm_tee::platform::TeeKind;
 
 /// Fixed seed for node fault schedules and the wave model: every run
 /// pins the same incident history, so the table is golden-stable.
@@ -63,29 +62,6 @@ fn config() -> ServingConfig {
     }
 }
 
-fn cgpu_spot_node(i: u64) -> NodeSpec {
-    NodeSpec::new(
-        ServingNode::Gpu {
-            gpu: cllm_hw::presets::h100_nvl(),
-            tee: GpuTeeConfig::confidential(),
-        },
-        true,
-        FaultRates::for_platform(TeeKind::GpuCc, &SpotParams::azure_spot_gpu()).scaled(RATE_SCALE),
-        SCHEDULE_SEED.wrapping_add(i),
-    )
-}
-
-fn tdx_reserved_node(i: u64) -> NodeSpec {
-    NodeSpec::new(
-        ServingNode::Cpu {
-            tee: CpuTeeConfig::tdx(),
-        },
-        false,
-        FaultRates::for_platform(TeeKind::Tdx, &SpotParams::reserved()).scaled(RATE_SCALE),
-        SCHEDULE_SEED.wrapping_add(i),
-    )
-}
-
 /// The cluster configuration for one fleet shape.
 ///
 /// # Panics
@@ -93,17 +69,21 @@ fn tdx_reserved_node(i: u64) -> NodeSpec {
 /// Panics on an unknown fleet id.
 #[must_use]
 pub fn config_for(fleet: &str) -> ClusterConfig {
-    let nodes = match fleet {
-        "cgpu-spot" => (0..4).map(cgpu_spot_node).collect(),
-        "tdx-reserved" => (0..4).map(tdx_reserved_node).collect(),
-        "mixed-failover" => vec![
-            cgpu_spot_node(0),
-            cgpu_spot_node(1),
-            tdx_reserved_node(2),
-            tdx_reserved_node(3),
-        ],
+    const CGPU_SPOT: (TeeKind, bool) = (TeeKind::GpuCc, true);
+    const TDX_RESERVED: (TeeKind, bool) = (TeeKind::Tdx, false);
+    let shape = match fleet {
+        "cgpu-spot" => [CGPU_SPOT; 4],
+        "tdx-reserved" => [TDX_RESERVED; 4],
+        "mixed-failover" => [CGPU_SPOT, CGPU_SPOT, TDX_RESERVED, TDX_RESERVED],
         other => panic!("unknown fleet shape {other:?}"),
     };
+    let nodes = shape
+        .into_iter()
+        .zip(0u64..)
+        .map(|((kind, spot), i)| {
+            NodeSpec::preset(kind, spot, RATE_SCALE, SCHEDULE_SEED.wrapping_add(i))
+        })
+        .collect();
     ClusterConfig {
         serving: config(),
         nodes,
@@ -146,11 +126,7 @@ pub fn fleet_cost_per_hr(fleet: &str) -> f64 {
     config_for(fleet)
         .nodes
         .iter()
-        .map(|spec| match spec.node {
-            ServingNode::Gpu { .. } => GpuPricing::azure_ncc_h100().per_hr,
-            ServingNode::Cpu { .. } => CpuPricing::gcp_spot_us_east1()
-                .instance_cost_per_hr(cfg.target.cores_per_socket * 2, 128.0),
-        })
+        .map(|spec| spec.node.price_per_hr(&cfg))
         .sum()
 }
 

@@ -28,7 +28,7 @@
 
 use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::Sweep;
-use cllm_cost::{CpuPricing, GpuPricing, SpillPenalty};
+use cllm_cost::SpillPenalty;
 use cllm_serve::autoscale::{
     simulate_autoscale, AutoscaleConfig, AutoscaleReport, ControllerConfig, RentalSpec,
 };
@@ -36,7 +36,7 @@ use cllm_serve::cluster::NodeSpec;
 use cllm_serve::faults::FaultRates;
 use cllm_serve::router::{BreakerConfig, BrownoutConfig, RetryBudget, TieredAdmission};
 use cllm_serve::sim::{ServingConfig, ServingNode};
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
+use cllm_tee::platform::TeeKind;
 use cllm_workload::trace::{Tier, TrafficModel};
 
 /// Fixed seed for the traffic trace and rental fault schedules: every
@@ -60,22 +60,6 @@ pub const MODES: [&str; 3] = ["cold", "warm", "brownout"];
 /// `warm` mode, so every scale-up there is a promotion).
 const MAX_RENTED: usize = 4;
 
-fn node_for(platform: &str) -> ServingNode {
-    match platform {
-        "sgx" => ServingNode::Cpu {
-            tee: CpuTeeConfig::sgx(),
-        },
-        "tdx" => ServingNode::Cpu {
-            tee: CpuTeeConfig::tdx(),
-        },
-        "cgpu" => ServingNode::Gpu {
-            gpu: cllm_hw::presets::h100_nvl(),
-            tee: GpuTeeConfig::confidential(),
-        },
-        other => panic!("unknown platform {other:?}"),
-    }
-}
-
 /// Baseline offered rate, sized to each platform's steady-state
 /// capacity so the 10x burst is a comparable *relative* shock — the
 /// paper's normalization: SGX serves a fraction of TDX throughput, and
@@ -89,18 +73,6 @@ fn rate_for(platform: &str) -> f64 {
     }
 }
 
-/// Hourly price anchors: GCP CPU rates for the TEE sockets, Azure NCC
-/// H100 for the confidential GPU (same anchors as `cluster_resilience`).
-fn base_price_for(platform: &str) -> f64 {
-    let cfg = ServingConfig::small_test();
-    match platform {
-        "sgx" | "tdx" => CpuPricing::gcp_spot_us_east1()
-            .instance_cost_per_hr(cfg.target.cores_per_socket * 2, 128.0),
-        "cgpu" => GpuPricing::azure_ncc_h100().per_hr,
-        other => panic!("unknown platform {other:?}"),
-    }
-}
-
 /// The autoscaler configuration for one `(platform, mode)` arm.
 ///
 /// # Panics
@@ -108,13 +80,21 @@ fn base_price_for(platform: &str) -> f64 {
 /// Panics on an unknown platform or mode id.
 #[must_use]
 pub fn config_for(platform: &str, mode: &str) -> AutoscaleConfig {
-    let node = node_for(platform);
+    let kind =
+        TeeKind::from_name(platform).unwrap_or_else(|| panic!("unknown platform {platform:?}"));
+    let node = ServingNode::preset(kind);
+    let serving = ServingConfig {
+        duration_s: HORIZON_S,
+        ..ServingConfig::small_test()
+    };
     let mut traffic = TrafficModel::flash_crowd(rate_for(platform), BURST_MULT, TRAFFIC_SEED);
     // Production burst cadence is ~30/hr; the 90 s horizon needs a
     // denser schedule so bursts actually land inside the window.
     traffic.bursts.bursts_per_hr = 240.0;
     traffic.bursts.window_s = 15.0;
-    let base_price = base_price_for(platform);
+    // Hourly price anchors: GCP CPU rates for the TEE sockets, Azure
+    // NCC H100 for the confidential GPU (same as `cluster_resilience`).
+    let base_price = node.price_per_hr(&serving);
     let (warm_pool, brownout) = match mode {
         "cold" => (0, None),
         // Deeper than the rental cap: scale-down churn (drain, then a
@@ -134,10 +114,7 @@ pub fn config_for(platform: &str, mode: &str) -> AutoscaleConfig {
         other => panic!("unknown mode {other:?}"),
     };
     AutoscaleConfig {
-        serving: ServingConfig {
-            duration_s: HORIZON_S,
-            ..ServingConfig::small_test()
-        },
+        serving,
         traffic,
         base_fleet: vec![NodeSpec::new(node.clone(), false, FaultRates::none(), 1)],
         base_price_per_hr: base_price,

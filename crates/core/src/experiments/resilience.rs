@@ -9,12 +9,12 @@
 
 use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::{grid2, Sweep};
-use cllm_cost::{cost_per_mtok, CpuPricing, GpuPricing, SpotParams};
+use cllm_cost::cost_per_mtok;
 use cllm_serve::faults::{FaultPlan, FaultRates};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::{ServingReport, Slo};
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, TeeKind};
+use cllm_tee::platform::TeeKind;
 
 /// Fixed schedule seed: every run of the experiment injects the same
 /// faults, so the table (and its golden snapshot) is deterministic.
@@ -41,49 +41,6 @@ fn config() -> ServingConfig {
     }
 }
 
-fn node_for(kind: TeeKind) -> ServingNode {
-    match kind {
-        TeeKind::GpuNative | TeeKind::GpuCc => ServingNode::Gpu {
-            gpu: cllm_hw::presets::h100_nvl(),
-            tee: if kind == TeeKind::GpuCc {
-                GpuTeeConfig::confidential()
-            } else {
-                GpuTeeConfig::native()
-            },
-        },
-        TeeKind::Vm => ServingNode::Cpu {
-            tee: CpuTeeConfig::vm(),
-        },
-        TeeKind::Tdx => ServingNode::Cpu {
-            tee: CpuTeeConfig::tdx(),
-        },
-        TeeKind::SevSnp => ServingNode::Cpu {
-            tee: CpuTeeConfig::sev_snp(),
-        },
-        TeeKind::Sgx => ServingNode::Cpu {
-            tee: CpuTeeConfig::sgx(),
-        },
-        TeeKind::BareMetal => ServingNode::Cpu {
-            tee: CpuTeeConfig::bare_metal(),
-        },
-    }
-}
-
-fn spot_for(kind: TeeKind) -> SpotParams {
-    match kind {
-        TeeKind::GpuNative | TeeKind::GpuCc => SpotParams::azure_spot_gpu(),
-        _ => SpotParams::gcp_spot(),
-    }
-}
-
-fn cost_per_hr(kind: TeeKind, cfg: &ServingConfig) -> f64 {
-    match kind {
-        TeeKind::GpuNative | TeeKind::GpuCc => GpuPricing::azure_ncc_h100().per_hr,
-        _ => CpuPricing::gcp_spot_us_east1()
-            .instance_cost_per_hr(cfg.target.cores_per_socket * 2, 128.0),
-    }
-}
-
 /// The serving report for one platform, fault-free or under its
 /// platform-specific accelerated fault schedule.
 #[must_use]
@@ -93,12 +50,12 @@ pub fn report_for(kind: TeeKind, faults: bool) -> ServingReport {
         // One shared seed: per-kind streams are already independent, so
         // platforms with the same rates see the same event times and the
         // table differences come from platform mechanisms, not luck.
-        let rates = FaultRates::for_platform(kind, &spot_for(kind)).scaled(RATE_SCALE);
+        let rates = FaultRates::for_rental(kind, true).scaled(RATE_SCALE);
         FaultPlan::seeded(&rates, cfg.duration_s, SCHEDULE_SEED)
     } else {
         FaultPlan::none()
     };
-    simulate_serving_faulted(&cfg, &node_for(kind), &plan)
+    simulate_serving_faulted(&cfg, &ServingNode::preset(kind), &plan)
 }
 
 /// [`report_for`] under the fault plan, plus the span trace of the run —
@@ -108,9 +65,9 @@ pub fn report_for(kind: TeeKind, faults: bool) -> ServingReport {
 #[must_use]
 pub fn traced_report_for(kind: TeeKind) -> (ServingReport, cllm_obs::Trace) {
     let cfg = config();
-    let rates = FaultRates::for_platform(kind, &spot_for(kind)).scaled(RATE_SCALE);
+    let rates = FaultRates::for_rental(kind, true).scaled(RATE_SCALE);
     let plan = FaultPlan::seeded(&rates, cfg.duration_s, SCHEDULE_SEED);
-    cllm_serve::sim::simulate_serving_traced(&cfg, &node_for(kind), &plan)
+    cllm_serve::sim::simulate_serving_traced(&cfg, &ServingNode::preset(kind), &plan)
 }
 
 /// Span trace of the faulted half of the experiment: one lane per
@@ -133,7 +90,11 @@ pub fn effective_usd_per_mtok(kind: TeeKind, report: &ServingReport) -> f64 {
     if report.goodput_tps <= 0.0 {
         return 0.0; // degenerate (empty) run: nothing delivered, nothing billed
     }
-    cost_per_mtok(cost_per_hr(kind, &config()), report.goodput_tps)
+    let cfg = config();
+    cost_per_mtok(
+        ServingNode::preset(kind).price_per_hr(&cfg),
+        report.goodput_tps,
+    )
 }
 
 /// Run the experiment.
@@ -243,7 +204,7 @@ mod tests {
             let clean = report_for(kind, false);
             let faulted = report_for(kind, true);
             let worst = availability_adjusted_cost_per_mtok(
-                cost_per_hr(kind, &config()),
+                ServingNode::preset(kind).price_per_hr(&config()),
                 clean.goodput_tps,
                 faulted.availability,
             );

@@ -21,7 +21,7 @@
 //! does, so the golden stays machine-independent.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use cllm_cost::{SpillPenalty, SpotParams};
+use cllm_cost::SpillPenalty;
 use cllm_serve::autoscale::{
     simulate_autoscale_stats, AutoscaleConfig, AutoscaleReport, ControllerConfig, RentalSpec,
 };
@@ -36,7 +36,7 @@ use cllm_serve::router::{
 use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{ServingConfig, ServingNode};
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, TeeKind};
+use cllm_tee::platform::TeeKind;
 use cllm_workload::trace::TrafficModel;
 
 /// Fixed seed for node fault schedules and the wave model.
@@ -89,29 +89,6 @@ impl Scale {
     }
 }
 
-fn cgpu_spot_node(i: u64) -> NodeSpec {
-    NodeSpec::new(
-        ServingNode::Gpu {
-            gpu: cllm_hw::presets::h100_nvl(),
-            tee: GpuTeeConfig::confidential(),
-        },
-        true,
-        FaultRates::for_platform(TeeKind::GpuCc, &SpotParams::azure_spot_gpu()).scaled(RATE_SCALE),
-        SCHEDULE_SEED.wrapping_add(i),
-    )
-}
-
-fn tdx_reserved_node(i: u64) -> NodeSpec {
-    NodeSpec::new(
-        ServingNode::Cpu {
-            tee: CpuTeeConfig::tdx(),
-        },
-        false,
-        FaultRates::for_platform(TeeKind::Tdx, &SpotParams::reserved()).scaled(RATE_SCALE),
-        SCHEDULE_SEED.wrapping_add(i),
-    )
-}
-
 /// The 64-node cluster configuration at `scale`.
 ///
 /// Admission is unbounded: the point is raw kernel throughput, and every
@@ -119,10 +96,13 @@ fn tdx_reserved_node(i: u64) -> NodeSpec {
 /// check (`completed + aborted == arrivals`, zero rejections).
 #[must_use]
 pub fn config(scale: Scale) -> ClusterConfig {
-    #[allow(clippy::cast_possible_truncation)]
-    let nodes = (0..GPU_NODES as u64)
-        .map(cgpu_spot_node)
-        .chain((0..CPU_NODES as u64).map(|i| tdx_reserved_node(GPU_NODES as u64 + i)))
+    let shape = std::iter::repeat_n((TeeKind::GpuCc, true), GPU_NODES)
+        .chain(std::iter::repeat_n((TeeKind::Tdx, false), CPU_NODES));
+    let nodes = shape
+        .zip(0u64..)
+        .map(|((kind, spot), i)| {
+            NodeSpec::preset(kind, spot, RATE_SCALE, SCHEDULE_SEED.wrapping_add(i))
+        })
         .collect();
     ClusterConfig {
         serving: ServingConfig {
@@ -192,10 +172,7 @@ pub fn paged_report(scale: Scale) -> (ClusterReport, KernelStats) {
 /// top of the same event kernel the cluster rows measure.
 #[must_use]
 pub fn autoscale_config(scale: Scale) -> AutoscaleConfig {
-    let node = ServingNode::Gpu {
-        gpu: cllm_hw::presets::h100_nvl(),
-        tee: GpuTeeConfig::confidential(),
-    };
+    let node = ServingNode::preset(TeeKind::GpuCc);
     let mut traffic = TrafficModel::flash_crowd(scale.rate_per_s() / 4.0, 8.0, 9);
     traffic.bursts.bursts_per_hr = 240.0;
     traffic.bursts.window_s = 15.0;

@@ -6,10 +6,17 @@
 
 use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::{grid2, Sweep};
-use cllm_serve::sim::{simulate_serving, ServingConfig};
+use cllm_serve::faults::FaultPlan;
+use cllm_serve::sim::{simulate_serving, simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::CpuTeeConfig;
+use cllm_tee::platform::{CpuTeeConfig, TeeKind};
+
+/// Arrival rates swept, requests per second, in table order.
+const RATES: [f64; 3] = [0.5, 1.5, 3.0];
+
+/// Platforms compared at each rate, in table order.
+const PLATFORMS: [TeeKind; 3] = [TeeKind::BareMetal, TeeKind::Tdx, TeeKind::Sgx];
 
 fn config(rate: f64) -> ServingConfig {
     ServingConfig {
@@ -31,19 +38,15 @@ pub fn attainment(tee: &CpuTeeConfig, rate: f64) -> f64 {
 /// ids by input order, so the bytes are thread-count independent.
 #[must_use]
 pub fn trace() -> cllm_obs::Trace {
-    use cllm_serve::faults::FaultPlan;
-    use cllm_serve::sim::{simulate_serving_traced, ServingNode};
-    use cllm_tee::platform::TeeKind;
-    let tees = [TeeKind::BareMetal, TeeKind::Tdx, TeeKind::Sgx];
-    let cells = grid2(&[0.5f64, 1.5, 3.0], &tees);
+    use cllm_serve::sim::simulate_serving_traced;
+    let cells = grid2(&RATES, &PLATFORMS);
     let lanes = crate::runner::par_map(&cells, crate::runner::grid_workers(), |&(rate, kind)| {
-        let tee = match kind {
-            TeeKind::Tdx => CpuTeeConfig::tdx(),
-            TeeKind::Sgx => CpuTeeConfig::sgx(),
-            _ => CpuTeeConfig::bare_metal(),
-        };
-        let node = ServingNode::Cpu { tee };
-        simulate_serving_traced(&config(rate), &node, &FaultPlan::none()).1
+        simulate_serving_traced(
+            &config(rate),
+            &ServingNode::preset(kind),
+            &FaultPlan::none(),
+        )
+        .1
     });
     cllm_obs::Trace::merge(lanes)
 }
@@ -63,18 +66,15 @@ pub fn run() -> ExperimentResult {
             Column::pct("slo_attainment"),
         ],
     );
-    use cllm_tee::platform::TeeKind;
-    let tees = [TeeKind::BareMetal, TeeKind::Tdx, TeeKind::Sgx];
-    let sweep = Sweep::over(grid2(&[0.5f64, 1.5, 3.0], &tees));
+    let sweep = Sweep::over(grid2(&RATES, &PLATFORMS));
     r.extend_rows(sweep.rows(|&(rate, kind)| {
-        let tee = match kind {
-            TeeKind::Tdx => CpuTeeConfig::tdx(),
-            TeeKind::Sgx => CpuTeeConfig::sgx(),
-            _ => CpuTeeConfig::bare_metal(),
-        };
-        let report = simulate_serving(&config(rate), &tee);
+        let report = simulate_serving_faulted(
+            &config(rate),
+            &ServingNode::preset(kind),
+            &FaultPlan::none(),
+        );
         vec![
-            Value::str(tee.kind.label()),
+            Value::str(kind.label()),
             Value::float(rate, Unit::None, 1),
             Value::float(report.goodput_tps, Unit::TokensPerSec, 1),
             Value::float(report.ttft_p95_s, Unit::Seconds, 2),

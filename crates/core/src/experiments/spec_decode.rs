@@ -34,7 +34,7 @@ use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::{grid2, Sweep};
 use cllm_hw::DType;
 use cllm_perf::{decode_step_time_s, gpu_decode_step_time_s, CpuTarget};
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
+use cllm_tee::platform::{Platform, TeeKind};
 use cllm_workload::{zoo, MlpKind, ModelConfig};
 
 /// Platforms compared, in table order.
@@ -104,40 +104,30 @@ pub fn expected_tokens_per_round(a: f64, k: u64) -> f64 {
 /// Panics on an unknown platform id.
 #[must_use]
 pub fn step_time_s(platform: &str, model: &ModelConfig, batch: u64) -> f64 {
-    match platform {
-        "bare-metal" => decode_step_time_s(
+    let kind = match platform {
+        "bare-metal" => TeeKind::BareMetal,
+        "tdx" => TeeKind::Tdx,
+        "sgx" => TeeKind::Sgx,
+        "cgpu-h100" => TeeKind::GpuCc,
+        other => panic!("unknown platform {other:?}"),
+    };
+    match Platform::preset(kind) {
+        Platform::Cpu(tee) => decode_step_time_s(
             model,
             DTYPE,
             &CpuTarget::emr1_single_socket(),
-            &CpuTeeConfig::bare_metal(),
+            &tee,
             batch,
             CONTEXT,
         ),
-        "tdx" => decode_step_time_s(
-            model,
-            DTYPE,
-            &CpuTarget::emr1_single_socket(),
-            &CpuTeeConfig::tdx(),
-            batch,
-            CONTEXT,
-        ),
-        "sgx" => decode_step_time_s(
-            model,
-            DTYPE,
-            &CpuTarget::emr1_single_socket(),
-            &CpuTeeConfig::sgx(),
-            batch,
-            CONTEXT,
-        ),
-        "cgpu-h100" => gpu_decode_step_time_s(
+        Platform::Gpu(tee) => gpu_decode_step_time_s(
             model,
             DTYPE,
             &cllm_hw::presets::h100_nvl(),
-            &GpuTeeConfig::confidential(),
+            &tee,
             batch,
             CONTEXT,
         ),
-        other => panic!("unknown platform {other:?}"),
     }
 }
 

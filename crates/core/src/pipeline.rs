@@ -23,12 +23,12 @@ use cllm_infer::tokenizer::BpeTokenizer;
 use cllm_perf::{simulate_cpu, simulate_gpu, CpuTarget};
 use cllm_tee::enclave::Enclave;
 use cllm_tee::manifest::{Manifest, ManifestError};
-use cllm_tee::platform::{GpuTeeConfig, Platform};
+use cllm_tee::platform::Platform;
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::{zoo, ModelConfig};
 
 /// Everything needed to deploy a confidential inference service.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DeploymentSpec {
     /// The execution platform (which TEE, if any).
     pub platform: Platform,
@@ -62,6 +62,21 @@ impl DeploymentSpec {
             hw_root: b"simulated-hw-root".to_vec(),
             min_svn: 5,
         }
+    }
+}
+
+impl std::fmt::Debug for DeploymentSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the hardware root: it signs quotes.
+        f.debug_struct("DeploymentSpec")
+            .field("platform", &self.platform)
+            .field("dtype", &self.dtype)
+            .field("workload_model", &self.workload_model)
+            .field("cpu_target", &self.cpu_target)
+            .field("tiny_config", &self.tiny_config)
+            .field("tiny_seed", &self.tiny_seed)
+            .field("min_svn", &self.min_svn)
+            .finish_non_exhaustive()
     }
 }
 
@@ -111,12 +126,22 @@ pub struct Estimate {
 }
 
 /// A deployed confidential inference service.
-#[derive(Debug)]
 pub struct ConfidentialPipeline {
     spec: DeploymentSpec,
     enclave: Enclave,
     model: TinyModel,
     tokenizer: BpeTokenizer,
+}
+
+impl std::fmt::Debug for ConfidentialPipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the decrypted weights; the spec and the enclave
+        // hide the hardware root themselves.
+        f.debug_struct("ConfidentialPipeline")
+            .field("spec", &self.spec)
+            .field("enclave", &self.enclave)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ConfidentialPipeline {
@@ -240,28 +265,12 @@ impl ConfidentialPipeline {
             }
         }
     }
-
-    /// Enclave exits recorded so far (SGX cost accounting).
-    #[must_use]
-    pub fn enclave_exits(&self) -> u64 {
-        self.enclave.exit_count()
-    }
-
-    /// Convenience: build a GPU platform.
-    #[must_use]
-    pub fn gpu_platform(confidential: bool) -> Platform {
-        Platform::Gpu(if confidential {
-            GpuTeeConfig::confidential()
-        } else {
-            GpuTeeConfig::native()
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cllm_tee::platform::CpuTeeConfig;
+    use cllm_tee::platform::{CpuTeeConfig, TeeKind};
 
     #[test]
     fn deploy_and_generate_on_every_platform() {
@@ -269,12 +278,45 @@ mod tests {
             Platform::Cpu(CpuTeeConfig::bare_metal()),
             Platform::Cpu(CpuTeeConfig::sgx()),
             Platform::Cpu(CpuTeeConfig::tdx()),
-            ConfidentialPipeline::gpu_platform(true),
+            Platform::preset(TeeKind::GpuCc),
         ] {
             let spec = DeploymentSpec::tiny_demo(platform);
             let p = ConfidentialPipeline::deploy(&spec).unwrap();
             let text = p.generate("hello", 6);
             assert!(!text.is_empty());
+        }
+    }
+
+    #[test]
+    fn spec_debug_hides_the_hardware_root() {
+        let spec = DeploymentSpec::tiny_demo(Platform::preset(TeeKind::Tdx));
+        let dbg = format!("{spec:?}");
+        assert!(dbg.starts_with("DeploymentSpec { platform: Cpu("), "{dbg}");
+        assert!(dbg.ends_with("min_svn: 5, .. }"), "{dbg}");
+        assert!(!dbg.contains(&format!("{:?}", spec.hw_root)), "{dbg}");
+        assert!(!dbg.contains("simulated-hw-root"), "{dbg}");
+    }
+
+    #[test]
+    fn pipeline_debug_hides_the_hardware_root_and_the_weights() {
+        let spec = DeploymentSpec::tiny_demo(Platform::preset(TeeKind::Sgx));
+        let p = ConfidentialPipeline::deploy(&spec).unwrap();
+        let dbg = format!("{p:?}");
+        assert!(
+            dbg.starts_with("ConfidentialPipeline { spec: DeploymentSpec {"),
+            "{dbg}"
+        );
+        assert!(dbg.contains("enclave: Enclave {"), "{dbg}");
+        assert!(!dbg.contains(&format!("{:?}", spec.hw_root)), "{dbg}");
+        assert!(!dbg.contains("simulated-hw-root"), "{dbg}");
+        // No weight of the decrypted model shows: not the embedding
+        // table, not a single entry of it.
+        assert!(!dbg.contains(&format!("{:?}", p.model.embed)), "{dbg}");
+        for &w in &p.model.embed.as_slice()[..16] {
+            assert!(
+                !dbg.contains(&format!("{w:?}")),
+                "weight {w:?} leaked: {dbg}"
+            );
         }
     }
 
@@ -337,9 +379,9 @@ mod tests {
         )))
         .unwrap()
         .estimate(&req);
-        let gpu = ConfidentialPipeline::deploy(&DeploymentSpec::tiny_demo(
-            ConfidentialPipeline::gpu_platform(true),
-        ))
+        let gpu = ConfidentialPipeline::deploy(&DeploymentSpec::tiny_demo(Platform::preset(
+            TeeKind::GpuCc,
+        )))
         .unwrap()
         .estimate(&req);
         assert!(gpu.token_latency_s < cpu.token_latency_s / 3.0);

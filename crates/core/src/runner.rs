@@ -203,14 +203,6 @@ pub fn run_entries_isolated(
     })
 }
 
-/// [`run_entries_isolated`] over the whole registry.
-#[must_use]
-pub fn run_all_isolated(
-    workers: usize,
-) -> Vec<(&'static str, Result<ExperimentResult, ExperimentError>)> {
-    run_entries_isolated(&all_experiments(), workers)
-}
-
 /// Wall-clock and memoization profile for one experiment run. Collected
 /// by [`run_entries_profiled`] and reported on stderr only — profiles
 /// depend on the host machine and thread schedule, so they are kept out

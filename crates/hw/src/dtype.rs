@@ -38,6 +38,13 @@ impl DType {
         }
     }
 
+    /// The data type a CLI name selects: its [`label`](DType::label)
+    /// (`f32`, `bf16` or `int8`).
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<DType> {
+        DType::all().into_iter().find(|d| d.label() == name)
+    }
+
     /// Storage size of one *activation/KV-cache* element when weights are
     /// stored at this dtype. int8 quantization applies to weights only;
     /// the inference state (activations, KV cache) stays at bfloat16 in
@@ -85,6 +92,16 @@ impl std::fmt::Display for DType {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_inverts_label_and_rejects_the_rest() {
+        for d in DType::all() {
+            assert_eq!(DType::from_name(d.label()), Some(d));
+        }
+        for bad in ["", "int4", "BF16", "fp32", "bogus"] {
+            assert_eq!(DType::from_name(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn sizes_are_powers_of_two_halving() {

@@ -50,11 +50,6 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Set BM25 parameters.
-    pub fn set_params(&mut self, params: Bm25Params) {
-        self.params = params;
-    }
-
     /// Number of indexed documents.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -34,6 +34,10 @@
 //!   decode timing from the calibrated `cllm-perf` roofline (so every TEE
 //!   mechanism — memory encryption, hugepage fallback, TD transitions —
 //!   shapes the tail), and per-request records.
+//! * [`preset`] — the platform table's serving half: each
+//!   `TeeKind`'s node, spot or reserved fault rates and hourly price
+//!   ([`sim::ServingNode::preset`], [`faults::FaultRates::for_rental`],
+//!   [`cluster::NodeSpec::preset`]).
 //! * [`slo`] — time-to-first-token / time-per-output-token percentiles
 //!   and SLO attainment, comparable across bare metal, TDX, SGX and
 //!   cGPUs.
@@ -91,6 +95,7 @@ pub mod kernel;
 #[doc(hidden)]
 pub mod legacy;
 mod node;
+pub mod preset;
 pub mod router;
 pub mod scheduler;
 pub mod sim;

@@ -306,12 +306,6 @@ impl ContinuousBatcher {
         }
     }
 
-    /// The KV configuration this batcher runs under.
-    #[must_use]
-    pub fn kv_config(&self) -> KvConfig {
-        self.kv
-    }
-
     /// The page pool, once a paged policy has sized it.
     #[must_use]
     pub fn pool(&self) -> Option<&PagePool> {

@@ -97,16 +97,6 @@ impl ServingConfig {
         }
     }
 
-    /// A production-like configuration (heavier load, chat shapes).
-    #[must_use]
-    pub fn chat_production(rate_per_s: f64) -> Self {
-        ServingConfig {
-            arrivals: ArrivalProcess::chat(rate_per_s, 42),
-            duration_s: 120.0,
-            ..Self::small_test()
-        }
-    }
-
     /// The arrival trace over the horizon, or none when the rate or the
     /// horizon is not positive (NaN included): the degenerate configs
     /// the drivers answer with an empty report.

@@ -14,13 +14,25 @@ use crate::sealed::SealedBlob;
 use cllm_crypto::AuthError;
 
 /// A launched enclave instance.
-#[derive(Debug)]
 pub struct Enclave {
     manifest: Manifest,
     measurement: Measurement,
     root_secret: Vec<u8>,
     svn: u16,
     exits: Cell<u64>,
+}
+
+impl std::fmt::Debug for Enclave {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the platform root secret: it signs quotes and
+        // seals data.
+        f.debug_struct("Enclave")
+            .field("manifest", &self.manifest)
+            .field("measurement", &self.measurement)
+            .field("svn", &self.svn)
+            .field("exits", &self.exits)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Enclave {
@@ -149,6 +161,20 @@ mod tests {
         assert!(enclave.open_trusted("lib.so", b"library-bytes").is_ok());
         assert_eq!(enclave.exit_count(), 1);
         assert!(enclave.open_trusted("lib.so", b"tampered").is_err());
+    }
+
+    #[test]
+    fn debug_hides_the_root_secret() {
+        let secret = b"platform-root-secret";
+        let enclave = Enclave::launch(&manifest(), secret).unwrap();
+        let dbg = format!("{enclave:?}");
+        assert!(dbg.starts_with("Enclave { manifest: Manifest {"), "{dbg}");
+        assert!(
+            dbg.ends_with("svn: 7, exits: Cell { value: 0 }, .. }"),
+            "{dbg}"
+        );
+        assert!(!dbg.contains(&format!("{:?}", secret.to_vec())), "{dbg}");
+        assert!(!dbg.contains("platform-root-secret"), "{dbg}");
     }
 
     #[test]

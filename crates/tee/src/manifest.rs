@@ -189,16 +189,6 @@ impl ManifestBuilder {
         self
     }
 
-    /// Pin a trusted file by an already-known hash.
-    #[must_use]
-    pub fn trusted_file_hash(mut self, path: &str, sha256: [u8; 32]) -> Self {
-        self.manifest.trusted_files.push(TrustedFile {
-            path: path.to_owned(),
-            sha256,
-        });
-        self
-    }
-
     /// Declare an encrypted file with a named key.
     #[must_use]
     pub fn encrypted_file(mut self, path: &str, key_name: &str) -> Self {

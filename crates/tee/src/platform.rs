@@ -41,6 +41,40 @@ pub enum TeeKind {
 }
 
 impl TeeKind {
+    /// Every platform, in declaration order (the chaos sampler indexes
+    /// into this, so reordering it changes every sampled point).
+    pub const ALL: [TeeKind; 7] = [
+        TeeKind::BareMetal,
+        TeeKind::Vm,
+        TeeKind::Tdx,
+        TeeKind::SevSnp,
+        TeeKind::Sgx,
+        TeeKind::GpuNative,
+        TeeKind::GpuCc,
+    ];
+
+    /// The platform a CLI name selects: `bare`, `vm`, `tdx`, `sgx`,
+    /// `sev-snp` (or `sev`), `gpu` or `cgpu`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<TeeKind> {
+        Some(match name {
+            "bare" => TeeKind::BareMetal,
+            "vm" => TeeKind::Vm,
+            "tdx" => TeeKind::Tdx,
+            "sgx" => TeeKind::Sgx,
+            "sev-snp" | "sev" => TeeKind::SevSnp,
+            "gpu" => TeeKind::GpuNative,
+            "cgpu" => TeeKind::GpuCc,
+            _ => return None,
+        })
+    }
+
+    /// Whether this platform is a GPU (native or confidential).
+    #[must_use]
+    pub fn is_gpu(self) -> bool {
+        matches!(self, TeeKind::GpuNative | TeeKind::GpuCc)
+    }
+
     /// Figure-legend label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -400,6 +434,21 @@ pub enum Platform {
 }
 
 impl Platform {
+    /// The default configuration of each platform kind: the CPU presets
+    /// with their operator-requested memory policy, or the GPU mode.
+    #[must_use]
+    pub fn preset(kind: TeeKind) -> Platform {
+        match kind {
+            TeeKind::BareMetal => Platform::Cpu(CpuTeeConfig::bare_metal()),
+            TeeKind::Vm => Platform::Cpu(CpuTeeConfig::vm()),
+            TeeKind::Tdx => Platform::Cpu(CpuTeeConfig::tdx()),
+            TeeKind::SevSnp => Platform::Cpu(CpuTeeConfig::sev_snp()),
+            TeeKind::Sgx => Platform::Cpu(CpuTeeConfig::sgx()),
+            TeeKind::GpuNative => Platform::Gpu(GpuTeeConfig::native()),
+            TeeKind::GpuCc => Platform::Gpu(GpuTeeConfig::confidential()),
+        }
+    }
+
     /// The platform's kind tag.
     #[must_use]
     pub fn kind(&self) -> TeeKind {
@@ -483,6 +532,79 @@ mod tests {
         assert_eq!(sev.effective_page(), cllm_hw::PageSize::Huge1G);
         // ...but still breaks NUMA bindings in current drivers.
         assert_eq!(sev.effective_binding(), NumaBinding::IgnoredByTee);
+    }
+
+    #[test]
+    fn all_lists_each_kind_once_in_declaration_order() {
+        // `as usize` reads the declaration index of a fieldless variant.
+        for (i, kind) in TeeKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        // Exhaustive: a new variant fails to compile here until it is
+        // placed in ALL.
+        for kind in TeeKind::ALL {
+            match kind {
+                TeeKind::BareMetal
+                | TeeKind::Vm
+                | TeeKind::Tdx
+                | TeeKind::SevSnp
+                | TeeKind::Sgx
+                | TeeKind::GpuNative
+                | TeeKind::GpuCc => {}
+            }
+        }
+    }
+
+    #[test]
+    fn from_name_accepts_every_cli_name_and_nothing_else() {
+        let names = [
+            ("bare", TeeKind::BareMetal),
+            ("vm", TeeKind::Vm),
+            ("tdx", TeeKind::Tdx),
+            ("sev-snp", TeeKind::SevSnp),
+            ("sev", TeeKind::SevSnp),
+            ("sgx", TeeKind::Sgx),
+            ("gpu", TeeKind::GpuNative),
+            ("cgpu", TeeKind::GpuCc),
+        ];
+        for (name, kind) in names {
+            assert_eq!(TeeKind::from_name(name), Some(kind), "{name}");
+        }
+        for kind in TeeKind::ALL {
+            assert!(
+                names.iter().any(|&(_, k)| k == kind),
+                "{kind:?} has no name"
+            );
+        }
+        for bad in [
+            "",
+            "TDX",
+            "Tdx",
+            "bare-metal",
+            "sev_snp",
+            "h100",
+            "tdx-spot",
+            " tdx",
+        ] {
+            assert_eq!(TeeKind::from_name(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn preset_has_the_kind_it_was_asked_for() {
+        for kind in TeeKind::ALL {
+            let platform = Platform::preset(kind);
+            assert_eq!(platform.kind(), kind);
+            assert_eq!(
+                matches!(platform, Platform::Gpu(_)),
+                kind.is_gpu(),
+                "{kind:?}"
+            );
+        }
+        assert_eq!(
+            Platform::preset(TeeKind::SevSnp),
+            Platform::Cpu(CpuTeeConfig::sev_snp())
+        );
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl SealedBlob {
         let key = derive_sealing_key(root_secret, &measurement.0, &self.name);
         aead_open(&key, &self.nonce, &self.ciphertext, self.name.as_bytes())
     }
-
-    /// Size overhead of sealing in bytes (GCM tag).
-    #[must_use]
-    pub fn overhead_bytes() -> usize {
-        16
-    }
 }
 
 /// Sector size of the encrypted block device (LUKS default).

@@ -120,12 +120,23 @@ fn session_key(shared: &[u8; 16], transcript: &[u8; 32]) -> [u8; 16] {
 }
 
 /// Verifier side of the handshake.
-#[derive(Debug)]
 pub struct Verifier {
     keys: DhKeyPair,
     nonce: [u8; 16],
     golden: Measurement,
     hw_root: Vec<u8>,
+}
+
+impl std::fmt::Debug for Verifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the hardware root (it signs quotes); the key pair
+        // prints only its public half.
+        f.debug_struct("Verifier")
+            .field("keys", &self.keys)
+            .field("nonce", &self.nonce)
+            .field("golden", &self.golden)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Verifier {
@@ -380,6 +391,20 @@ mod tests {
         let dbg = format!("{channel:?}");
         assert_eq!(dbg, "SecureChannel { send_seq: 1, recv_seq: 0, .. }");
         assert!(!dbg.contains("92") && !dbg.contains("5c"), "{dbg}");
+    }
+
+    #[test]
+    fn verifier_debug_hides_the_hardware_root() {
+        let root = b"verifier-hw-root";
+        let (verifier, _) = Verifier::start(Measurement([3; 32]), root, b"seed");
+        let dbg = format!("{verifier:?}");
+        assert!(
+            dbg.starts_with("Verifier { keys: DhKeyPair { public: 0x"),
+            "{dbg}"
+        );
+        assert!(dbg.ends_with(".. }"), "{dbg}");
+        assert!(!dbg.contains(&format!("{:?}", root.to_vec())), "{dbg}");
+        assert!(!dbg.contains("verifier-hw-root"), "{dbg}");
     }
 
     #[test]

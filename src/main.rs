@@ -44,7 +44,7 @@ use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, Platform};
+use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, Platform, TeeKind};
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
 use cllm_workload::zoo;
@@ -221,18 +221,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn platform_from(flags: &HashMap<String, String>) -> Result<Platform, String> {
+/// `--platform NAME` (default `tdx`), named as in `TeeKind::from_name`.
+fn kind_from(flags: &HashMap<String, String>) -> Result<TeeKind, String> {
     let name = flags.get("platform").map_or("tdx", String::as_str);
-    Ok(match name {
-        "bare" => Platform::Cpu(CpuTeeConfig::bare_metal()),
-        "vm" => Platform::Cpu(CpuTeeConfig::vm()),
-        "tdx" => Platform::Cpu(CpuTeeConfig::tdx()),
-        "sgx" => Platform::Cpu(CpuTeeConfig::sgx()),
-        "sev-snp" | "sev" => Platform::Cpu(CpuTeeConfig::sev_snp()),
-        "gpu" => Platform::Gpu(GpuTeeConfig::native()),
-        "cgpu" => Platform::Gpu(GpuTeeConfig::confidential()),
-        other => return Err(format!("unknown platform {other:?}")),
-    })
+    TeeKind::from_name(name).ok_or_else(|| format!("unknown platform {name:?}"))
 }
 
 /// The one parser for every numeric flag: `default` when `--key` is
@@ -335,7 +327,7 @@ fn cmd_insights() -> ExitCode {
 }
 
 fn cmd_deploy(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let spec = DeploymentSpec::tiny_demo(platform_from(flags)?);
+    let spec = DeploymentSpec::tiny_demo(Platform::preset(kind_from(flags)?));
     match ConfidentialPipeline::deploy(&spec) {
         Ok(pipeline) => {
             println!("platform    : {}", pipeline.spec().platform.label());
@@ -355,11 +347,11 @@ fn cmd_deploy(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_estimate(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let platform = platform_from(flags)?;
-    let dtype = match flags.get("dtype").map(String::as_str) {
-        Some("int8") => DType::Int8,
-        Some("f32") => DType::F32,
-        _ => DType::Bf16,
+    let platform = Platform::preset(kind_from(flags)?);
+    let dtype = match flags.get("dtype") {
+        None => DType::Bf16,
+        Some(name) => DType::from_name(name)
+            .ok_or_else(|| format!("unknown --dtype {name:?}; expected bf16|int8|f32"))?,
     };
     let req = RequestSpec::new(
         num_flag(flags, "batch", 1)?,
@@ -461,16 +453,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if let Some(spec) = flags.get("nodes") {
         return cmd_serve_cluster(flags, spec, rate, duration, kv, fault_scale, fault_seed);
     }
-    let tee = match platform_from(flags)? {
-        Platform::Cpu(tee) => tee,
-        Platform::Gpu(_) => {
-            return Err(
-                "serve simulates CPU platforms; use --platform bare|vm|tdx|sgx|sev-snp".into(),
-            )
-        }
-    };
+    let kind = kind_from(flags)?;
+    if kind.is_gpu() {
+        return Err("serve simulates CPU platforms; use --platform bare|vm|tdx|sgx|sev-snp".into());
+    }
     let plan = if fault_scale > 0.0 {
-        let rates = FaultRates::for_platform(tee.kind, &SpotParams::gcp_spot()).scaled(fault_scale);
+        let rates = FaultRates::for_rental(kind, true).scaled(fault_scale);
         FaultPlan::seeded(&rates, duration, fault_seed)
     } else {
         FaultPlan::none()
@@ -484,11 +472,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if flags.contains_key("kv-pool-gib") {
         cfg.limits.kv_budget_bytes = num_flag(flags, "kv-pool-gib", 0.0)? * cllm_hw::GIB;
     }
-    let node = ServingNode::Cpu { tee: tee.clone() };
-    let report = simulate_serving_faulted(&cfg, &node, &plan);
+    let report = simulate_serving_faulted(&cfg, &ServingNode::preset(kind), &plan);
     println!(
         "platform {} | rate {rate}/s | {} requests over {duration}s",
-        tee.kind.label(),
+        kind.label(),
         report.arrivals
     );
     println!(
@@ -665,7 +652,6 @@ fn repro_event_count(repro: &cllm_chaos::Repro) -> usize {
 /// named as in `--platform`, and the groups together describe at most
 /// [`MAX_FLEET_NODES`] nodes.
 fn parse_fleet(spec: &str, fault_scale: f64, fault_seed: u64) -> Result<Vec<NodeSpec>, String> {
-    use cllm_tee::platform::TeeKind;
     let mut nodes = Vec::new();
     for group in spec.split(',') {
         let (count, rest) = group
@@ -682,66 +668,11 @@ fn parse_fleet(spec: &str, fault_scale: f64, fault_seed: u64) -> Result<Vec<Node
         let (name, spot) = rest
             .strip_suffix("-spot")
             .map_or((rest, false), |base| (base, true));
-        let (node, kind) = match name {
-            "bare" => (
-                ServingNode::Cpu {
-                    tee: CpuTeeConfig::bare_metal(),
-                },
-                TeeKind::BareMetal,
-            ),
-            "vm" => (
-                ServingNode::Cpu {
-                    tee: CpuTeeConfig::vm(),
-                },
-                TeeKind::Vm,
-            ),
-            "tdx" => (
-                ServingNode::Cpu {
-                    tee: CpuTeeConfig::tdx(),
-                },
-                TeeKind::Tdx,
-            ),
-            "sgx" => (
-                ServingNode::Cpu {
-                    tee: CpuTeeConfig::sgx(),
-                },
-                TeeKind::Sgx,
-            ),
-            "sev-snp" | "sev" => (
-                ServingNode::Cpu {
-                    tee: CpuTeeConfig::sev_snp(),
-                },
-                TeeKind::SevSnp,
-            ),
-            "gpu" => (
-                ServingNode::Gpu {
-                    gpu: cllm_hw::presets::h100_nvl(),
-                    tee: GpuTeeConfig::native(),
-                },
-                TeeKind::GpuNative,
-            ),
-            "cgpu" => (
-                ServingNode::Gpu {
-                    gpu: cllm_hw::presets::h100_nvl(),
-                    tee: GpuTeeConfig::confidential(),
-                },
-                TeeKind::GpuCc,
-            ),
-            other => return Err(format!("unknown platform {other:?} in {group:?}")),
-        };
-        let spot_params = match (spot, matches!(node, ServingNode::Gpu { .. })) {
-            (true, true) => SpotParams::azure_spot_gpu(),
-            (true, false) => SpotParams::gcp_spot(),
-            (false, _) => SpotParams::reserved(),
-        };
+        let kind = TeeKind::from_name(name)
+            .ok_or_else(|| format!("unknown platform {name:?} in {group:?}"))?;
         for _ in 0..count {
-            let rates = if fault_scale > 0.0 {
-                FaultRates::for_platform(kind, &spot_params).scaled(fault_scale)
-            } else {
-                FaultRates::none()
-            };
             let seed = fault_seed.wrapping_add(nodes.len() as u64);
-            nodes.push(NodeSpec::new(node.clone(), spot, rates, seed));
+            nodes.push(NodeSpec::preset(kind, spot, fault_scale, seed));
         }
     }
     if nodes.is_empty() {
@@ -757,22 +688,8 @@ fn cmd_serve_autoscale(
     rate: f64,
     duration: f64,
 ) -> Result<ExitCode, String> {
-    let (node, kind) = match platform_from(flags)? {
-        Platform::Cpu(tee) => {
-            let kind = tee.kind;
-            (ServingNode::Cpu { tee }, kind)
-        }
-        Platform::Gpu(tee) => {
-            let kind = tee.kind;
-            (
-                ServingNode::Gpu {
-                    gpu: cllm_hw::presets::h100_nvl(),
-                    tee,
-                },
-                kind,
-            )
-        }
-    };
+    let kind = kind_from(flags)?;
+    let node = ServingNode::preset(kind);
     let burst_mult: f64 = num_flag(flags, "burst-mult", 10.0)?;
     let peak_arrivals = rate * burst_mult.max(1.0) * duration;
     capped(
@@ -788,7 +705,9 @@ fn cmd_serve_autoscale(
     traffic.bursts.window_s = 15.0;
     // `--waves [S]` puts the whole fleet (base + rentals) under
     // spot-class fault pressure scaled by S (default 60, the usual
-    // short-horizon compression factor).
+    // short-horizon compression factor). GPU fleets are preempted at
+    // GCP's spot rate here too, not `FaultRates::for_rental`'s Azure
+    // spot-GPU rate.
     let wave_scale = match flags.get("waves") {
         Some(v) if v.is_empty() => 60.0,
         _ => num_flag(flags, "waves", 0.0)?,

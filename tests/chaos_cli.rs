@@ -55,3 +55,31 @@ fn chaos_repro_flag_replays_the_corpus() {
         "the reproduced violation is printed: {out}"
     );
 }
+
+#[test]
+fn chaos_repro_of_an_invalid_point_exits_2_naming_the_problem() {
+    use cllm_chaos::point::PathSpec;
+    use cllm_chaos::Repro;
+    let corpus = format!(
+        "{}/tests/chaos_corpus/clean-pin-cluster.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut repro = Repro::from_json(&std::fs::read_to_string(corpus).expect("corpus reads"))
+        .expect("corpus parses");
+    match &mut repro.point.path {
+        PathSpec::Cluster(p) => p.nodes.clear(),
+        other => panic!("cluster pin holds {other:?}"),
+    }
+    let path = format!("{}/empty-cluster-repro.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, repro.to_json()).expect("edited repro writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_cllm"))
+        .args(["chaos", "--repro", &path])
+        .output()
+        .expect("cllm runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&path) && stderr.contains("invalid repro: cluster point has no nodes"),
+        "stderr names the file and the problem: {stderr}"
+    );
+}

@@ -8,19 +8,12 @@ use confidential_llms_in_tees::core::pipeline::{
 use confidential_llms_in_tees::core::{EncryptedModel, ModelOwner};
 use confidential_llms_in_tees::infer::model::{TinyConfig, TinyModel};
 use confidential_llms_in_tees::tee::attestation::{generate_quote, Measurement};
-use confidential_llms_in_tees::tee::platform::{CpuTeeConfig, Platform};
+use confidential_llms_in_tees::tee::platform::{CpuTeeConfig, Platform, TeeKind};
 use confidential_llms_in_tees::workload::phase::RequestSpec;
 
 #[test]
 fn full_deployment_on_all_platforms() {
-    for platform in [
-        Platform::Cpu(CpuTeeConfig::bare_metal()),
-        Platform::Cpu(CpuTeeConfig::vm()),
-        Platform::Cpu(CpuTeeConfig::sgx()),
-        Platform::Cpu(CpuTeeConfig::tdx()),
-        ConfidentialPipeline::gpu_platform(false),
-        ConfidentialPipeline::gpu_platform(true),
-    ] {
+    for platform in TeeKind::ALL.map(Platform::preset) {
         let label = platform.label();
         let spec = DeploymentSpec::tiny_demo(platform);
         let p = ConfidentialPipeline::deploy(&spec)
@@ -40,7 +33,7 @@ fn tee_identity_does_not_change_output() {
         Platform::Cpu(CpuTeeConfig::bare_metal()),
         Platform::Cpu(CpuTeeConfig::sgx()),
         Platform::Cpu(CpuTeeConfig::tdx()),
-        ConfidentialPipeline::gpu_platform(true),
+        Platform::preset(TeeKind::GpuCc),
     ]
     .into_iter()
     .map(|pf| {
@@ -102,7 +95,7 @@ fn estimates_order_platforms_correctly() {
     let vm = lat(Platform::Cpu(CpuTeeConfig::vm()));
     let sgx = lat(Platform::Cpu(CpuTeeConfig::sgx()));
     let tdx = lat(Platform::Cpu(CpuTeeConfig::tdx()));
-    let gpu = lat(ConfidentialPipeline::gpu_platform(true));
+    let gpu = lat(Platform::preset(TeeKind::GpuCc));
     assert!(
         bare < vm && vm < sgx && sgx < tdx,
         "{bare} {vm} {sgx} {tdx}"

@@ -3,15 +3,36 @@
 //! oversized loads exit 2 with a message naming the problem instead of
 //! panicking, hanging, or aborting on allocation; a zero rate is a
 //! degenerate config every serve path answers with an empty report.
+//! Every platform name runs on every serve path, and unknown platform
+//! or `--dtype` names exit 2 naming the value.
 
 use std::process::{Command, Output};
 
-fn serve(args: &[&str]) -> Output {
+/// Every CLI platform name, `sev` being an alias of `sev-snp`.
+const NAMES: [&str; 8] = ["bare", "vm", "tdx", "sgx", "sev-snp", "sev", "gpu", "cgpu"];
+
+/// The CPU names, which the single-node path serves.
+const CPU_NAMES: [&str; 6] = ["bare", "vm", "tdx", "sgx", "sev-snp", "sev"];
+
+fn cllm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cllm"))
-        .arg("serve")
         .args(args)
         .output()
         .expect("cllm runs")
+}
+
+fn serve(args: &[&str]) -> Output {
+    cllm(&[&["serve"], args].concat())
+}
+
+fn assert_conserved(args: &[&str]) {
+    let out = serve(args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("conservation : ok"),
+        "serve {args:?} must run and conserve: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 fn assert_usage_error(args: &[&str], needle: &str) {
@@ -70,6 +91,79 @@ fn zero_rate_prints_an_empty_report_on_every_path() {
         assert!(
             stdout.contains("conservation : ok (0 "),
             "serve {args:?} reports an empty, conserved run: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn every_platform_name_serves_on_every_path() {
+    for name in CPU_NAMES {
+        assert_conserved(&["--platform", name, "--faults", "600", "--duration", "10"]);
+    }
+    let fleet = NAMES
+        .iter()
+        .flat_map(|name| [format!("1x{name}"), format!("1x{name}-spot")])
+        .collect::<Vec<_>>()
+        .join(",");
+    assert_conserved(&[
+        "--nodes",
+        &fleet,
+        "--faults",
+        "600",
+        "--waves",
+        "120",
+        "--duration",
+        "10",
+    ]);
+    for name in NAMES {
+        assert_conserved(&[
+            "--autoscale",
+            "--platform",
+            name,
+            "--waves",
+            "--duration",
+            "10",
+        ]);
+    }
+}
+
+#[test]
+fn unknown_platform_names_are_usage_errors() {
+    assert_usage_error(&["--platform", "h100"], "unknown platform \"h100\"");
+    assert_usage_error(
+        &["--autoscale", "--platform", "TDX"],
+        "unknown platform \"TDX\"",
+    );
+    assert_usage_error(
+        &["--nodes", "2xtdx,1xsgx-spot,1xtpu"],
+        "unknown platform \"tpu\"",
+    );
+    assert_usage_error(
+        &["--nodes", "1xcgpu-spotty"],
+        "unknown platform \"cgpu-spotty\"",
+    );
+    assert_usage_error(&["--platform", "cgpu"], "serve simulates CPU platforms");
+}
+
+#[test]
+fn estimate_accepts_exactly_the_three_dtypes() {
+    for (dtype, label) in [("bf16", "bf16"), ("int8", "int8"), ("f32", "f32")] {
+        let out = cllm(&["estimate", "--platform", "bare", "--dtype", dtype]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "--dtype {dtype}: {stdout}");
+        assert!(stdout.starts_with(&format!("bare | {label} |")), "{stdout}");
+    }
+    for bad in ["int4", "bogus", "BF16", ""] {
+        let out = cllm(&["estimate", "--dtype", bad]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--dtype {bad:?}: {stderr}");
+        assert!(
+            stderr.contains("--dtype") && stderr.contains(&format!("{bad:?}")),
+            "--dtype {bad:?}: stderr {stderr:?} must name the flag and the value"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "nothing is estimated for --dtype {bad:?}"
         );
     }
 }
