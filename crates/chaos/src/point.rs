@@ -20,6 +20,7 @@ use cllm_serve::router::{
 use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{ServingConfig, ServingNode};
 use cllm_serve::workload::ArrivalProcess;
+use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
 use cllm_tee::platform::TeeKind;
 use cllm_workload::trace::{LognormalLen, TrafficModel};
 use serde::{Deserialize, Serialize};
@@ -71,20 +72,24 @@ pub struct BasePoint {
 
 impl BasePoint {
     /// The batching and paging preconditions every simulator path
-    /// shares, plus the Poisson length ranges when `arrivals` drives
-    /// the trace (the autoscale path ignores it).
+    /// shares, plus the Poisson length ranges and the arrival cap when
+    /// `arrivals` drives the trace (the autoscale path ignores it).
     fn check(&self, arrivals: bool) -> Result<(), InvalidPoint> {
         let range_ok = |(lo, hi): (u64, u64)| lo >= 1 && lo <= hi;
         if self.max_batch == 0 {
             Err(InvalidPoint::ZeroBatch)
         } else if self.kv.block_tokens == 0 {
             Err(InvalidPoint::ZeroPageTokens)
-        } else if arrivals
-            && !(range_ok(self.arrivals.prompt_range) && range_ok(self.arrivals.output_range))
-        {
+        } else if !arrivals {
+            Ok(())
+        } else if !(range_ok(self.arrivals.prompt_range) && range_ok(self.arrivals.output_range)) {
             Err(InvalidPoint::EmptyLengthRange)
         } else {
-            Ok(())
+            capped(
+                "expected arrivals (rate_per_s x duration_s)",
+                self.arrivals.rate_per_s * self.duration_s,
+                MAX_EXPECTED_ARRIVALS,
+            )
         }
     }
 
@@ -289,8 +294,8 @@ pub struct ChaosPoint {
 
 /// A point the simulators or the engine refuse to run: each variant
 /// names a precondition [`run::run_point`](crate::run::run_point) would
-/// otherwise panic on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// otherwise panic on, or a cap on the work it may ask for.
+#[derive(Debug, Clone, PartialEq)]
 pub enum InvalidPoint {
     /// A batch cap of zero: no request could ever run.
     ZeroBatch,
@@ -319,6 +324,27 @@ pub enum InvalidPoint {
         /// The tiny model's `max_seq`.
         max_seq: usize,
     },
+    /// A point asking for more work than `cllm serve` would run: its
+    /// expected arrivals past [`MAX_EXPECTED_ARRIVALS`], or an hourly
+    /// event rate × horizon past [`MAX_HOURLY_RATE_X_DURATION`]. Every
+    /// schedule is generated up front, so the cap bounds memory and time.
+    OverCap {
+        /// The capped quantity.
+        what: &'static str,
+        /// Its value in this point.
+        value: f64,
+        /// The cap.
+        cap: f64,
+    },
+}
+
+/// `Err(OverCap)` when `value` exceeds `cap`.
+fn capped(what: &'static str, value: f64, cap: f64) -> Result<(), InvalidPoint> {
+    if value > cap {
+        Err(InvalidPoint::OverCap { what, value, cap })
+    } else {
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for InvalidPoint {
@@ -340,6 +366,9 @@ impl std::fmt::Display for InvalidPoint {
                 f,
                 "infer prompt + max_new + draft_k is {needed}, above max_seq {max_seq}"
             ),
+            InvalidPoint::OverCap { what, value, cap } => {
+                write!(f, "{what} is {value:e}, above the cap of {cap:e}")
+            }
         }
     }
 }
@@ -355,9 +384,34 @@ impl ChaosPoint {
         match &self.path {
             PathSpec::Single(p) => p.base.check(true),
             PathSpec::Cluster(p) if p.nodes.is_empty() => Err(InvalidPoint::EmptyCluster),
-            PathSpec::Cluster(p) => p.base.check(true),
+            PathSpec::Cluster(p) => {
+                p.base.check(true)?;
+                capped(
+                    "waves_per_hr x duration_s",
+                    p.wave.waves_per_hr * p.base.duration_s,
+                    MAX_HOURLY_RATE_X_DURATION,
+                )
+            }
             PathSpec::Autoscale(p) if p.base_fleet.is_empty() => Err(InvalidPoint::EmptyBaseFleet),
-            PathSpec::Autoscale(p) => p.base.check(false),
+            PathSpec::Autoscale(p) => {
+                p.base.check(false)?;
+                let (traffic, horizon_s) = (&p.traffic, p.base.duration_s);
+                capped(
+                    "expected arrivals (base_rate_per_s x burst multiplier x duration_s)",
+                    traffic.base_rate_per_s * traffic.bursts.multiplier.max(1.0) * horizon_s,
+                    MAX_EXPECTED_ARRIVALS,
+                )?;
+                capped(
+                    "bursts_per_hr x duration_s",
+                    traffic.bursts.bursts_per_hr * horizon_s,
+                    MAX_HOURLY_RATE_X_DURATION,
+                )?;
+                capped(
+                    "rental fault rates per hour x duration_s",
+                    p.rental_rates.total_per_hr() * horizon_s,
+                    MAX_HOURLY_RATE_X_DURATION,
+                )
+            }
             PathSpec::Infer(p) => {
                 let cfg = p.config();
                 if let Some(&token) = p.prompt.iter().find(|&&t| t >= cfg.vocab) {
@@ -386,17 +440,10 @@ impl ChaosPoint {
     }
 }
 
-/// Materialize a platform-rated fault schedule, gray kinds included.
-/// Spot nodes of every kind, GPUs too, are preempted at GCP's spot
-/// rate here (not [`FaultRates::for_rental`]'s Azure rate for GPUs):
-/// changing that would re-sample every pinned chaos point.
+/// Materialize the fault schedule of a `kind` node rented on spot or
+/// reserved capacity, gray kinds included.
 fn sample_events(rng: &mut Rng, kind: TeeKind, spot: bool, horizon_s: f64) -> Vec<FaultEvent> {
-    let spot_params = if spot {
-        cllm_cost::SpotParams::gcp_spot()
-    } else {
-        cllm_cost::SpotParams::reserved()
-    };
-    let mut rates = FaultRates::for_platform(kind, &spot_params).scaled(rng.range_f64(50.0, 900.0));
+    let mut rates = FaultRates::for_rental(kind, spot).scaled(rng.range_f64(50.0, 900.0));
     // Gray failures ride the same per-kind salted streams.
     rates.degraded_windows_per_hr = rng.range_f64(0.0, 400.0);
     rates.stuck_drains_per_hr = rng.range_f64(0.0, 200.0);
@@ -508,21 +555,22 @@ pub fn sample_point(seed: u64) -> ChaosPoint {
                 exit_depth: rng.range_usize(2, 8),
                 output_cap_tokens: rng.range_usize(4, 24) as u64,
             });
+            let traffic = sample_traffic(&mut rng);
+            let base_fleet = (0..n_base)
+                .map(|_| sample_node(&mut rng, horizon_s))
+                .collect();
+            // Rentals are spot capacity of the rented kind.
+            let rental_kind = TeeKind::ALL[rng.range_usize(0, TeeKind::ALL.len())];
+            let mut rental_rates =
+                FaultRates::for_rental(rental_kind, true).scaled(rng.range_f64(0.0, 600.0));
+            rental_rates.stuck_drains_per_hr = rng.range_f64(0.0, 300.0);
+            rental_rates.degraded_windows_per_hr = rng.range_f64(0.0, 300.0);
             PathSpec::Autoscale(AutoscalePoint {
                 base,
-                traffic: sample_traffic(&mut rng),
-                base_fleet: (0..n_base)
-                    .map(|_| sample_node(&mut rng, horizon_s))
-                    .collect(),
-                rental_kind: TeeKind::ALL[rng.range_usize(0, TeeKind::ALL.len())],
-                rental_rates: {
-                    let mut r =
-                        FaultRates::for_platform(TeeKind::Tdx, &cllm_cost::SpotParams::gcp_spot())
-                            .scaled(rng.range_f64(0.0, 600.0));
-                    r.stuck_drains_per_hr = rng.range_f64(0.0, 300.0);
-                    r.degraded_windows_per_hr = rng.range_f64(0.0, 300.0);
-                    r
-                },
+                traffic,
+                base_fleet,
+                rental_kind,
+                rental_rates,
                 warm_pool: rng.range_usize(0, 4),
                 controller: ControllerConfig {
                     control_interval_s: rng.range_f64(0.5, 4.0),
@@ -726,6 +774,30 @@ mod tests {
                 max_seq
             })
         );
+    }
+
+    #[test]
+    fn sampled_rentals_carry_their_own_kinds_faults() {
+        let mut rentals = 0;
+        for seed in 0..400 {
+            if let PathSpec::Autoscale(p) = sample_point(seed).path {
+                rentals += 1;
+                let (kind, r) = (p.rental_kind, p.rental_rates);
+                let td_exits = matches!(kind, TeeKind::Tdx | TeeKind::SevSnp);
+                assert_eq!(
+                    r.td_exit_storms_per_hr > 0.0,
+                    td_exits,
+                    "seed {seed}: {kind:?}"
+                );
+                let bounces = kind == TeeKind::GpuCc;
+                assert_eq!(
+                    r.bounce_stalls_per_hr > 0.0,
+                    bounces,
+                    "seed {seed}: {kind:?}"
+                );
+            }
+        }
+        assert!(rentals > 50, "400 seeds sample {rentals} autoscale points");
     }
 
     #[test]

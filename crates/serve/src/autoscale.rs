@@ -268,6 +268,21 @@ impl FleetNode {
     fn eligible(&self, t: f64) -> bool {
         !self.retired && !self.draining && self.ready_at_s <= t
     }
+
+    /// Leave the fleet at `at_s`: rent stops there, and the node takes
+    /// no further faults.
+    fn retire(&mut self, at_s: f64) {
+        self.retired = true;
+        self.retired_at_s = at_s;
+        self.st.retire();
+    }
+
+    /// A draining node out of work leaves the fleet, when its gray
+    /// `StuckDrain` window (if any) or its force-retire deadline allows.
+    fn retire_drained(&mut self) {
+        let at_s = drain_retire_time(self.st.now, self.st.stuck_until_s, self.drain_deadline_s);
+        self.retire(at_s);
+    }
 }
 
 /// Drive one *successful* cold-start secure boot through the real
@@ -394,8 +409,9 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let mut next_control_s = 0.0f64;
     let mut low_ticks = 0u32;
 
-    // A retired node is idle (it retires only once idle and is never
-    // routed to again), so the runnable scan may look at every node.
+    // A retired node is idle and has no faults left (it retires only
+    // once idle and is never routed to again), so the scan may look at
+    // every node.
     while let Some(next) = next_step(
         pending.front().map(|r| r.arrival_s),
         run.retry_queue.peek_time(),
@@ -433,7 +449,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                     let depth: usize = nodes
                         .iter()
                         .filter(|n| !n.retired)
-                        .map(|n| n.st.scheduler.queued())
+                        .map(|n| n.st.queued())
                         .sum();
                     if b.observe_depth(depth) {
                         r.output_tokens = b.cap_output(r.output_tokens);
@@ -444,7 +460,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                 let tier_queued = nodes
                     .iter()
                     .filter(|n| !n.retired)
-                    .flat_map(|n| n.st.scheduler.queued_requests())
+                    .flat_map(|n| n.st.queued_requests())
                     .filter(|q| tier_of(q.id) == tier)
                     .count();
                 let target = if tier_queued >= cfg.tiers.policy(tier).queue_cap {
@@ -473,30 +489,32 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                     spills += 1;
                     run.slab.mark_spilled(e.request.id);
                 }
-                nodes[target].st.place(e.request, t, run.sink);
+                nodes[target].st.post(e.request, t, run.sink);
             }
             Next::Advance(i) => {
                 let n = &mut nodes[i];
-                n.st.apply_due_faults(&mut run);
+                let open = n.st.open_boundary(&mut run);
 
-                // Drain deadline: a draining node out of grace
-                // force-drains its running batch to the retry path.
-                if n.draining
-                    && n.st.now >= n.drain_deadline_s
-                    && !n.st.scheduler.running().is_empty()
-                {
-                    let now = n.st.now;
-                    n.st.requeue_or_abort(now, &mut run);
-                }
-                if n.draining && n.st.scheduler.idle() {
+                if n.draining {
+                    // Drain deadline: a draining node out of grace
+                    // force-drains its running batch to the retry path.
+                    if n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
+                        let now = n.st.now;
+                        n.st.requeue_or_abort(now, &mut run);
+                    }
                     // A gray StuckDrain window wedges the scale-down: the
                     // node keeps renting (billed until it actually
                     // retires) without serving. `drain_deadline_s` is
                     // horizon-clamped when the controller sets it, so
                     // the billed tail is bounded.
-                    n.retired = true;
-                    n.retired_at_s =
-                        drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
+                    if n.st.idle() {
+                        n.retire_drained();
+                        continue;
+                    }
+                }
+                // A boundary that applied faults ends after the drain
+                // checks: what arrived during the outage queues first.
+                if !open {
                     continue;
                 }
 
@@ -513,6 +531,11 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                 }
 
                 n.st.run_batch(&mut run);
+                // A drained node retires the moment it runs out of work,
+                // so no idle fault can push its clock, and its bill, on.
+                if n.draining && n.st.idle() {
+                    n.retire_drained();
+                }
             }
         }
     }
@@ -523,15 +546,13 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     // window clears or its force-retire deadline, whichever is first.
     for n in &mut nodes {
         if n.draining && !n.retired {
-            n.retired = true;
-            n.retired_at_s = drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
+            n.retire_drained();
         }
         if n.rented && !n.retired && n.ready_at_s >= horizon_s {
             // Rented against a burst so late it never became ready: the
             // contract ends at the horizon, not at the phantom ready
             // time.
-            n.retired = true;
-            n.retired_at_s = horizon_s.max(n.rented_at_s);
+            n.retire(horizon_s.max(n.rented_at_s));
         }
     }
 
@@ -736,7 +757,7 @@ fn run_controller(
     let queued: usize = nodes
         .iter()
         .filter(|n| !n.retired)
-        .map(|n| n.st.scheduler.queued())
+        .map(|n| n.st.queued())
         .sum();
     let backlog_per_node = queued as f64 / serving as f64;
     let rented_active = nodes
@@ -817,17 +838,19 @@ fn run_controller(
                     let target = least_loaded_eligible(nodes, t, Some(v));
                     nodes[target].st.place(r, t, sink);
                 }
-                if nodes[v].st.scheduler.idle() {
+                for r in nodes[v].st.take_inbox() {
+                    let target = least_loaded_eligible(nodes, t, Some(v));
+                    nodes[target].st.post(r, t, sink);
+                }
+                if nodes[v].st.idle() {
                     // An idle victim retires on the spot — unless a
                     // gray StuckDrain window is wedging it, in which
                     // case it bills until the window clears or the
                     // force-retire deadline, whichever comes first.
-                    nodes[v].retired = true;
-                    nodes[v].retired_at_s = drain_retire_time(
-                        t.max(nodes[v].st.now),
-                        nodes[v].st.stuck_until_s,
-                        nodes[v].drain_deadline_s,
-                    );
+                    let n = &mut nodes[v];
+                    let at_s =
+                        drain_retire_time(t.max(n.st.now), n.st.stuck_until_s, n.drain_deadline_s);
+                    n.retire(at_s);
                 }
             }
         }

@@ -4,7 +4,8 @@
 //! The single-node simulator ([`crate::sim`]) answers "what does one
 //! faulted box look like"; this module answers the deployment question
 //! the paper's cost story raises: **is a fleet of cheap spot cGPU nodes
-//! with failover better than reserved CPU TEEs?** N heterogeneous
+//! with failover better than reserved CPU TEEs?** Both run the one fleet
+//! loop here: the single node is a one-node fleet. N heterogeneous
 //! [`ServingNode`]s — each with its own seeded [`FaultPlan`] — sit
 //! behind a router that:
 //!
@@ -270,14 +271,14 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, horizon_s: f64) -> Vec<NodeState>
 ///
 /// Time advances node-locally: each node has its own clock, and the loop
 /// repeatedly either (a) dispatches the globally next arrival/retry to a
-/// node chosen by the router, or (b) advances the runnable node with the
-/// smallest clock by one batching iteration (ties broken by node id) —
-/// whichever is earlier. Fault events apply lazily at iteration
-/// boundaries through the single-node simulator's fault path, so a
-/// fault-free one-node cluster with unbounded admission reproduces its
-/// records. With faults the two differ on purpose: an idle single node
-/// meets its next fault while idle, but an idle fleet node meets it only
-/// when the next dispatch wakes it.
+/// node chosen by the router, or (b) opens the boundary of the node due
+/// earliest and runs one batching iteration there (ties broken by node
+/// id) — whichever is earlier. A busy node is due at its clock; an idle
+/// node meets its next fault at the fault's own time. A boundary that
+/// applies faults ends there, and a retry waits in its node's inbox
+/// until that node's next boundary. Under these rules a one-node cluster
+/// with unbounded admission reproduces the single-node simulator's
+/// records, faults included, as long as its breaker never trips.
 ///
 /// A non-positive or NaN arrival rate or horizon returns an empty report.
 /// Fresh arrivals that no node accepts (breaker open or queue at cap)
@@ -315,7 +316,8 @@ pub fn simulate_cluster_stats(cfg: &ClusterConfig) -> (ClusterReport, KernelStat
 /// per-node busy/idle/outage spans tiling each node's timeline out to
 /// the cluster makespan, per-request chains across failovers, and
 /// events for routing decisions, breaker transitions, failover
-/// re-queues, spills, and handshake phases.
+/// re-queues, spills, and handshake phases (a one-node fleet routes
+/// nothing, so it records no `route` or `failover` event).
 ///
 /// # Panics
 ///
@@ -338,7 +340,6 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
     }
     let mut nodes = build_nodes(cfg, cfg.serving.duration_s);
     let total_arrivals = trace.len();
-    let mut pending: VecDeque<Request> = trace.into();
     let mut run = Run::new(
         &cfg.serving,
         cfg.spill,
@@ -346,6 +347,40 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
         total_arrivals,
         sink,
     );
+    let (rejected, spills) = run_fleet(&mut nodes, trace, cfg.admission, cfg.failover, &mut run);
+    let aborted = run.aborted.len();
+    let report = drain_report(
+        nodes,
+        total_arrivals,
+        rejected,
+        aborted,
+        run.retries,
+        spills,
+        run.records,
+    );
+    (report, run.stats)
+}
+
+/// The fleet loop: serve `trace` on `nodes` behind the router until
+/// nothing is left anywhere, returning the requests rejected and the
+/// failovers that spilled across platform classes.
+///
+/// Each step is [`next_step`]'s choice: route the next arrival or retry
+/// (a retry waits in its node's inbox for the next boundary), or open
+/// the earliest due node's boundary and run one batch there, after the
+/// admission deadline has shed what waited too long. The single-node
+/// simulator is this loop over one node with no breaker, unbounded
+/// admission and no spill penalty. A fleet of one has no routing choice,
+/// so it records no `route` or `failover` event.
+pub(crate) fn run_fleet(
+    nodes: &mut [NodeState],
+    trace: Vec<Request>,
+    admission: AdmissionPolicy,
+    failover: bool,
+    run: &mut Run,
+) -> (usize, u64) {
+    let routed = nodes.len() > 1;
+    let mut pending: VecDeque<Request> = trace.into();
     let mut rejected = 0usize;
     let mut spills = 0u64;
 
@@ -359,12 +394,14 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
                 let r = pending.pop_front().expect("arrival checked");
                 run.stats.arrivals += 1;
                 let t = r.arrival_s;
-                let open = open_nodes(&mut nodes, cfg.admission.queue_cap, t, run.sink);
+                let open = open_nodes(nodes, admission.queue_cap, t, run.sink);
                 if let Some(i) = route_least_loaded(&open) {
                     if run.sink.is_enabled() {
                         run.slab.set_cursor(r.id, t);
-                        run.sink
-                            .event(node_scope(i), "route", t, format!("req {}", r.id));
+                        if routed {
+                            run.sink
+                                .event(node_scope(i), "route", t, format!("req {}", r.id));
+                        }
                     }
                     nodes[i].place(r, t, run.sink);
                 } else {
@@ -378,8 +415,8 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
                 let (t, e) = run.retry_queue.pop().expect("retry checked");
                 let id = e.request.id;
                 run.stats.retries_delivered += 1;
-                let target = if cfg.failover {
-                    let open = open_nodes(&mut nodes, cfg.admission.queue_cap, t, run.sink);
+                let target = if failover {
+                    let open = open_nodes(nodes, admission.queue_cap, t, run.sink);
                     // Retries are always placeable: if every breaker is
                     // open / every queue full, fall back to the least
                     // loaded node anyway — the deadline shed, not the
@@ -404,19 +441,22 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
                     run.sink
                         .event_fmt(node_scope(target), "spill", t, || format!("req {id} {dir}"));
                 }
-                run.handoff(id, SpanKind::Backoff, t);
-                run.sink.event_fmt(node_scope(target), "failover", t, || {
-                    format!("req {id} from node {}", e.origin)
-                });
-                nodes[target].place(e.request, t, run.sink);
+                if routed {
+                    run.sink.event_fmt(node_scope(target), "failover", t, || {
+                        format!("req {id} from node {}", e.origin)
+                    });
+                }
+                nodes[target].post(e.request, t, run.sink);
             }
             Next::Advance(i) => {
                 let n = &mut nodes[i];
-                n.apply_due_faults(&mut run);
+                if !n.open_boundary(run) {
+                    continue;
+                }
                 // Admission control: shed queued requests past their
                 // deadline.
-                if cfg.admission.deadline_s.is_finite() {
-                    let (now, deadline_s) = (n.now, cfg.admission.deadline_s);
+                if admission.deadline_s.is_finite() {
+                    let (now, deadline_s) = (n.now, admission.deadline_s);
                     let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
                     rejected += shed.len();
                     run.stats.rejections += shed.len() as u64;
@@ -426,33 +466,22 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
                             .event(Scope::Request(r.id), "shed", now, String::new());
                     }
                 }
-                n.run_batch(&mut run);
+                n.run_batch(run);
             }
         }
     }
 
-    // Pad every node's timeline with trailing idle out to the cluster
+    // Pad every node's timeline with trailing idle out to the fleet
     // makespan, so per-node accounting sums to the same makespan the
     // report publishes (a drained node really is idle at the end).
     if run.sink.is_enabled() {
         let makespan_s = nodes.iter().map(|n| n.now).fold(0.0f64, f64::max);
-        for n in &nodes {
+        for n in nodes.iter() {
             run.sink
                 .span(node_scope(n.idx), SpanKind::Idle, n.now, makespan_s);
         }
     }
-
-    let aborted = run.aborted.len();
-    let report = drain_report(
-        nodes,
-        total_arrivals,
-        rejected,
-        aborted,
-        run.retries,
-        spills,
-        run.records,
-    );
-    (report, run.stats)
+    (rejected, spills)
 }
 
 /// The nodes the router may send new work to at `t` — queue under the
@@ -465,7 +494,7 @@ fn open_nodes(
 ) -> Vec<(usize, usize)> {
     let mut open = Vec::with_capacity(nodes.len());
     for (i, n) in nodes.iter_mut().enumerate() {
-        if n.scheduler.queued() < queue_cap && n.accepts(t, sink) {
+        if n.queued() < queue_cap && n.accepts(t, sink) {
             open.push((i, n.depth()));
         }
     }
@@ -669,14 +698,61 @@ mod tests {
 
     #[test]
     fn single_quiet_node_matches_single_node_simulator() {
-        // One node, unbounded admission, no faults: the cluster loop is
-        // the single-node loop with a router in front.
-        let mut cfg = small_cluster(vec![quiet_node(1)], WaveModel::none(), true);
-        cfg.admission = AdmissionPolicy::unbounded();
-        let cluster = simulate_cluster(&cfg);
-        let single = crate::sim::simulate_serving(&cfg.serving, &CpuTeeConfig::tdx());
-        assert_eq!(cluster.records, single.records);
-        assert_eq!(cluster.completed, single.completed);
+        // One node under unbounded admission is the single-node
+        // simulator with a router in front: fault-free, and under one
+        // 2 s preemption placed anywhere from busy to idle stretches.
+        let placements = (0..8).map(|k| {
+            vec![FaultEvent {
+                at_s: 1.5 + 3.5 * f64::from(k),
+                kind: FaultKind::SpotPreemption,
+                outage_s: 2.0,
+            }]
+        });
+        for events in std::iter::once(Vec::new()).chain(placements) {
+            let mut node = quiet_node(1);
+            node.extra_events = events;
+            let mut cfg = small_cluster(vec![node], WaveModel::none(), true);
+            cfg.admission = AdmissionPolicy::unbounded();
+            let cluster = simulate_cluster(&cfg);
+            let plan = cfg.nodes[0].plan(cfg.serving.duration_s);
+            let single =
+                crate::sim::simulate_serving_faulted(&cfg.serving, &cfg.nodes[0].node, &plan);
+            assert_eq!(cluster.records, single.records, "{:?}", plan.events);
+            assert_eq!(cluster.completed, single.completed);
+            assert_eq!(cluster.nodes[0].downtime_s, plan.events.len() as f64 * 2.0);
+        }
+    }
+
+    #[test]
+    fn idle_node_meets_its_fault_at_the_fault_time() {
+        // A preemption in the middle of node 1's longest idle stretch of
+        // a fault-free run: everything before it runs as before, so the
+        // node is idle when it fires, and the outage opens at the
+        // fault's own time, not when the next dispatch wakes the node.
+        let mut cfg = small_cluster(vec![quiet_node(1), quiet_node(2)], WaveModel::none(), true);
+        let node1_spans = |trace: &Trace, kind: SpanKind| -> Vec<(f64, f64)> {
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.scope == Scope::Node(1) && s.kind == kind)
+                .map(|s| (s.start_s, s.end_s))
+                .collect()
+        };
+        let (_, clean) = simulate_cluster_traced(&cfg);
+        let (from, to) = node1_spans(&clean, SpanKind::Idle)
+            .into_iter()
+            .filter(|&(_, end)| end < cfg.serving.duration_s)
+            .max_by(|a, b| (a.1 - a.0).total_cmp(&(b.1 - b.0)))
+            .expect("node 1 idles between requests");
+        let at_s = (from + to) / 2.0;
+        cfg.nodes[1].extra_events = vec![FaultEvent {
+            at_s,
+            kind: FaultKind::SpotPreemption,
+            outage_s: 2.0,
+        }];
+        let (report, trace) = simulate_cluster_traced(&cfg);
+        assert_eq!(node1_spans(&trace, SpanKind::Outage), [(at_s, at_s + 2.0)]);
+        assert_eq!(report.nodes[1].downtime_s, 2.0);
     }
 
     #[test]

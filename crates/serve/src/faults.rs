@@ -278,6 +278,12 @@ impl FaultRates {
         self
     }
 
+    /// Events per hour summed over every kind.
+    #[must_use]
+    pub fn total_per_hr(&self) -> f64 {
+        FaultKind::ALL.iter().map(|&k| self.rate_per_hr(k)).sum()
+    }
+
     fn rate_per_hr(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::AttestationFailure => self.attestation_failures_per_hr,

@@ -1,10 +1,12 @@
 //! The discrete-event simulation kernel shared by the serving drivers.
 //!
-//! [`sim`](crate::sim) (single node), [`cluster`](crate::cluster) (fixed
-//! fleet) and [`autoscale`](crate::autoscale) (dynamic fleet) keep their
-//! own arrival and routing loops, but every node in them runs the one
-//! fault path and batching iteration of the crate-internal `node`
-//! module, and all of them drive the same three primitives:
+//! Two loops drive the serving simulations: the fleet loop of
+//! [`cluster`](crate::cluster), which [`sim`](crate::sim) runs as a
+//! one-node fleet, and the loop of [`autoscale`](crate::autoscale)
+//! (dynamic fleet), whose routing and control really differ. Both take
+//! their dispatch-or-advance choice, batch boundaries, fault path and
+//! batching iteration from the crate-internal `node` module, and both
+//! drive the same three primitives:
 //!
 //! * [`EventQueue`] — a binary-heap future-event list with a
 //!   deterministic `(time, key, seq)` total order. Dynamically scheduled
@@ -128,15 +130,6 @@ impl<T> EventQueue<T> {
     /// Pop the earliest entry as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| (e.time, e.payload))
-    }
-
-    /// Pop the earliest entry iff it is due at or before `now`.
-    pub fn pop_due(&mut self, now: f64) -> Option<T> {
-        if self.peek_time().is_some_and(|t| t <= now) {
-            self.heap.pop().map(|e| e.payload)
-        } else {
-            None
-        }
     }
 
     /// Number of scheduled entries.
@@ -330,18 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(1.0, 1u32);
-        q.push(2.0, 2u32);
-        assert_eq!(q.pop_due(1.5), Some(1));
-        assert_eq!(q.pop_due(1.5), None, "2.0 is not due at 1.5");
-        assert_eq!(q.peek_time(), Some(2.0));
-        assert_eq!(q.pop_due(2.0), Some(2));
-        assert_eq!(q.pop_due(f64::INFINITY), None);
-    }
-
-    #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_time_is_rejected() {
         EventQueue::new().push(f64::NAN, ());
@@ -358,7 +339,7 @@ mod tests {
         }
         q.push_keyed(4.0, 12, 12u64);
         let mut order = Vec::new();
-        while let Some(id) = q.pop_due(5.0) {
+        while let Some((_, id)) = q.pop() {
             order.push(id);
         }
         assert_eq!(order, [12, 3, 7, 9]);

@@ -1,7 +1,7 @@
 //! Pre-kernel reference event loops, kept as oracles.
 //!
 //! These are the hand-rolled loops `sim` and `cluster` ran before the
-//! [`crate::kernel`] refactor, preserved verbatim apart from three
+//! [`crate::kernel`] refactor, preserved verbatim apart from four
 //! deliberate deltas:
 //!
 //! * the attestation-failure horizon clamp bugfix is applied here too,
@@ -10,7 +10,15 @@
 //! * trace emission is stripped (the untraced twins never recorded
 //!   anything, so the float arithmetic is unchanged);
 //! * the degenerate-config guard is the drivers' own arrival-trace
-//!   helper, which also treats a NaN rate or horizon as empty.
+//!   helper, which also treats a NaN rate or horizon as empty;
+//! * the cluster loop follows the three boundary rules that make a
+//!   one-node fleet the single-node loop: an idle node's next fault is
+//!   an event (at the node's clock once due, or at its own time when it
+//!   comes strictly before the next dispatch), a boundary that applies
+//!   faults ends there, and a routed retry waits in a per-node inbox
+//!   until that node's next boundary, joining the queue after the
+//!   arrivals with its wait clock starting there. The inbox counts as
+//!   queued work for routing and the queue cap.
 //!
 //! Per-request state lives in `HashMap`s/`HashSet`s and pending retries
 //! in a flat `Vec` re-scanned with `min_by` per delivery — the exact
@@ -275,6 +283,8 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
         return drain_report(build_nodes(cfg, 0.0), 0, 0, 0, 0, 0, Vec::new());
     }
     let mut nodes = build_nodes(cfg, horizon_s);
+    // Routed retries waiting for their node's next boundary.
+    let mut inbox: Vec<Vec<Request>> = vec![Vec::new(); nodes.len()];
 
     let mut pending: VecDeque<Request> = trace.iter().copied().collect();
     let total_arrivals = pending.len();
@@ -307,18 +317,31 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
             (None, None) => None,
         };
 
+        // A node with work is due at its clock; an idle one only for its
+        // next fault, at its clock once due or at the fault's time when
+        // that is strictly before the next dispatch.
         let runnable = nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| !n.scheduler.idle())
+            .filter_map(|(i, n)| {
+                if !n.scheduler.idle() || !inbox[i].is_empty() {
+                    return Some((i, n.now));
+                }
+                let fault_s = n.plan.events.get(n.next_event)?.at_s;
+                if fault_s <= n.now {
+                    Some((i, n.now))
+                } else if t_dispatch.is_some_and(|t| fault_s < t) {
+                    Some((i, fault_s))
+                } else {
+                    None
+                }
+            })
             .min_by(|(i, a), (j, b)| {
-                a.now
-                    .partial_cmp(&b.now)
+                a.partial_cmp(b)
                     // infallible: sim clocks are sums of finite step times
                     .expect("finite clocks")
                     .then(i.cmp(j))
-            })
-            .map(|(i, n)| (i, n.now));
+            });
 
         let do_dispatch = match (t_dispatch, runnable) {
             (None, None) => break,
@@ -336,29 +359,26 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
             if arrival_first {
                 let r = pending.pop_front().expect("arrival checked");
                 let t = r.arrival_s;
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.scheduler.queued() < cfg.admission.queue_cap && breaker(n).accepts(t) {
-                        candidates.push((i, depth(n)));
-                    }
-                }
+                let candidates = open_candidates(&mut nodes, &inbox, cfg.admission.queue_cap, t);
                 match crate::router::route_least_loaded(&candidates) {
-                    Some(i) => place(&mut nodes[i], r, t),
+                    Some(i) => {
+                        wake(&mut nodes[i], &inbox[i], t);
+                        nodes[i].scheduler.enqueue_at(r, t);
+                    }
                     None => rejected += 1,
                 }
             } else {
                 let (idx, t) = next_retry.expect("retry checked");
                 let e = retry_queue.swap_remove(idx);
                 let target = if cfg.failover {
-                    let mut candidates = Vec::with_capacity(nodes.len());
-                    for (i, n) in nodes.iter_mut().enumerate() {
-                        if n.scheduler.queued() < cfg.admission.queue_cap && breaker(n).accepts(t) {
-                            candidates.push((i, depth(n)));
-                        }
-                    }
+                    let candidates =
+                        open_candidates(&mut nodes, &inbox, cfg.admission.queue_cap, t);
                     crate::router::route_least_loaded(&candidates).unwrap_or_else(|| {
-                        let all: Vec<(usize, usize)> =
-                            nodes.iter().map(depth).enumerate().collect();
+                        let all: Vec<(usize, usize)> = nodes
+                            .iter()
+                            .enumerate()
+                            .map(|(i, n)| (i, depth(n, &inbox[i])))
+                            .collect();
                         // infallible: the fleet is non-empty by construction, so least-loaded always resolves
                         crate::router::route_least_loaded(&all).expect("fleet is non-empty")
                     })
@@ -369,15 +389,19 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
                     spills += 1;
                     spilled.insert(e.request.id);
                 }
-                place(&mut nodes[target], e.request, t);
+                wake(&mut nodes[target], &inbox[target], t);
+                inbox[target].push(e.request);
             }
             continue;
         }
 
         // infallible: the advance branch is only taken when `runnable` is Some
-        let (i, _) = runnable.expect("advance branch requires a runnable node");
+        let (i, due_s) = runnable.expect("advance branch requires a runnable node");
         let n = &mut nodes[i];
+        // An idle node is here for its next fault: it idles up to it.
+        n.now = n.now.max(due_s);
 
+        let first_event = n.next_event;
         while n
             .plan
             .events
@@ -436,6 +460,16 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> ClusterReport {
             }
             n.now += outage_s;
             n.downtime_s += outage_s;
+        }
+        // A boundary that applied faults ends there: what arrived during
+        // the outage joins the queue before the next batch.
+        if n.next_event > first_event {
+            continue;
+        }
+        // The inbox joins the queue after the arrivals; each retry's wait
+        // starts now.
+        for r in inbox[i].drain(..) {
+            n.scheduler.enqueue_at(r, n.now);
         }
 
         if cfg.admission.deadline_s.is_finite() {
@@ -524,19 +558,36 @@ fn breaker(n: &mut NodeState) -> &mut CircuitBreaker {
     n.breaker.as_mut().expect("cluster nodes carry a breaker")
 }
 
-fn depth(n: &NodeState) -> usize {
-    n.scheduler.queued() + n.scheduler.running().len()
+/// Queued (inbox included) plus running requests.
+fn depth(n: &NodeState, inbox: &[Request]) -> usize {
+    n.scheduler.queued() + inbox.len() + n.scheduler.running().len()
+}
+
+/// The nodes under the queue cap (inbox included) whose breaker accepts
+/// new work at `t`, with their depths.
+fn open_candidates(
+    nodes: &mut [NodeState],
+    inbox: &[Vec<Request>],
+    queue_cap: usize,
+    t: f64,
+) -> Vec<(usize, usize)> {
+    let mut candidates = Vec::with_capacity(nodes.len());
+    for (i, n) in nodes.iter_mut().enumerate() {
+        if n.scheduler.queued() + inbox[i].len() < queue_cap && breaker(n).accepts(t) {
+            candidates.push((i, depth(n, &inbox[i])));
+        }
+    }
+    candidates
 }
 
 fn is_gpu(n: &NodeState) -> bool {
     matches!(n.node, ServingNode::Gpu { .. })
 }
 
-/// Route one request onto a node, waking an idle node's clock forward to
-/// the dispatch time.
-fn place(n: &mut NodeState, request: Request, t: f64) {
-    if n.scheduler.idle() && t > n.now {
+/// Wake an idle node (no queue, batch or inbox) forward to the dispatch
+/// time `t`.
+fn wake(n: &mut NodeState, inbox: &[Request], t: f64) {
+    if n.scheduler.idle() && inbox.is_empty() && t > n.now {
         n.now = t;
     }
-    n.scheduler.enqueue_at(request, t);
 }

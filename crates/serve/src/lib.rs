@@ -13,12 +13,14 @@
 //!   path), and event counters that make throughput measurable.
 //! * `node` (crate-internal) — one node's live state and the only copies
 //!   of what happens on a node in any driver: the fault path, victim
-//!   requeue-or-abort under one retry rule, one batching iteration
-//!   (admit, prefill with re-attest/requant/swap-in, page-pressure
-//!   eviction, derated decode, completion records, breaker-close toll),
-//!   the horizon clamp, and the fleet drivers' dispatch-or-advance
-//!   choice. The drivers keep their own arrival, routing and control
-//!   loops, which really differ.
+//!   requeue-or-abort under one retry rule, the batch boundary (idle
+//!   faults as events, a fault ending the boundary, routed retries
+//!   joining from an inbox), one batching iteration (admit, prefill with
+//!   re-attest/requant/swap-in, page-pressure eviction, derated decode,
+//!   completion records, breaker-close toll), the horizon clamp, and the
+//!   dispatch-or-advance choice. Two loops drive it: the fleet loop of
+//!   [`cluster`], which [`sim`] runs as a one-node fleet, and the
+//!   autoscaler's, whose routing and control really differ.
 //! * [`workload::ArrivalProcess`] — deterministic-seeded Poisson request
 //!   arrivals with configurable prompt/output length distributions.
 //! * [`scheduler::ContinuousBatcher`] — iteration-level scheduling:
@@ -30,10 +32,11 @@
 //!   page-by-page, and under pressure preempt tail-first, either
 //!   dropping the victim's pages (recompute) or swapping them through
 //!   the platform's priced paging path (swap).
-//! * [`sim`] — the single-node driver: prefill admission, per-step
-//!   decode timing from the calibrated `cllm-perf` roofline (so every TEE
-//!   mechanism — memory encryption, hugepage fallback, TD transitions —
-//!   shapes the tail), and per-request records.
+//! * [`sim`] — the single-node driver, a one-node fleet: prefill
+//!   admission, per-step decode timing from the calibrated `cllm-perf`
+//!   roofline (so every TEE mechanism — memory encryption, hugepage
+//!   fallback, TD transitions — shapes the tail), and per-request
+//!   records.
 //! * [`preset`] — the platform table's serving half: each
 //!   `TeeKind`'s node, spot or reserved fault rates and hourly price
 //!   ([`sim::ServingNode::preset`], [`faults::FaultRates::for_rental`],
@@ -86,6 +89,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Most arrivals one run may expect (arrival rate × horizon, at the
+/// burst peak for flash-crowd traffic): every driver generates the whole
+/// trace up front and keeps per-request state for all of it. `cllm
+/// serve` and chaos repro files both refuse a run past it.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 1.0e6;
+
+/// Cap on an hourly event rate × the horizon in seconds (fault-rate
+/// scales, preemption waves, rental fault rates, burst onsets): every
+/// such schedule is generated up front, and this allows the equivalent
+/// of 1,000 per hour for an hour.
+pub const MAX_HOURLY_RATE_X_DURATION: f64 = 3.6e6;
 
 pub mod autoscale;
 pub mod cluster;

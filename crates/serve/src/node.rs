@@ -1,23 +1,39 @@
 //! One serving node's live state and the per-node machinery every
 //! serving driver shares.
 //!
-//! The single-node simulator (`sim`), the fixed fleet (`cluster`) and
-//! the autoscaler (`autoscale`) keep their own arrival, routing and
-//! control loops, because those rules really differ. What happens *on*
-//! a node is the same in all three, and lives only here:
+//! Two loops drive nodes: the fleet loop in `cluster` (which the
+//! single-node simulator `sim` runs as a one-node fleet) and the
+//! autoscaler's own, whose routing, shedding and control really differ.
+//! What happens *on* a node, and when a node acts, is the same in both
+//! and lives only here:
 //!
 //! * the fault path ([`NodeState::apply_due_faults`]): horizon-clamped
 //!   outages, gray windows, the attested re-handshake after a rejected
 //!   quote, and crash victims handed to the retry rule;
 //! * victim requeue-or-abort ([`NodeState::requeue_or_abort`]) under one
 //!   [`RetryRule`];
-//! * one batching iteration ([`NodeState::run_batch`]);
+//! * the batch boundary ([`NodeState::open_boundary`]) and one batching
+//!   iteration ([`NodeState::run_batch`]);
 //! * the horizon clamp ([`clamp_to_horizon`]);
-//! * the fleet drivers' dispatch-or-advance choice ([`next_step`]).
+//! * the dispatch-or-advance choice ([`next_step`]).
 //!
-//! `legacy` keeps its own copies of the fault and batching logic as the
-//! independent oracle the property tests compare these against, so a
-//! new fault kind touches [`NodeState::apply_due_faults`] plus the oracle.
+//! Three boundary rules make a one-node fleet the single node:
+//!
+//! 1. **Idle faults are events.** An idle node's next fault is due at
+//!    the node's clock once it is already due, or at its own time when
+//!    it comes strictly before the next dispatch ([`next_step`]).
+//! 2. **A fault ends the boundary.** A boundary that applies faults ends
+//!    there, so arrivals that came during the outage join the queue
+//!    before the next batch.
+//! 3. **Retries wait in an inbox.** A routed retry waits in the node's
+//!    inbox ([`NodeState::post`]) and joins the queue at the node's next
+//!    boundary, after the arrivals; its wait clock and `Backoff`
+//!    hand-off start there.
+//!
+//! `legacy` keeps its own copies of the fault, batching and dispatch
+//! logic as the independent oracle the property tests compare these
+//! against, so a new fault kind touches [`NodeState::apply_due_faults`]
+//! plus the oracle.
 
 use crate::faults::{
     attested_rehandshake_phased, hs_seed, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy,
@@ -168,6 +184,8 @@ pub(crate) struct NodeState {
     pub(crate) plan: FaultPlan,
     /// Index of the next unapplied event in `plan.events`.
     pub(crate) next_event: usize,
+    /// Routed retries waiting for the node's next boundary.
+    inbox: Vec<Request>,
     pub(crate) now: f64,
     pub(crate) downtime_s: f64,
     pub(crate) handshake_seq: u64,
@@ -209,6 +227,7 @@ impl NodeState {
             breaker_seen: BreakerState::Closed,
             plan,
             next_event: 0,
+            inbox: Vec::new(),
             now: 0.0,
             downtime_s: 0.0,
             handshake_seq: 0,
@@ -222,8 +241,24 @@ impl NodeState {
         }
     }
 
+    /// Whether the node has no work: nothing queued, resident or waiting
+    /// in its inbox.
+    pub(crate) fn idle(&self) -> bool {
+        self.scheduler.idle() && self.inbox.is_empty()
+    }
+
+    /// Requests waiting for admission: the queue plus the inbox.
+    pub(crate) fn queued(&self) -> usize {
+        self.scheduler.queued() + self.inbox.len()
+    }
+
+    /// The waiting requests, queue first, then the inbox.
+    pub(crate) fn queued_requests(&self) -> impl Iterator<Item = &Request> + '_ {
+        self.scheduler.queued_requests().chain(&self.inbox)
+    }
+
     pub(crate) fn depth(&self) -> usize {
-        self.scheduler.queued() + self.scheduler.running().len()
+        self.queued() + self.scheduler.running().len()
     }
 
     pub(crate) fn is_gpu(&self) -> bool {
@@ -260,19 +295,67 @@ impl NodeState {
         }
     }
 
-    /// Route `request` here at `t`, waking an idle node's clock forward
-    /// to the dispatch time (clocks never run backward).
-    pub(crate) fn place(&mut self, request: Request, t: f64, sink: &mut TraceSink) {
-        if self.scheduler.idle() && t > self.now {
+    /// Move an idle node's clock forward to `t`, as idle time (clocks
+    /// never run backward, and a node with work keeps its own).
+    fn wake(&mut self, t: f64, sink: &mut TraceSink) {
+        if self.idle() && t > self.now {
             sink.span(node_scope(self.idx), SpanKind::Idle, self.now, t);
             self.now = t;
         }
+    }
+
+    /// Route a fresh arrival here at `t`: it joins the queue at once,
+    /// waking an idle node to the dispatch time.
+    pub(crate) fn place(&mut self, request: Request, t: f64, sink: &mut TraceSink) {
+        self.wake(t, sink);
         self.scheduler.enqueue_at(request, t);
+    }
+
+    /// Route a retry here at `t`: it waits in the inbox for the node's
+    /// next boundary, waking an idle node to the dispatch time.
+    pub(crate) fn post(&mut self, request: Request, t: f64, sink: &mut TraceSink) {
+        self.wake(t, sink);
+        self.inbox.push(request);
+    }
+
+    /// Hand the inbox back to the router: the node is leaving routing.
+    pub(crate) fn take_inbox(&mut self) -> Vec<Request> {
+        std::mem::take(&mut self.inbox)
+    }
+
+    /// Take no further faults: the node has left the fleet.
+    pub(crate) fn retire(&mut self) {
+        self.next_event = self.plan.events.len();
+    }
+
+    /// Open a batch boundary at the node clock. An idle node is here only
+    /// for its next fault ([`next_step`]), so it first idles up to it.
+    /// Every due fault then applies, and a boundary that applied one ends
+    /// there (`false`): arrivals that came during the outage join the
+    /// queue before the next batch. Otherwise the inbox joins the queue
+    /// after the arrivals, each retry's wait clock and `Backoff` hand-off
+    /// starting now, and the boundary goes on to a batch (`true`).
+    pub(crate) fn open_boundary(&mut self, run: &mut Run) -> bool {
+        if self.idle() {
+            if let Some(t) = self.next_fault_s() {
+                self.wake(t, run.sink);
+            }
+        }
+        if self.apply_due_faults(run) {
+            return false;
+        }
+        for request in self.inbox.drain(..) {
+            run.handoff(request.id, SpanKind::Backoff, self.now);
+            self.scheduler.enqueue_at(request, self.now);
+        }
+        true
     }
 
     /// Apply every fault due by the node clock, oldest first (each
     /// outage advances the clock, which can make the next one due).
-    pub(crate) fn apply_due_faults(&mut self, run: &mut Run) {
+    /// Returns whether any applied.
+    fn apply_due_faults(&mut self, run: &mut Run) -> bool {
+        let first = self.next_event;
         while let Some(&ev) = self
             .plan
             .events
@@ -283,6 +366,7 @@ impl NodeState {
             run.stats.faults_applied += 1;
             self.apply_fault(&ev, run);
         }
+        self.next_event > first
     }
 
     /// Apply one fault event at an iteration boundary.
@@ -536,10 +620,15 @@ pub(crate) enum Next {
     Advance(usize),
 }
 
-/// The fleet drivers' dispatch-or-advance choice: the earlier of the
-/// next dispatch (an arrival wins a tie with a retry) and the runnable
-/// node with the smallest clock (the lower index wins a tie). A dispatch
-/// wins a tie with a node clock. `None` once nothing is left anywhere.
+/// The dispatch-or-advance choice, in one pass over the nodes. A node
+/// with work is due at its clock. An idle node is due only for its next
+/// fault (rule 1): at its clock once the fault is already due, or at the
+/// fault's own time when that comes strictly before the next dispatch.
+/// After the last dispatch an idle node's future faults stay unapplied,
+/// as nothing could observe them. The next dispatch (an arrival wins a
+/// tie with a retry) goes first unless a node is due strictly earlier;
+/// the earliest due node advances (the lower index wins a tie). `None`
+/// once nothing is left anywhere.
 pub(crate) fn next_step<'a>(
     t_arrival: Option<f64>,
     t_retry: Option<f64>,
@@ -550,20 +639,67 @@ pub(crate) fn next_step<'a>(
         (Some(a), _) => Some((a, Next::Arrival)),
         (None, r) => r.map(|r| (r, Next::Retry)),
     };
-    let runnable = nodes
-        .enumerate()
-        .filter(|(_, n)| !n.scheduler.idle())
-        .min_by(|(i, a), (j, b)| {
-            a.now
-                .partial_cmp(&b.now)
-                // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
-                .expect("finite clocks")
-                .then(i.cmp(j))
-        })
-        .map(|(i, n)| (i, n.now));
-    match (dispatch, runnable) {
-        (Some((t, next)), Some((_, now))) if t <= now => Some(next),
+    let t_dispatch = dispatch.as_ref().map(|(t, _)| *t);
+    let mut due: Option<(usize, f64)> = None;
+    for (i, n) in nodes.enumerate() {
+        let at = if !n.idle() {
+            n.now
+        } else {
+            match n.next_fault_s() {
+                Some(f) if f <= n.now => n.now,
+                Some(f) if t_dispatch.is_some_and(|d| f < d) => f,
+                _ => continue,
+            }
+        };
+        // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
+        if due.is_none_or(|(_, t)| at.partial_cmp(&t).expect("finite clocks").is_lt()) {
+            due = Some((i, at));
+        }
+    }
+    match (dispatch, due) {
+        (Some((t, next)), Some((_, at))) if t <= at => Some(next),
         (_, Some((i, _))) => Some(Next::Advance(i)),
         (dispatch, None) => dispatch.map(|(_, next)| next),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cllm_tee::platform::TeeKind;
+
+    #[test]
+    fn an_idle_node_is_due_only_for_a_fault_before_the_next_dispatch() {
+        let cfg = ServingConfig::small_test();
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at_s: 5.0,
+                kind: FaultKind::SpotPreemption,
+                outage_s: 1.0,
+            }],
+            policy: RecoveryPolicy::default(),
+        };
+        let mut n = NodeState::new(0, ServingNode::preset(TeeKind::Tdx), plan, &cfg, None);
+        let step =
+            |t_arrival: Option<f64>, n: &NodeState| next_step(t_arrival, None, std::iter::once(n));
+        assert!(matches!(step(Some(6.0), &n), Some(Next::Advance(0))));
+        assert!(
+            matches!(step(Some(5.0), &n), Some(Next::Arrival)),
+            "a dispatch wins a tie with the fault"
+        );
+        assert!(
+            step(None, &n).is_none(),
+            "after the last dispatch a future fault stays unapplied"
+        );
+        n.now = 5.0;
+        assert!(
+            matches!(step(None, &n), Some(Next::Advance(0))),
+            "an already-due fault is an event"
+        );
+        n.retire();
+        assert!(
+            matches!(step(Some(6.0), &n), Some(Next::Arrival)),
+            "a retired node takes no further faults"
+        );
     }
 }

@@ -1,10 +1,14 @@
-//! The serving event loop.
+//! The single-node serving driver, and the configuration, node and
+//! record types every driver shares.
 //!
-//! Time advances iteration by iteration: at each boundary the scheduler
-//! admits waiting requests (charging their prefill), then the whole batch
-//! performs one decode step priced by the calibrated `cllm-perf` roofline
-//! under the chosen TEE. Per-request records capture time to first token
-//! (TTFT) and time per output token (TPOT).
+//! The single node has no event loop of its own: it runs the fleet loop
+//! ([`crate::cluster`]) as a one-node fleet with no circuit breaker,
+//! unbounded admission and the retry cap. Time advances iteration by
+//! iteration: at each boundary the scheduler admits waiting requests
+//! (charging their prefill), then the whole batch performs one decode
+//! step priced by the calibrated `cllm-perf` roofline under the chosen
+//! TEE. Per-request records capture time to first token (TTFT) and time
+//! per output token (TPOT).
 //!
 //! # Faults and recovery
 //!
@@ -20,20 +24,21 @@
 //! [`FaultPlan::none`] and is
 //! byte-identical to the historic fault-free loop.
 
+use crate::cluster::run_fleet;
 use crate::faults::FaultPlan;
 use crate::kernel::KernelStats;
-use crate::node::{node_scope, NodeState, RetryRule, Run};
+use crate::node::{NodeState, RetryRule, Run};
+use crate::router::AdmissionPolicy;
 use crate::scheduler::{KvConfig, QueueStats, SchedulerLimits};
 use crate::slo::{sorted_percentile, ServingReport};
 use crate::workload::{ArrivalProcess, Request};
 use cllm_cost::SpillPenalty;
 use cllm_hw::{DType, GpuModel};
-use cllm_obs::{SpanKind, Trace, TraceSink};
+use cllm_obs::{Trace, TraceSink};
 use cllm_perf::CpuTarget;
 use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
 use cllm_workload::{zoo, ModelConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One completed request's timing record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -235,9 +240,9 @@ pub fn simulate_serving(cfg: &ServingConfig, tee: &CpuTeeConfig) -> ServingRepor
 /// Run the discrete-event serving simulation on `node` under `plan`.
 ///
 /// The loop applies every scheduled [`FaultEvent`](crate::faults::FaultEvent)
-/// at the first iteration boundary at or after its timestamp (outages
-/// serialize with compute, which is how a single-node deployment
-/// experiences them):
+/// at the first iteration boundary at or after its timestamp, or at its
+/// own time when the node is idle then (outages serialize with compute,
+/// which is how a single-node deployment experiences them):
 ///
 /// * **stall-class** — the clock and downtime advance by the outage;
 /// * **crash-class** — the running batch is drained; each victim either
@@ -294,6 +299,8 @@ pub fn simulate_serving_traced(
     (report, sink.finish())
 }
 
+/// The single node as a one-node fleet: no breaker (no router reads
+/// it), unbounded admission, nothing to spill to, and the retry cap.
 fn run_faulted(
     cfg: &ServingConfig,
     node: &ServingNode,
@@ -305,9 +312,7 @@ fn run_faulted(
         return (empty_report(), KernelStats::default());
     }
     let total_arrivals = trace.len();
-    let mut pending: VecDeque<Request> = trace.into();
-    // No router reads a breaker here, and nothing can spill.
-    let mut n = NodeState::new(0, node.clone(), plan.clone(), cfg, None);
+    let mut nodes = [NodeState::new(0, node.clone(), plan.clone(), cfg, None)];
     let mut run = Run::new(
         cfg,
         SpillPenalty::none(),
@@ -315,53 +320,14 @@ fn run_faulted(
         total_arrivals,
         sink,
     );
-
-    loop {
-        n.apply_due_faults(&mut run);
-
-        // Deliver arrivals that have happened by the node clock.
-        while pending.front().is_some_and(|r| r.arrival_s <= n.now) {
-            let r = pending.pop_front().expect("front checked");
-            run.stats.arrivals += 1;
-            if run.sink.is_enabled() {
-                run.slab.set_cursor(r.id, r.arrival_s);
-            }
-            n.scheduler.enqueue(r);
-        }
-        // Deliver retried requests whose backoff has elapsed, in
-        // (eligibility, id) order. A retry's queue-wait clock starts at
-        // re-delivery; the spent time is already in its TTFT.
-        while let Some(retry) = run.retry_queue.pop_due(n.now) {
-            run.stats.retries_delivered += 1;
-            run.handoff(retry.request.id, SpanKind::Backoff, n.now);
-            n.scheduler.enqueue_at(retry.request, n.now);
-        }
-
-        // If nothing is runnable, jump to the next thing that can happen:
-        // an arrival, a retry becoming eligible, or a fault firing first.
-        // An idle single node takes its next fault while idle; a fleet
-        // node only meets it once work wakes it.
-        if n.scheduler.idle() {
-            let next_work = pending.front().map(|r| r.arrival_s);
-            let Some(target) = next_work
-                .into_iter()
-                .chain(run.retry_queue.peek_time())
-                .reduce(f64::min)
-            else {
-                break; // no work left anywhere
-            };
-            let idle_from = n.now;
-            n.now = match n.next_fault_s() {
-                Some(t) if t < target => t,
-                _ => target,
-            };
-            run.sink
-                .span(node_scope(0), SpanKind::Idle, idle_from, n.now);
-            continue;
-        }
-        n.run_batch(&mut run);
-    }
-
+    run_fleet(
+        &mut nodes,
+        trace,
+        AdmissionPolicy::unbounded(),
+        false,
+        &mut run,
+    );
+    let [n] = nodes;
     let report = build_report(
         total_arrivals,
         n.useful_tokens,

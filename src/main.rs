@@ -29,8 +29,8 @@
 
 use cllm_core::experiments::{all_experiments, run_by_id, trace_by_id, TRACEABLE};
 use cllm_core::pipeline::{ConfidentialPipeline, DeploymentSpec};
+use cllm_cost::SpillPenalty;
 use cllm_cost::{cost_advantage_pct, cost_per_mtok, CpuPricing, GpuPricing};
-use cllm_cost::{SpillPenalty, SpotParams};
 use cllm_hw::DType;
 use cllm_perf::{simulate_gpu, CpuTarget};
 use cllm_serve::autoscale::{simulate_autoscale, AutoscaleConfig, ControllerConfig, RentalSpec};
@@ -44,6 +44,7 @@ use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
+use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
 use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, Platform, TeeKind};
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
@@ -247,22 +248,10 @@ fn num_flag<T: std::str::FromStr>(
     }
 }
 
-/// Most arrivals a `cllm serve` run may expect (`--rate` × `--duration`,
-/// at the burst peak under `--autoscale`): the simulators generate the
-/// whole trace up front and keep per-request state for all of it.
-const MAX_EXPECTED_ARRIVALS: f64 = 1.0e6;
-
-/// Cap on `--faults` × `--duration` and on `--waves` × `--duration`.
-/// Both flags scale an hourly event rate (platform fault rates are a few
-/// events per node-hour at scale 1; `--waves` counts waves per hour), and
-/// every fault schedule is generated up front: this allows the
-/// equivalent of 1,000 per hour for an hour.
-const MAX_HOURLY_RATE_X_DURATION: f64 = 3.6e6;
-
 /// Most nodes a `--nodes` fleet spec may describe, summed over groups.
 const MAX_FLEET_NODES: usize = 1024;
 
-/// Reject `what` when it exceeds `cap` (see the caps above).
+/// Reject `what` when it exceeds `cap`, one of `cllm_serve`'s work caps.
 fn capped(what: &str, value: f64, cap: f64) -> Result<(), String> {
     if value > cap {
         return Err(format!("{what} is {value:e}, above the cap of {cap:e}"));
@@ -705,9 +694,7 @@ fn cmd_serve_autoscale(
     traffic.bursts.window_s = 15.0;
     // `--waves [S]` puts the whole fleet (base + rentals) under
     // spot-class fault pressure scaled by S (default 60, the usual
-    // short-horizon compression factor). GPU fleets are preempted at
-    // GCP's spot rate here too, not `FaultRates::for_rental`'s Azure
-    // spot-GPU rate.
+    // short-horizon compression factor).
     let wave_scale = match flags.get("waves") {
         Some(v) if v.is_empty() => 60.0,
         _ => num_flag(flags, "waves", 0.0)?,
@@ -718,7 +705,7 @@ fn cmd_serve_autoscale(
         MAX_HOURLY_RATE_X_DURATION,
     )?;
     let rates = if wave_scale > 0.0 {
-        FaultRates::for_platform(kind, &SpotParams::gcp_spot()).scaled(wave_scale)
+        FaultRates::for_rental(kind, true).scaled(wave_scale)
     } else {
         FaultRates::none()
     };

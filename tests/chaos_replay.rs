@@ -9,32 +9,26 @@
 
 use cllm_chaos::point::{planted_infer_demo, PathSpec};
 use cllm_chaos::{InvalidPoint, Repro, ReproError};
+use proptest::prelude::*;
 
 #[test]
 fn chaos_corpus_replays_byte_identically() {
-    let dir = format!("{}/tests/chaos_corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/chaos_corpus exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    entries.sort();
+    let entries = corpus_texts();
     assert!(
         entries.len() >= 4,
         "corpus must hold the planted repro and one clean pin per path, found {}",
         entries.len()
     );
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let repro = Repro::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let outcome = repro
-            .replay()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    for (path, text) in entries {
+        let repro = Repro::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        // The file round-trips through to_json and from_json unchanged.
+        assert_eq!(repro.to_json(), text, "{path}: to_json changes the file");
+        let back = Repro::from_json(&repro.to_json()).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(back, repro, "{path}: from_json(to_json) changes the repro");
+        let outcome = repro.replay().unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(
-            outcome.digest,
-            repro.digest,
-            "{}: replay digest mismatch",
-            path.display()
+            outcome.digest, repro.digest,
+            "{path}: replay digest mismatch"
         );
     }
 }
@@ -189,4 +183,135 @@ fn unedited_swap_parses_and_truncated_text_is_a_parse_error() {
         Repro::from_json(&text[..text.len() / 2]),
         Err(ReproError::Parse(_))
     ));
+}
+
+#[test]
+fn repro_asking_for_too_much_work_is_rejected() {
+    use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
+    let over = |err: ReproError, want: f64| {
+        assert!(
+            matches!(err, ReproError::Invalid(InvalidPoint::OverCap { cap, .. }) if cap == want),
+            "{err:?}"
+        );
+    };
+    let edited = |name: &str, edit: fn(&mut PathSpec)| {
+        parse_edited(corpus(name), edit).expect_err("a point over a work cap must not parse")
+    };
+    over(
+        edited("clean-pin-cluster.json", |path| match path {
+            PathSpec::Cluster(p) => p.wave.waves_per_hr = 1e300,
+            other => panic!("cluster pin holds {other:?}"),
+        }),
+        MAX_HOURLY_RATE_X_DURATION,
+    );
+    over(
+        edited("clean-pin-autoscale.json", |path| match path {
+            PathSpec::Autoscale(p) => p.traffic.base_rate_per_s = 1e300,
+            other => panic!("autoscale pin holds {other:?}"),
+        }),
+        MAX_EXPECTED_ARRIVALS,
+    );
+    over(
+        edited("clean-pin-autoscale.json", |path| match path {
+            PathSpec::Autoscale(p) => p.traffic.bursts.bursts_per_hr = 1e300,
+            other => panic!("autoscale pin holds {other:?}"),
+        }),
+        MAX_HOURLY_RATE_X_DURATION,
+    );
+    over(
+        edited("clean-pin-autoscale.json", |path| match path {
+            PathSpec::Autoscale(p) => p.rental_rates.enclave_crashes_per_hr = 1e300,
+            other => panic!("autoscale pin holds {other:?}"),
+        }),
+        MAX_HOURLY_RATE_X_DURATION,
+    );
+
+    // The single-node pin edited to 1e300 arrivals per second: the CLI
+    // refuses it before generating a single arrival.
+    let text = corpus_texts()
+        .into_iter()
+        .find(|(path, _)| path.ends_with("clean-pin-single.json"))
+        .expect("the single-node pin exists")
+        .1;
+    let pinned = "\"rate_per_s\": 2.749636505241904,";
+    assert!(text.contains(pinned), "the single pin's arrival rate moved");
+    let text = text.replace(pinned, "\"rate_per_s\": 1e300,");
+    let err = Repro::from_json(&text).expect_err("1e300 arrivals per second must not parse");
+    assert!(err.to_string().contains("above the cap of 1e6"), "{err}");
+    over(err, MAX_EXPECTED_ARRIVALS);
+    let path = format!("{}/huge-rate-repro.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, &text).expect("edited repro writes");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cllm"))
+        .args(["chaos", "--repro", &path])
+        .output()
+        .expect("cllm runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&path) && stderr.contains("expected arrivals") && stderr.contains("cap"),
+        "stderr names the file and the cap: {stderr}"
+    );
+}
+
+/// Every corpus file's path and text, in name order.
+fn corpus_texts() -> Vec<(String, String)> {
+    let dir = format!("{}/tests/chaos_corpus", env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("tests/chaos_corpus exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("corpus file reads");
+            (p.display().to_string(), text)
+        })
+        .collect()
+}
+
+/// Parse `text` as a repro: it must fail with an error or yield a
+/// point that passes its check, and never panic.
+fn parse_is_total(text: &str) {
+    if let Ok(repro) = Repro::from_json(text) {
+        assert_eq!(
+            repro.point.check(),
+            Ok(()),
+            "from_json returned an unchecked point"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_text_never_panics_the_repro_parser(bytes in collection::vec(any::<u8>(), 0..600)) {
+        parse_is_total(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn truncated_corpus_text_never_panics_the_repro_parser(file in any::<usize>(), cut in 0.0f64..1.0) {
+        let texts = corpus_texts();
+        let text = &texts[file % texts.len()].1;
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+        let end = (text.len() as f64 * cut) as usize;
+        parse_is_total(&String::from_utf8_lossy(&text.as_bytes()[..end]));
+    }
+
+    #[test]
+    fn bit_flipped_corpus_text_never_panics_the_repro_parser(
+        file in any::<usize>(),
+        flips in collection::vec((0.0f64..1.0, 0u32..8), 1..6),
+    ) {
+        let texts = corpus_texts();
+        let mut bytes = texts[file % texts.len()].1.clone().into_bytes();
+        for (at, bit) in flips {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+            let i = (bytes.len() as f64 * at) as usize;
+            bytes[i] ^= 1 << bit;
+        }
+        parse_is_total(&String::from_utf8_lossy(&bytes));
+    }
 }
