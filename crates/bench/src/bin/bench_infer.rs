@@ -69,7 +69,9 @@ const BENCH: Bench = Bench {
         ("floor_naive_decode_tps", true),
         ("floor_tiled_prefill_tps", true),
         ("floor_tiled_decode_tps", true),
+        ("floor_int8_prefill_tps", true),
         ("floor_int8_decode_tps", true),
+        ("floor_int4_prefill_tps", true),
         ("floor_int4_decode_tps", true),
         ("floor_spec_decode_tps", true),
         ("floor_unseal_mb_per_s", true),
@@ -422,7 +424,9 @@ mod tests {
                 "naive_decode_tps",
                 "tiled_prefill_tps",
                 "tiled_decode_tps",
+                "int8_prefill_tps",
                 "int8_decode_tps",
+                "int4_prefill_tps",
                 "int4_decode_tps",
                 "spec_decode_tps",
                 "unseal_mb_per_s",

@@ -20,7 +20,7 @@ use cllm_serve::router::{
 use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{ServingConfig, ServingNode};
 use cllm_serve::workload::ArrivalProcess;
-use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
+use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_FLEET_NODES, MAX_HOURLY_RATE_X_DURATION};
 use cllm_tee::platform::TeeKind;
 use cllm_workload::trace::{LognormalLen, TrafficModel};
 use serde::{Deserialize, Serialize};
@@ -325,9 +325,11 @@ pub enum InvalidPoint {
         max_seq: usize,
     },
     /// A point asking for more work than `cllm serve` would run: its
-    /// expected arrivals past [`MAX_EXPECTED_ARRIVALS`], or an hourly
-    /// event rate × horizon past [`MAX_HOURLY_RATE_X_DURATION`]. Every
-    /// schedule is generated up front, so the cap bounds memory and time.
+    /// expected arrivals past [`MAX_EXPECTED_ARRIVALS`], an hourly event
+    /// rate × horizon past [`MAX_HOURLY_RATE_X_DURATION`], or more
+    /// rentals than [`MAX_FLEET_NODES`]. Every schedule is generated up
+    /// front and every rental runs an attested handshake, so the caps
+    /// bound memory and time.
     OverCap {
         /// The capped quantity.
         what: &'static str,
@@ -410,6 +412,14 @@ impl ChaosPoint {
                     "rental fault rates per hour x duration_s",
                     p.rental_rates.total_per_hr() * horizon_s,
                     MAX_HOURLY_RATE_X_DURATION,
+                )?;
+                // Also bounds the rentals one tick makes, whatever
+                // `scale_up_step` asks for.
+                #[allow(clippy::cast_precision_loss)]
+                capped(
+                    "controller.max_rented",
+                    p.controller.max_rented as f64,
+                    MAX_FLEET_NODES as f64,
                 )
             }
             PathSpec::Infer(p) => {

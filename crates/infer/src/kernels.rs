@@ -17,7 +17,7 @@
 //!   panels and input rows run at once — it never changes which chain
 //!   an output belongs to or the order along it — so `gemm` over a
 //!   batch is **bit-identical** to `gemv_tiled` per input row, and the
-//!   fused int8/int4 kernels in [`crate::quant`] share the same tiling
+//!   int8/int4 kernels in [`crate::quant`] share the same tiling
 //!   routine and order. Versus [`gemv`] each product is fused into its add
 //!   instead of rounded separately, so results may differ from the
 //!   naive kernel by float rounding; the property suite
@@ -26,16 +26,23 @@
 //! A tile of `R` input rows × `P` panels keeps its `R·P` accumulators in
 //! vector registers for the whole input dimension: each input column
 //! costs `P` weight-vector loads, `R` broadcasts and `R·P` FMAs, and the
-//! `R·P` independent chains hide the FMA latency.
+//! `R·P` independent chains hide the FMA latency. Quantized weights are
+//! dequantized in registers for each tile, or, for a call of at least
+//! [`WIDEN_ROWS`] input rows, once per band of up to 4 panels into one
+//! reused f32 buffer that the f32 tiles then run over. Either way each
+//! weight the chain sees is the same f32 product.
 //!
-//! Attention runs on the same tiles and the same FMA step. For one query
-//! position, all query heads of a KV head are scored against four key
-//! blocks of [`PANEL`] positions at a time (every chain of the tile
-//! shares each loaded key vector), and the softmax-weighted values are
-//! summed for those heads over vectors of [`PANEL`] value dimensions.
-//! Each score is one FMA chain over the head dimension and each output
-//! one FMA chain over positions, in order, so a row's attention does
-//! not depend on how many heads or positions a tile covers.
+//! Attention runs on the same tiles and the same FMA step, one call per
+//! run of up to 4 consecutive query positions of one sequence. The query
+//! heads of the whole run that share a KV head are scored as one grid
+//! against four key blocks of [`PANEL`] positions at a time (every chain
+//! of the tile shares each loaded key vector), and the softmax-weighted
+//! values are summed for those heads over vectors of [`PANEL`] value
+//! dimensions: together over the positions every row of the run
+//! attends, then per row over its own causal tail. Each score is one
+//! FMA chain over the head dimension and each output one FMA chain over
+//! positions, in order, so a row's attention does not depend on its run
+//! or on how many heads or positions a tile covers.
 //!
 //! The per-element ops are straight-line code that vectorizes: [`exp`]
 //! is a polynomial with a bit-built power of two rather than a libm
@@ -127,6 +134,11 @@ pub(crate) fn runs<T, const N: usize>(data: &[T], first: usize, len: usize) -> [
 /// A computation over a grid, run tile by tile with each tile's size
 /// as compile-time constants.
 trait Tiled {
+    /// Called once per band of `R` grid rows from `row`, before its
+    /// tiles. Bands run in grid-row order and never overlap.
+    #[inline(always)]
+    fn band<const R: usize>(&mut self, _row: usize) {}
+
     /// The tile of `R` grid rows from `row` by `C` grid columns from
     /// `col`.
     fn tile<const R: usize, const C: usize>(&mut self, row: usize, col: usize);
@@ -155,6 +167,7 @@ fn tiles<T: Tiled>(job: &mut T, rows: usize, cols: usize) {
 
 /// Every column of grid rows `row..row + R`.
 fn tile_cols<T: Tiled, const R: usize>(job: &mut T, row: usize, cols: usize) {
+    job.band::<R>(row);
     let mut c = 0;
     while c + 4 <= cols {
         job.tile::<R, 4>(row, c);
@@ -171,6 +184,10 @@ fn tile_cols<T: Tiled, const R: usize>(job: &mut T, row: usize, cols: usize) {
 
 /// A weight format stored as panels of [`PANEL`] output rows.
 pub(crate) trait Panels {
+    /// How a quantized format widens its weights for a call of at least
+    /// [`WIDEN_ROWS`] input rows; `None` for a format stored in f32.
+    const WIDEN: Option<Widen<Self>> = None;
+
     /// `(rows, cols)`: outputs and inputs.
     fn shape(&self) -> (usize, usize);
 
@@ -184,32 +201,76 @@ pub(crate) trait Panels {
     ) -> [[Lanes; P]; R];
 }
 
+/// `widen(w, first, panels, lanes)` writes the f32 weights of `panels`
+/// panels of `w` from panel `first` to `lanes`, laid out as a
+/// [`PanelMatrix`] holds them (`lanes[i * cols + c]` = column `c` of
+/// panel `first + i`): each lane the exact weight [`Panels::accumulate`]
+/// feeds [`fma_column`] there, so running the f32 tiles over `lanes`
+/// gives bit-identical outputs.
+pub(crate) type Widen<F> = fn(&F, usize, usize, &mut Vec<Lanes>);
+
+/// Input rows from which [`panel_matmul`] dequantizes each group of up
+/// to 4 panels once, into one reused buffer, and runs the f32 tiles over
+/// it, instead of dequantizing every weight again in registers for each
+/// tile of 4 input rows. Fewer rows (decode, a batch of up to 4, a
+/// speculative verify window) keep the fused path, where one or two
+/// tiles gain nothing from the buffer's stores and reloads. Set from a
+/// sweep of int8 and int4 matmuls at the `confbench` model's shapes,
+/// recorded in DESIGN.md §7.
+pub(crate) const WIDEN_ROWS: usize = 16;
+
 /// `out[b] = xs[b] · W^T` for the `n` input rows packed in `xs` (row `b`
 /// at `xs[b * cols..]`, output row `b` at `out[b * rows..]`): the one
 /// routine behind every panel format. Panels are the grid rows [`tiles`]
 /// runs in the outer loop, so a tile's weights stay in L1 while the
-/// input rows stream past them.
+/// input rows stream past them. A quantized format with at least
+/// [`WIDEN_ROWS`] input rows is [widened](Panels::WIDEN) one band of
+/// panels at a time, into a buffer of at most `4 * cols` lanes.
 pub(crate) fn panel_matmul<F: Panels>(w: &F, n: usize, xs: &[f32], out: &mut [f32]) {
     let (rows, cols) = w.shape();
     assert_eq!(xs.len(), n * cols, "matmul input dim");
     assert_eq!(out.len(), n * rows, "matmul output dim");
-    tiles(&mut Matmul { w, xs, out }, rows.div_ceil(PANEL), n);
+    let panels = rows.div_ceil(PANEL);
+    if F::WIDEN.is_some() && n >= WIDEN_ROWS {
+        let lanes = Vec::with_capacity(4 * cols);
+        tiles(&mut Matmul::<F, true> { w, xs, out, lanes }, panels, n);
+    } else {
+        let lanes = Vec::new();
+        tiles(&mut Matmul::<F, false> { w, xs, out, lanes }, panels, n);
+    }
 }
 
 /// A panel matmul as a grid of panels (rows) by input rows (columns).
-struct Matmul<'a, F> {
+/// `WIDEN` is a type parameter, not a field, so the fused tiles compile
+/// as if the widened path did not exist: a run-time choice in the tile
+/// cost the fused kernels 1–3%.
+struct Matmul<'a, F, const WIDEN: bool> {
     w: &'a F,
     xs: &'a [f32],
     out: &'a mut [f32],
+    /// The current band of panels, widened, when `WIDEN`.
+    lanes: Vec<Lanes>,
 }
 
-impl<F: Panels> Tiled for Matmul<'_, F> {
+impl<F: Panels, const WIDEN: bool> Tiled for Matmul<'_, F, WIDEN> {
+    #[inline(always)]
+    fn band<const P: usize>(&mut self, first: usize) {
+        if let (true, Some(widen)) = (WIDEN, F::WIDEN) {
+            widen(self.w, first, P, &mut self.lanes);
+        }
+    }
+
     /// Panels `first..first + P` against input rows `b..b + R`, written
     /// to the outputs those panels cover.
     #[inline(always)]
     fn tile<const P: usize, const R: usize>(&mut self, first: usize, b: usize) {
         let (rows, cols) = self.w.shape();
-        let acc = self.w.accumulate::<R, P>(first, runs(self.xs, b, cols));
+        let xs = runs(self.xs, b, cols);
+        let acc = if WIDEN {
+            accumulate_lanes::<R, P>(&self.lanes, cols, 0, xs)
+        } else {
+            self.w.accumulate::<R, P>(first, xs)
+        };
         for (r, acc) in acc.iter().enumerate() {
             let out = &mut self.out[(b + r) * rows..][..rows];
             for (i, lanes) in acc.iter().enumerate() {
@@ -281,14 +342,25 @@ impl Panels for PanelMatrix {
         first: usize,
         xs: [&[f32]; R],
     ) -> [[Lanes; P]; R] {
-        let cols = self.cols;
-        let panels: [&[Lanes]; P] = runs(&self.data, first, cols);
-        let mut acc = [[[0.0; PANEL]; P]; R];
-        for c in 0..cols {
-            fma_column(&mut acc, gather(&xs, c), &gather(&panels, c));
-        }
-        acc
+        accumulate_lanes(&self.data, self.cols, first, xs)
     }
+}
+
+/// The f32 panel tile: `P` panels of `cols` lanes each in `data`, from
+/// panel `first`, against `R` input rows.
+#[inline(always)]
+fn accumulate_lanes<const R: usize, const P: usize>(
+    data: &[Lanes],
+    cols: usize,
+    first: usize,
+    xs: [&[f32]; R],
+) -> [[Lanes; P]; R] {
+    let panels: [&[Lanes]; P] = runs(data, first, cols);
+    let mut acc = [[[0.0; PANEL]; P]; R];
+    for c in 0..cols {
+        fma_column(&mut acc, gather(&xs, c), &gather(&panels, c));
+    }
+    acc
 }
 
 /// Panel `out = x · w^T`: same contract as [`gemv`], one sequential FMA
@@ -512,23 +584,29 @@ pub fn rope(head: &mut [f32], pos: usize, theta: f32) {
     rope_rotate(head, &rope_angles([pos], head.len(), theta));
 }
 
-/// Causal attention of one query position, every head at once: `group`
-/// query heads of `dim` values share each KV head. `q` and `out` hold
-/// every query head; `keys` and `values` are one layer of the KV cache,
-/// keys in blocks of [`PANEL`] positions (`keys[block * kv_dim + d][t]`),
-/// values row-major (`values[pos * kv_dim + d]`), of which the first
-/// `seq` positions are attended. `scores` is scratch, one buffer for
-/// every head.
+/// Causal attention of a run of `run` consecutive query positions of
+/// one sequence, every head at once: `group` query heads of `dim` values
+/// share each KV head. `q` and `out` hold every query head of each row
+/// of the run; `keys` and `values` are one layer of the KV cache, keys
+/// in blocks of [`PANEL`] positions (`keys[block * kv_dim + d][t]`),
+/// values row-major (`values[pos * kv_dim + d]`), already holding every
+/// position of the run. Row `r` of the run attends the first `seq + r`
+/// positions. `scores` is scratch, one buffer for every head.
 ///
-/// For each KV head, its query heads are scored against the keys in
-/// tiles of up to 4 heads x 4 key blocks; each score is one FMA chain
-/// over `dim`, and every chain of a tile shares each loaded K vector.
-/// After a softmax per head, the values are summed in tiles of up to 4
-/// heads x 4 vectors of [`PANEL`] values; each output is one FMA chain
-/// over positions, in order.
+/// For each KV head, the query heads of every row of the run are scored
+/// against the keys as one grid, in tiles of up to 4 heads x 4 key
+/// blocks; each score is one FMA chain over `dim`, and every chain of a
+/// tile shares each loaded K vector. After a softmax per head, the
+/// values of the `seq` positions every row attends are summed for all
+/// the run's heads in tiles of up to 4 heads x 4 vectors of [`PANEL`]
+/// values, and each later row then carries its own heads' sums on over
+/// the positions only it attends. Each output is one FMA chain over
+/// positions, in order, so neither the run nor the tiling changes a
+/// result: a run of one is a decode step.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attend(
     q: &[f32],
+    run: usize,
     group: usize,
     dim: usize,
     keys: &[Lanes],
@@ -537,63 +615,98 @@ pub(crate) fn attend(
     scores: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    let kv_dim = q.len() / group;
+    let heads = HeadRows {
+        group,
+        width: q.len() / run,
+        dim,
+    };
+    let kv_dim = heads.width / group;
     let queries = group * dim;
-    let blocks = seq.div_ceil(PANEL);
+    let blocks = (seq + run - 1).div_ceil(PANEL);
     let stride = blocks * PANEL;
-    scores.resize(group * stride, 0.0);
+    scores.resize(run * group * stride, 0.0);
     #[allow(clippy::cast_precision_loss)]
     let scale = 1.0 / (dim as f32).sqrt();
     // Zero-width heads have nothing to attend.
     for kv_head in 0..kv_dim / dim.max(1) {
         tiles(
             &mut Scores {
-                q: &q[kv_head * queries..][..queries],
+                q: &q[kv_head * queries..],
+                heads,
+                band: [0; 4],
                 keys,
                 kv_dim,
                 head: kv_head * dim,
-                dim,
                 scale,
                 stride,
                 out: scores,
             },
-            group,
+            run * group,
             blocks,
         );
-        for head in scores.chunks_exact_mut(stride) {
-            softmax(&mut head[..seq]);
+        for (r, heads) in scores.chunks_exact_mut(group * stride).enumerate() {
+            for head in heads.chunks_exact_mut(stride) {
+                softmax(&mut head[..seq + r]);
+            }
         }
         let mut sums = ValueSum {
             weights: scores,
             stride,
-            seq,
             values,
             kv_dim,
             head: kv_head * dim,
-            dim,
+            heads,
+            out: &mut out[kv_head * queries..],
+            row0: 0,
+            positions: 0..0,
+            band: [0; 4],
             first: 0,
             width: PANEL,
-            out: &mut out[kv_head * queries..][..queries],
         };
-        tiles(&mut sums, group, dim / PANEL);
-        let tail = dim % PANEL;
-        if tail > 0 {
-            sums.first = dim - tail;
-            sums.width = tail;
-            tiles(&mut sums, group, 1);
+        sums.rows(0, run * group, 0..seq);
+        for r in 1..run {
+            sums.rows(r * group, group, seq..seq + r);
         }
     }
 }
 
-/// Scores of a KV head's query heads (grid rows) against its key blocks
-/// (grid columns): `out[r * stride + t]` = head `r` · key `t`, scaled.
+/// The layout of a run's query heads for one KV head, as the rows of
+/// its attention grid: grid row `i` is query head `i % group` of row
+/// `i / group` of the run, whose `dim` values sit `width` apart per row
+/// in `q` and in `out`.
+#[derive(Clone, Copy)]
+struct HeadRows {
+    group: usize,
+    width: usize,
+    dim: usize,
+}
+
+impl HeadRows {
+    /// The offsets of grid rows `row..row + R`, worked out once per band
+    /// of tiles.
+    #[inline(always)]
+    fn band<const R: usize>(self, row: usize) -> [usize; 4] {
+        let mut at = [0; 4];
+        for (i, at) in at.iter_mut().take(R).enumerate() {
+            let head = row + i;
+            *at = head / self.group * self.width + head % self.group * self.dim;
+        }
+        at
+    }
+}
+
+/// Scores of a run's query heads of one KV head (grid rows) against its
+/// key blocks (grid columns): `out[i * stride + t]` = grid row `i` · key
+/// `t`, scaled.
 struct Scores<'a> {
     q: &'a [f32],
+    heads: HeadRows,
+    /// Offsets of the current band's query heads in `q`.
+    band: [usize; 4],
     keys: &'a [Lanes],
     kv_dim: usize,
     /// First dimension of this KV head within a key.
     head: usize,
-    dim: usize,
     scale: f32,
     stride: usize,
     out: &'a mut [f32],
@@ -601,14 +714,23 @@ struct Scores<'a> {
 
 impl Tiled for Scores<'_> {
     #[inline(always)]
+    fn band<const R: usize>(&mut self, row: usize) {
+        self.band = self.heads.band::<R>(row);
+    }
+
+    #[inline(always)]
     fn tile<const R: usize, const P: usize>(&mut self, row: usize, block: usize) {
-        let queries: [&[f32]; R] = runs(self.q, row, self.dim);
+        let dim = self.heads.dim;
+        let mut queries = [&self.q[..0]; R];
+        for (q, &at) in queries.iter_mut().zip(&self.band) {
+            *q = &self.q[at..][..dim];
+        }
         let mut keys = [&self.keys[..0]; P];
         for (i, k) in keys.iter_mut().enumerate() {
-            *k = &self.keys[(block + i) * self.kv_dim + self.head..][..self.dim];
+            *k = &self.keys[(block + i) * self.kv_dim + self.head..][..dim];
         }
         let mut acc = [[[0.0; PANEL]; P]; R];
-        for d in 0..self.dim {
+        for d in 0..dim {
             fma_column(&mut acc, gather(&queries, d), &gather(&keys, d));
         }
         // Scaled in registers, then copied: scaling on the way out made
@@ -624,25 +746,35 @@ impl Tiled for Scores<'_> {
     }
 }
 
-/// Softmax-weighted value sums of a KV head's query heads (grid rows)
-/// over vectors of its value dimensions from `first` (grid columns):
-/// whole vectors of [`PANEL`] values, or the head's last `width < PANEL`
-/// values as a one-column grid.
+/// Softmax-weighted value sums of a run's query heads of one KV head
+/// (grid rows from `row0`, weights `stride` apart) over `positions`, for
+/// vectors of its value dimensions from `first` (grid columns): whole
+/// vectors of [`PANEL`] values, or the head's last `width < PANEL`
+/// values as a one-column grid. Sums over positions from 0 start at
+/// zero; later positions carry on the sums already in `out`.
 struct ValueSum<'a> {
     weights: &'a [f32],
     stride: usize,
-    seq: usize,
     values: &'a [f32],
     kv_dim: usize,
     /// First dimension of this KV head within a value.
     head: usize,
-    dim: usize,
+    heads: HeadRows,
+    out: &'a mut [f32],
+    row0: usize,
+    positions: std::ops::Range<usize>,
+    /// Offsets of the current band's heads in `out`.
+    band: [usize; 4],
     first: usize,
     width: usize,
-    out: &'a mut [f32],
 }
 
 impl Tiled for ValueSum<'_> {
+    #[inline(always)]
+    fn band<const R: usize>(&mut self, row: usize) {
+        self.band = self.heads.band::<R>(self.row0 + row);
+    }
+
     #[inline(always)]
     fn tile<const R: usize, const P: usize>(&mut self, row: usize, vector: usize) {
         let col = self.first + vector * PANEL;
@@ -651,19 +783,32 @@ impl Tiled for ValueSum<'_> {
         // compiles to plain vector loads.
         let width = if P == 1 { self.width } else { P * PANEL };
         let acc = if width == P * PANEL {
-            self.sum::<R, P>(row, col, P * PANEL)
+            self.sum::<R, P>(self.row0 + row, col, P * PANEL)
         } else {
-            self.sum::<R, P>(row, col, width)
+            self.sum::<R, P>(self.row0 + row, col, width)
         };
-        for (r, acc) in acc.iter().enumerate() {
-            self.out[(row + r) * self.dim + col..][..width]
-                .copy_from_slice(&acc.as_flattened()[..width]);
+        for (acc, &at) in acc.iter().zip(&self.band) {
+            self.out[at + col..][..width].copy_from_slice(&acc.as_flattened()[..width]);
         }
     }
 }
 
 impl ValueSum<'_> {
-    /// Heads `row..row + R` over value dimensions `col..col + width`.
+    /// Every value dimension of grid rows `row0..row0 + rows` over
+    /// `positions`.
+    fn rows(&mut self, row0: usize, rows: usize, positions: std::ops::Range<usize>) {
+        (self.row0, self.positions) = (row0, positions);
+        (self.first, self.width) = (0, PANEL);
+        let dim = self.heads.dim;
+        tiles(self, rows, dim / PANEL);
+        let tail = dim % PANEL;
+        if tail > 0 {
+            (self.first, self.width) = (dim - tail, tail);
+            tiles(self, rows, 1);
+        }
+    }
+
+    /// Grid rows `row..row + R` over value dimensions `col..col + width`.
     #[inline(always)]
     fn sum<const R: usize, const P: usize>(
         &self,
@@ -671,13 +816,21 @@ impl ValueSum<'_> {
         col: usize,
         width: usize,
     ) -> [[Lanes; P]; R] {
+        let positions = self.positions.clone();
+        // Indexed by position: each slice ends where `positions` does,
+        // so the loop below needs no bounds checks.
         let mut weights = [&self.weights[..0]; R];
         for (r, w) in weights.iter_mut().enumerate() {
-            *w = &self.weights[(row + r) * self.stride..][..self.seq];
+            *w = &self.weights[(row + r) * self.stride..][..positions.end];
+        }
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        if positions.start > 0 {
+            for (acc, &at) in acc.iter_mut().zip(&self.band) {
+                acc.as_flattened_mut()[..width].copy_from_slice(&self.out[at + col..][..width]);
+            }
         }
         let start = self.head + col;
-        let mut acc = [[[0.0; PANEL]; P]; R];
-        for t in 0..self.seq {
+        for t in positions {
             let mut v = [[0.0; PANEL]; P];
             v.as_flattened_mut()[..width]
                 .copy_from_slice(&self.values[t * self.kv_dim + start..][..width]);

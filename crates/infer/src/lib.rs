@@ -11,12 +11,14 @@
 //! * [`tensor`] — a minimal row-major f32 tensor.
 //! * [`kernels`] — panel matmul (weights interleaved in panels of 16
 //!   output rows; GEMV and batched GEMM on one register-tiled routine, plus
-//!   the scalar reference kernel), all-head attention on the same tiles,
-//!   RMSNorm, a vectorizable `exp` behind softmax and SiLU, and rotary
-//!   position embeddings from per-position angle tables.
+//!   the scalar reference kernel), all-head attention over runs of query
+//!   positions on the same tiles, RMSNorm, a vectorizable `exp` behind
+//!   softmax and SiLU, and rotary position embeddings from per-position
+//!   angle tables.
 //! * [`quant`] — group-wise int8 and packed int4 weight quantization in
-//!   the same panel layout, with fused dequant kernels and f32
-//!   accumulation, mirroring the paper's quantized deployments.
+//!   the same panel layout, dequantized in registers for decode and once
+//!   per band of panels for prefill, with f32 accumulation, mirroring the
+//!   paper's quantized deployments.
 //! * [`model`] — a Llama-architecture decoder (RMSNorm → QKV → RoPE →
 //!   attention over a KV cache with blocked keys → gated SiLU MLP) at any
 //!   size; deterministic weight initialization for reproducible tests;

@@ -18,9 +18,12 @@
 //! sin)` table once and rotates the query and key heads of every layer
 //! with it. Attention reads a [`KvCache`] whose keys are stored
 //! transposed in blocks of [`PANEL`] positions and whose values stay
-//! row-major, and handles all heads of a query position in one
-//! `kernels::attend` call: each score is one FMA chain over the head
-//! dimension, each output one FMA chain over positions.
+//! row-major. A layer first appends every row's key and value, then
+//! makes one `kernels::attend` call per run of up to 4 consecutive
+//! positions of one cache, all heads at once: a chunk attends in runs of
+//! 4, a batch or a decode step row by row. Each score is one FMA chain
+//! over the head dimension and each output one FMA chain over positions,
+//! so a row's logits do not depend on the run it was part of.
 
 use crate::kernels::{
     attend, gemm, gemv, gemv_tiled, rmsnorm, rope_angles, rope_rotate, silu, Lanes, PanelMatrix,
@@ -185,7 +188,8 @@ pub struct TinyModel {
 /// Keys are stored transposed in blocks of [`PANEL`] positions
 /// (`[block][kv_dim][PANEL]`), so attention scores a whole block with
 /// one FMA chain over the head dimension; lanes of the last block past
-/// `len` are never read. Values stay row-major (`[position][kv_dim]`).
+/// `len` are scored but never used. Values stay row-major
+/// (`[position][kv_dim]`).
 /// The serialized form ([`KvCache::to_bytes`]) is row-major for both.
 #[derive(Debug, Clone)]
 pub struct KvCache {
@@ -475,8 +479,8 @@ impl TinyModel {
     ///
     /// Each weight matrix is streamed from memory once per chunk via the
     /// batched kernels, which is what makes prefill and speculative
-    /// verification fast; causality is preserved by appending K/V
-    /// position-by-position before attending.
+    /// verification fast; causality is preserved by attending each row
+    /// over the cached positions up to its own.
     ///
     /// # Panics
     ///
@@ -555,7 +559,6 @@ impl TinyModel {
             block.wk.apply_batch(&normed, &mut k);
             block.wv.apply_batch(&normed, &mut v);
 
-            let mut attn = Matrix::zeros(n, h);
             for (i, &(c, pos)) in rows.iter().enumerate() {
                 let rotation = &angles[i * hd / 2..][..hd / 2];
                 for head in 0..cfg.heads {
@@ -564,18 +567,31 @@ impl TinyModel {
                 for head in 0..cfg.kv_heads {
                     rope_rotate(&mut k.row_mut(i)[head * hd..][..hd], rotation);
                 }
-                let cache = &mut *caches[c];
-                cache.store(layer, pos, k.row(i), v.row(i));
+                caches[c].store(layer, pos, k.row(i), v.row(i));
+            }
+            // One call per run of up to 4 consecutive positions of one
+            // cache: a chunk's rows in fours, each batch row alone.
+            let mut attn = Matrix::zeros(n, h);
+            let mut i = 0;
+            while i < n {
+                let (c, pos) = rows[i];
+                let run = 1
+                    + (1..4.min(n - i))
+                        .take_while(|&r| rows[i + r] == (c, pos + r))
+                        .count();
+                let cache = &*caches[c];
                 attend(
-                    q.row(i),
+                    &q.as_slice()[i * h..][..run * h],
+                    run,
                     group,
                     hd,
                     &cache.k[layer],
                     &cache.v[layer],
                     pos + 1,
                     &mut scores,
-                    attn.row_mut(i),
+                    &mut attn.as_mut_slice()[i * h..][..run * h],
                 );
+                i += run;
             }
 
             let mut proj = Matrix::zeros(n, h);
@@ -626,7 +642,7 @@ impl TinyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{rmsnorm, rope};
+    use crate::kernels::{rmsnorm, rope, WIDEN_ROWS};
 
     fn model() -> TinyModel {
         TinyModel::init(&TinyConfig::test_small(), 1234)
@@ -825,17 +841,20 @@ mod tests {
 
     #[test]
     fn chunked_forward_matches_for_quantized_models() {
+        // Enough rows to widen the quantized weights, ending one
+        // position into a run of 4 attention rows.
+        let tokens: Vec<usize> = (0..WIDEN_ROWS + 5).map(|i| (i * 37 + 8) % 256).collect();
         for m in [model().quantized(), model().quantized4(), model().naive()] {
-            let tokens = [8usize, 1, 77];
             let mut seq_cache = m.new_cache();
             let all: Vec<Vec<f32>> = tokens
                 .iter()
                 .map(|&t| m.forward(t, &mut seq_cache))
                 .collect();
-            let seq_last = all.last().unwrap().clone();
             let mut chunk_cache = m.new_cache();
             let chunk = m.forward_chunk(&tokens, &mut chunk_cache);
-            assert_eq!(chunk.row(tokens.len() - 1), &seq_last[..]);
+            for (i, row) in all.iter().enumerate() {
+                assert_eq!(chunk.row(i), &row[..], "position {i} diverged");
+            }
         }
     }
 

@@ -15,12 +15,17 @@
 //!   column (or, for int4, column pair) the panel's codes sit side by
 //!   side, and each group's scales form one vector of panel lanes.
 //! * **Fused dequant-GEMV/GEMM.** The quantized kernels run on the same
-//!   tiling routine as the f32 panel kernels and dequantize in
-//!   registers: each input column widens one vector of codes and
-//!   multiplies it by the group's scale vector, so every product is
-//!   `x * (q * s)` on one sequential FMA chain per output — the f32
-//!   kernels' summation order. f32 weights are never materialized in
-//!   memory.
+//!   tiling routine as the f32 panel kernels. With fewer than
+//!   `kernels::WIDEN_ROWS` input rows (decode, small batches, speculative
+//!   verification) they dequantize in registers: each input column
+//!   widens one vector of codes and multiplies it by the group's scale
+//!   vector, so every product is `x * (q * s)` on one sequential FMA
+//!   chain per output — the f32 kernels' summation order. A longer chunk
+//!   (prefill) would redo that for every tile of 4 input rows, so there
+//!   the kernel writes the same `q * s` lanes of up to 4 panels at a time
+//!   into one reused f32 buffer of at most `4 * cols` lanes and runs the
+//!   f32 tiles over it: the whole matrix is never held in f32, and the
+//!   outputs are bit-identical either way.
 //! * **Packed int4.** [`Quant4Matrix`] stores two 4-bit codes per byte
 //!   (column `2k` of a row in the low nibble, `2k+1` in the high nibble,
 //!   biased by +8), with an odd-column remainder occupying a half-used
@@ -31,7 +36,9 @@
 //! `max|group|/14` for int4. The test suite pins both bounds on
 //! adversarial matrices (all-zero, single-outlier, alternating-sign).
 
-use crate::kernels::{fma_column, gather, interleave, panel_matmul, runs, Lanes, Panels, PANEL};
+use crate::kernels::{
+    fma_column, gather, interleave, panel_matmul, runs, Lanes, Panels, Widen, PANEL,
+};
 use crate::tensor::Matrix;
 
 /// Columns per quantization group. 64 matches the engine's smallest
@@ -155,9 +162,24 @@ impl QuantMatrix {
     pub fn storage_bytes(&self) -> usize {
         self.rows * self.cols + self.rows * groups_of(self.cols) * 4
     }
+
+    /// [`Panels::WIDEN`] for this format.
+    fn widen(&self, first: usize, panels: usize, lanes: &mut Vec<Lanes>) {
+        let (cols, groups) = (self.cols, groups_of(self.cols));
+        lanes.resize(panels * cols, [0.0; PANEL]);
+        for (i, p) in (first..first + panels).enumerate() {
+            let codes = self.codes[p * cols..][..cols].chunks(GROUP);
+            let widened = lanes[i * cols..][..cols].chunks_mut(GROUP);
+            for ((widened, codes), s) in widened.zip(codes).zip(&self.scales[p * groups..]) {
+                widen_group(codes, s, widened);
+            }
+        }
+    }
 }
 
 impl Panels for QuantMatrix {
+    const WIDEN: Option<Widen<Self>> = Some(Self::widen);
+
     fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
@@ -283,9 +305,24 @@ impl Quant4Matrix {
     pub fn storage_bytes(&self) -> usize {
         self.rows * self.cols.div_ceil(2) + self.rows * groups_of(self.cols) * 4
     }
+
+    /// [`Panels::WIDEN`] for this format.
+    fn widen(&self, first: usize, panels: usize, lanes: &mut Vec<Lanes>) {
+        let (cols, groups, pairs) = (self.cols, groups_of(self.cols), self.cols.div_ceil(2));
+        lanes.resize(panels * cols, [0.0; PANEL]);
+        for (i, p) in (first..first + panels).enumerate() {
+            let codes = self.codes[p * pairs..][..pairs].chunks(GROUP / 2);
+            let widened = lanes[i * cols..][..cols].chunks_mut(GROUP);
+            for ((widened, codes), s) in widened.zip(codes).zip(&self.scales[p * groups..]) {
+                widen_group4(codes, s, widened);
+            }
+        }
+    }
 }
 
 impl Panels for Quant4Matrix {
+    const WIDEN: Option<Widen<Self>> = Some(Self::widen);
+
     fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
@@ -324,9 +361,44 @@ impl Panels for Quant4Matrix {
     }
 }
 
+/// One group of one int8 panel widened: `widened[c][j] = codes[c][j] *
+/// s[j]`, the product [`QuantMatrix`]'s fused kernel forms.
+///
+/// Kept out of line: inlined into the group loop, LLVM vectorized across
+/// columns (byte inserts and scatters) rather than across the 16 lanes,
+/// and widening ran about 15x slower.
+#[inline(never)]
+fn widen_group(codes: &[[i8; PANEL]], s: &Lanes, widened: &mut [Lanes]) {
+    for (w, q) in widened.iter_mut().zip(codes) {
+        for ((w, q), s) in w.iter_mut().zip(q).zip(s) {
+            *w = f32::from(*q) * s;
+        }
+    }
+}
+
+/// One group of one int4 panel widened, two columns per byte vector,
+/// low nibble first; an odd final column leaves the high nibble unused.
+/// Out of line for the reason [`widen_group`] is.
+#[inline(never)]
+fn widen_group4(bytes: &[[u8; PANEL]], s: &Lanes, widened: &mut [Lanes]) {
+    let (pairs, odd) = widened.as_chunks_mut::<2>();
+    for ([lo, hi], b) in pairs.iter_mut().zip(bytes) {
+        for (((lo, hi), b), s) in lo.iter_mut().zip(hi).zip(b).zip(s) {
+            *lo = nibble(b & 0x0F) * s;
+            *hi = nibble(b >> 4) * s;
+        }
+    }
+    if let ([lo], Some(b)) = (odd, bytes.get(pairs.len())) {
+        for ((lo, b), s) in lo.iter_mut().zip(b).zip(s) {
+            *lo = nibble(b & 0x0F) * s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::WIDEN_ROWS;
 
     fn sample(rows: usize, cols: usize, seed: u32) -> Matrix {
         // Small deterministic pseudo-random matrix.
@@ -462,21 +534,27 @@ mod tests {
 
     #[test]
     fn quantized_gemm_bit_identical_to_gemv() {
-        let m = sample(5, 33, 17);
-        let xs = sample(3, 33, 19);
+        // 100 rows: bands of 4, 2 and 1 panels, the last one ragged. 97
+        // columns: a whole group, then a ragged one ending on a half
+        // byte. Batches on both sides of WIDEN_ROWS run the fused and
+        // the widened kernels.
+        let m = sample(100, 97, 17);
         let q8 = QuantMatrix::quantize(&m);
         let q4 = Quant4Matrix::quantize(&m);
-        let mut out8 = Matrix::zeros(3, 5);
-        let mut out4 = Matrix::zeros(3, 5);
-        q8.gemm(&xs, &mut out8);
-        q4.gemm(&xs, &mut out4);
-        for b in 0..3 {
-            let mut s8 = vec![0.0; 5];
-            let mut s4 = vec![0.0; 5];
-            q8.gemv(xs.row(b), &mut s8);
-            q4.gemv(xs.row(b), &mut s4);
-            assert_eq!(out8.row(b), &s8[..]);
-            assert_eq!(out4.row(b), &s4[..]);
+        for batch in [3, WIDEN_ROWS - 1, WIDEN_ROWS, 2 * WIDEN_ROWS + 3] {
+            let xs = sample(batch, 97, 19);
+            let mut out8 = Matrix::zeros(batch, 100);
+            let mut out4 = Matrix::zeros(batch, 100);
+            q8.gemm(&xs, &mut out8);
+            q4.gemm(&xs, &mut out4);
+            for b in 0..batch {
+                let mut s8 = vec![0.0; 100];
+                let mut s4 = vec![0.0; 100];
+                q8.gemv(xs.row(b), &mut s8);
+                q4.gemv(xs.row(b), &mut s4);
+                assert_eq!(out8.row(b), &s8[..], "int8 row {b} of {batch}");
+                assert_eq!(out4.row(b), &s4[..], "int4 row {b} of {batch}");
+            }
         }
     }
 

@@ -102,6 +102,14 @@ pub const MAX_EXPECTED_ARRIVALS: f64 = 1.0e6;
 /// of 1,000 per hour for an hour.
 pub const MAX_HOURLY_RATE_X_DURATION: f64 = 3.6e6;
 
+/// Most nodes one fleet may hold: the nodes a `cllm serve --nodes` spec
+/// describes, or the rentals an autoscaler may hold at once
+/// (`ControllerConfig::max_rented`, which also bounds how many it rents
+/// in one tick). Every rental runs a real attested handshake, and every
+/// node keeps its own queues and fault schedule. `cllm serve` and chaos
+/// repro files both refuse a fleet past it.
+pub const MAX_FLEET_NODES: usize = 1024;
+
 pub mod autoscale;
 pub mod cluster;
 pub mod faults;

@@ -136,32 +136,29 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
     let mut trusted_files: Vec<TrustedFile> = Vec::new();
     let mut encrypted_files: Vec<EncryptedFile> = Vec::new();
 
-    // Join multi-line arrays: collect logical statements first.
+    // Join multi-line arrays: collect logical statements first. Each
+    // line is scanned once, so a long array costs linear time.
     let mut statements: Vec<(usize, String)> = Vec::new();
     let mut pending: Option<(usize, String)> = None;
+    let mut nesting = Nesting::default();
     for (i, raw_line) in text.lines().enumerate() {
-        let line_no = i + 1;
         let line = raw_line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        match pending.take() {
+        nesting.scan(line);
+        let (start, acc) = match pending.take() {
             Some((start, mut acc)) => {
                 acc.push(' ');
                 acc.push_str(line);
-                if balanced(&acc) {
-                    statements.push((start, acc));
-                } else {
-                    pending = Some((start, acc));
-                }
+                (start, acc)
             }
-            None => {
-                if balanced(line) {
-                    statements.push((line_no, line.to_owned()));
-                } else {
-                    pending = Some((line_no, line.to_owned()));
-                }
-            }
+            None => (i + 1, line.to_owned()),
+        };
+        if nesting.balanced() {
+            statements.push((start, acc));
+        } else {
+            pending = Some((start, acc));
         }
     }
     if let Some((start, _)) = pending {
@@ -233,18 +230,30 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
     Ok(manifest)
 }
 
-fn balanced(s: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' | '{' if !in_str => depth += 1,
-            ']' | '}' if !in_str => depth -= 1,
-            _ => {}
+/// Bracket depth and string state of the text of a statement scanned
+/// so far. A statement ends at the first line after which no bracket is
+/// open and no string runs on.
+#[derive(Default)]
+struct Nesting {
+    depth: i64,
+    in_str: bool,
+}
+
+impl Nesting {
+    fn scan(&mut self, line: &str) {
+        for b in line.bytes() {
+            match b {
+                b'"' => self.in_str = !self.in_str,
+                b'[' | b'{' if !self.in_str => self.depth += 1,
+                b']' | b'}' if !self.in_str => self.depth -= 1,
+                _ => {}
+            }
         }
     }
-    depth == 0 && !in_str
+
+    fn balanced(&self) -> bool {
+        self.depth == 0 && !self.in_str
+    }
 }
 
 fn parse_array_items(line: usize, raw: &str) -> Result<Vec<String>, ParseError> {
@@ -276,6 +285,7 @@ fn strip_uri(uri: &str) -> String {
 mod tests {
     use super::*;
     use cllm_crypto::sha256::{sha256, to_hex};
+    use proptest::prelude::*;
 
     fn sample_text() -> String {
         let lib_hash = to_hex(&sha256(b"library-bytes"));
@@ -392,5 +402,73 @@ sgx.trusted_files = [ { uri = "file:/x", sha256 = "abcd" } ]
         let m = parse_manifest(&sample_text()).unwrap();
         // tmpfs mount does not become an encrypted file.
         assert_eq!(m.encrypted_files.len(), 1);
+    }
+
+    #[test]
+    fn long_multi_line_arrays_parse() {
+        // Each line of an open array used to rescan the whole statement,
+        // quadratic in its length.
+        let hash = to_hex(&sha256(b"library-bytes"));
+        let entries: String = (0..20_000)
+            .map(|i| format!("  {{ uri = \"file:/lib/{i}.so\", sha256 = \"{hash}\" }},\n"))
+            .collect();
+        let open = format!("libos.entrypoint = \"e\"\nsgx.trusted_files = [\n{entries}");
+        let e = parse_manifest(&open).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("unterminated"), "{}", e.message);
+        let m = parse_manifest(&(open + "]\n")).unwrap();
+        assert_eq!(m.trusted_files.len(), 20_000);
+        assert_eq!(m.trusted_files[19_999].path, "/lib/19999.so");
+    }
+
+    /// The parse of `text` is total: a manifest that validates, or an
+    /// error on one of its lines.
+    fn parse_is_total(text: &str) {
+        match parse_manifest(text) {
+            Ok(m) => assert_eq!(m.validate(), Ok(())),
+            Err(e) => {
+                let lines = text.lines().count().max(1);
+                assert!(
+                    (1..=lines).contains(&e.line),
+                    "line {} outside 1..={lines}: {e}",
+                    e.line
+                );
+            }
+        }
+    }
+
+    /// Bytes manifest syntax is made of, so random text reaches deep
+    /// parser states.
+    const ALPHABET: &[u8] =
+        b"[]{}\",=#. \n\nabefGKM0137libos.entrypointsgx.trusted_filesfs.mountsurisha256";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_text_never_panics_the_manifest_parser(
+            bytes in collection::vec(any::<u8>(), 0..400),
+            picks in collection::vec(0..ALPHABET.len(), 0..400),
+        ) {
+            parse_is_total(&String::from_utf8_lossy(&bytes));
+            let text: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
+            parse_is_total(&String::from_utf8_lossy(&text));
+        }
+
+        #[test]
+        fn truncated_or_byte_flipped_figure2_never_panics_the_manifest_parser(
+            cut in 0.0f64..1.0,
+            flips in collection::vec((0.0f64..1.0, any::<u8>()), 1..6),
+        ) {
+            let text = sample_text().into_bytes();
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+            let at = |f: f64| (text.len() as f64 * f) as usize;
+            parse_is_total(&String::from_utf8_lossy(&text[..at(cut)]));
+            let mut flipped = text.clone();
+            for (f, byte) in flips {
+                flipped[at(f)] = byte;
+            }
+            parse_is_total(&String::from_utf8_lossy(&flipped));
+        }
     }
 }

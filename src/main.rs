@@ -44,7 +44,7 @@ use cllm_serve::scheduler::{KvConfig, KvPolicy};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
-use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
+use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_FLEET_NODES, MAX_HOURLY_RATE_X_DURATION};
 use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, Platform, TeeKind};
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
@@ -247,9 +247,6 @@ fn num_flag<T: std::str::FromStr>(
         )),
     }
 }
-
-/// Most nodes a `--nodes` fleet spec may describe, summed over groups.
-const MAX_FLEET_NODES: usize = 1024;
 
 /// Reject `what` when it exceeds `cap`, one of `cllm_serve`'s work caps.
 fn capped(what: &str, value: f64, cap: f64) -> Result<(), String> {
@@ -710,6 +707,12 @@ fn cmd_serve_autoscale(
         FaultRates::none()
     };
     let warm_pool = num_flag(flags, "warm-pool", 0)?;
+    let max_rented: usize = num_flag(flags, "max-rented", 6)?;
+    if max_rented > MAX_FLEET_NODES {
+        return Err(format!(
+            "--max-rented {max_rented} is above the cap of {MAX_FLEET_NODES} nodes"
+        ));
+    }
     let cfg = AutoscaleConfig {
         serving: ServingConfig {
             duration_s: duration,
@@ -728,7 +731,7 @@ fn cmd_serve_autoscale(
         warm_pool,
         controller: ControllerConfig {
             control_interval_s: 2.0,
-            max_rented: num_flag(flags, "max-rented", 6)?,
+            max_rented,
             ..ControllerConfig::default()
         },
         tiers: TieredAdmission::default(),

@@ -187,7 +187,7 @@ fn unedited_swap_parses_and_truncated_text_is_a_parse_error() {
 
 #[test]
 fn repro_asking_for_too_much_work_is_rejected() {
-    use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_HOURLY_RATE_X_DURATION};
+    use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_FLEET_NODES, MAX_HOURLY_RATE_X_DURATION};
     let over = |err: ReproError, want: f64| {
         assert!(
             matches!(err, ReproError::Invalid(InvalidPoint::OverCap { cap, .. }) if cap == want),
@@ -226,31 +226,55 @@ fn repro_asking_for_too_much_work_is_rejected() {
         MAX_HOURLY_RATE_X_DURATION,
     );
 
-    // The single-node pin edited to 1e300 arrivals per second: the CLI
-    // refuses it before generating a single arrival.
-    let text = corpus_texts()
-        .into_iter()
-        .find(|(path, _)| path.ends_with("clean-pin-single.json"))
-        .expect("the single-node pin exists")
-        .1;
-    let pinned = "\"rate_per_s\": 2.749636505241904,";
-    assert!(text.contains(pinned), "the single pin's arrival rate moved");
-    let text = text.replace(pinned, "\"rate_per_s\": 1e300,");
-    let err = Repro::from_json(&text).expect_err("1e300 arrivals per second must not parse");
-    assert!(err.to_string().contains("above the cap of 1e6"), "{err}");
-    over(err, MAX_EXPECTED_ARRIVALS);
-    let path = format!("{}/huge-rate-repro.json", env!("CARGO_TARGET_TMPDIR"));
-    std::fs::write(&path, &text).expect("edited repro writes");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cllm"))
-        .args(["chaos", "--repro", &path])
-        .output()
-        .expect("cllm runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains(&path) && stderr.contains("expected arrivals") && stderr.contains("cap"),
-        "stderr names the file and the cap: {stderr}"
-    );
+    // The single-node pin edited to 1e300 arrivals per second, and the
+    // autoscale pin to 1e9 rentals, each one attested handshake, rented
+    // up to 1e9 per tick: the CLI refuses both before any work.
+    for (name, pinned, edit, cap, what) in [
+        (
+            "clean-pin-single.json",
+            "\"rate_per_s\": 2.749636505241904,",
+            "\"rate_per_s\": 1e300,",
+            MAX_EXPECTED_ARRIVALS,
+            "expected arrivals",
+        ),
+        (
+            "clean-pin-autoscale.json",
+            "\"scale_up_step\": 2,\n          \"max_rented\": 0,",
+            "\"scale_up_step\": 1000000000,\n          \"max_rented\": 1000000000,",
+            MAX_FLEET_NODES as f64,
+            "max_rented",
+        ),
+    ] {
+        let text = corpus_texts()
+            .into_iter()
+            .find(|(path, _)| path.ends_with(name))
+            .expect("the pin exists")
+            .1;
+        assert!(text.contains(pinned), "{name} no longer holds {pinned}");
+        let text = text.replace(pinned, edit);
+        let err = Repro::from_json(&text).expect_err("a point over a work cap must not parse");
+        // The message names the quantity and prints the cap's value:
+        // 1e6 for the single pin, 1.024e3 for the autoscale pin.
+        let message = err.to_string();
+        assert!(message.contains(what), "{message}");
+        assert!(
+            message.contains(&format!("above the cap of {cap:e}")),
+            "{message}"
+        );
+        over(err, cap);
+        let path = format!("{}/over-cap-{name}", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&path, &text).expect("edited repro writes");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cllm"))
+            .args(["chaos", "--repro", &path])
+            .output()
+            .expect("cllm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&path) && stderr.contains(what) && stderr.contains("cap"),
+            "stderr names the file and the cap: {stderr}"
+        );
+    }
 }
 
 /// Every corpus file's path and text, in name order.

@@ -66,6 +66,10 @@ fn oversized_fleets_and_loads_hit_their_caps() {
     assert_usage_error(&["--nodes", "99999999999xtdx"], "more than 1024 nodes");
     assert_usage_error(&["--nodes", "600xtdx,600xsgx"], "more than 1024 nodes");
     assert_usage_error(
+        &["--autoscale", "--max-rented", "1025"],
+        "--max-rented 1025 is above the cap of 1024 nodes",
+    );
+    assert_usage_error(
         &["--rate", "1e9", "--duration", "60"],
         "--rate x --duration",
     );
