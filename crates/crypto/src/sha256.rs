@@ -160,10 +160,11 @@ pub fn to_hex(bytes: &[u8]) -> String {
 
 /// Parse a lowercase/uppercase hex string into bytes.
 ///
-/// Returns `None` on odd length or non-hex characters.
+/// Returns `None` on odd length or on any character that is not an
+/// ASCII hex digit (`u8::from_str_radix` alone would take a sign).
 #[must_use]
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    if !s.len().is_multiple_of(2) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     (0..s.len())
@@ -232,5 +233,13 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&d)).unwrap(), d.to_vec());
         assert!(from_hex("abc").is_none());
         assert!(from_hex("zz").is_none());
+    }
+
+    #[test]
+    fn hex_takes_no_sign() {
+        assert!(from_hex("+f").is_none());
+        assert!(from_hex("-f").is_none());
+        assert!(from_hex(&"+f".repeat(32)).is_none());
+        assert_eq!(from_hex("0fF0"), Some(vec![0x0f, 0xf0]));
     }
 }

@@ -40,7 +40,7 @@
 use crate::cluster::NodeSpec;
 use crate::faults::{hs_seed, FaultEvent, FaultPlan, FaultRates};
 use crate::kernel::KernelStats;
-use crate::node::{clamp_to_horizon, next_step, Next, NodeState, RetryRule, Run};
+use crate::node::{clamp_to_horizon, next_step, DueSet, Next, NodeState, RetryRule, Run};
 use crate::router::{
     route_least_loaded, BreakerConfig, Brownout, BrownoutConfig, RetryBudget, RetryStormGuard,
     TieredAdmission,
@@ -410,21 +410,30 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let mut low_ticks = 0u32;
 
     // A retired node is idle and has no faults left (it retires only
-    // once idle and is never routed to again), so the scan may look at
-    // every node.
-    while let Some(next) = next_step(
-        pending.front().map(|r| r.arrival_s),
-        run.retry_queue.peek_time(),
-        nodes.iter().map(|n| &n.st),
-    ) {
-        match next {
+    // once idle and is never routed to again), so it leaves the due set
+    // when its retiring event re-places it.
+    let mut due = DueSet::new(nodes.iter().map(|n| &n.st));
+    loop {
+        let t_arrival = pending.front().map(|r| r.arrival_s);
+        let t_retry = run.retry_queue.peek_time();
+        let next = due.next(t_arrival, t_retry);
+        debug_assert_eq!(
+            next,
+            next_step(t_arrival, t_retry, nodes.iter().map(|n| &n.st)),
+            "the due set must choose what the scan chooses"
+        );
+        let Some(next) = next else { break };
+        // The node the event touched, if any.
+        let touched = match next {
             Next::Arrival => {
                 let mut r = pending.pop_front().expect("arrival checked");
                 run.stats.arrivals += 1;
                 let t = r.arrival_s;
                 let tier = tier_of(r.id);
 
-                // Controller tick (deterministic, sim-time driven).
+                // Controller tick (deterministic, sim-time driven). It may
+                // rent, drain or retire nodes and move queued work, so
+                // every node is re-placed after it.
                 if t >= next_control_s {
                     next_control_s = t + cfg.controller.control_interval_s;
                     run_controller(
@@ -442,6 +451,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                         &mut low_ticks,
                         run.sink,
                     );
+                    due.sync(nodes.iter().map(|n| &n.st));
                 }
 
                 // Brownout: degrade output length before shedding.
@@ -476,6 +486,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                         run.stats.rejections += 1;
                     }
                 }
+                target
             }
             Next::Retry => {
                 let (t, e) = run.retry_queue.pop().expect("retry checked");
@@ -490,53 +501,22 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
                     run.slab.mark_spilled(e.request.id);
                 }
                 nodes[target].st.post(e.request, t, run.sink);
+                Some(target)
             }
             Next::Advance(i) => {
-                let n = &mut nodes[i];
-                let open = n.st.open_boundary(&mut run);
-
-                if n.draining {
-                    // Drain deadline: a draining node out of grace
-                    // force-drains its running batch to the retry path.
-                    if n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
-                        let now = n.st.now;
-                        n.st.requeue_or_abort(now, &mut run);
-                    }
-                    // A gray StuckDrain window wedges the scale-down: the
-                    // node keeps renting (billed until it actually
-                    // retires) without serving. `drain_deadline_s` is
-                    // horizon-clamped when the controller sets it, so
-                    // the billed tail is bounded.
-                    if n.st.idle() {
-                        n.retire_drained();
-                        continue;
-                    }
-                }
-                // A boundary that applied faults ends after the drain
-                // checks: what arrived during the outage queues first.
-                if !open {
-                    continue;
-                }
-
-                // Tier staleness deadlines: shed queued requests past
-                // their tier's patience.
-                let now = n.st.now;
-                let dropped =
-                    n.st.scheduler
-                        .shed(|r| now - r.arrival_s > cfg.tiers.policy(tier_of(r.id)).deadline_s);
-                shed += dropped.len();
-                run.stats.rejections += dropped.len() as u64;
-                for r in &dropped {
-                    tiers_out[tier_of(r.id).index()].shed += 1;
-                }
-
-                n.st.run_batch(&mut run);
-                // A drained node retires the moment it runs out of work,
-                // so no idle fault can push its clock, and its bill, on.
-                if n.draining && n.st.idle() {
-                    n.retire_drained();
-                }
+                advance(
+                    &mut nodes[i],
+                    cfg,
+                    &tier_of,
+                    &mut run,
+                    &mut shed,
+                    &mut tiers_out,
+                );
+                Some(i)
             }
+        };
+        if let Some(i) = touched {
+            due.update(i, &nodes[i].st);
         }
     }
 
@@ -667,6 +647,62 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
         );
     }
     (report, run.stats)
+}
+
+/// Open node `n`'s boundary and run one batch there: a draining node
+/// past its deadline force-drains its running batch first and retires
+/// once idle, and the tiers' staleness deadlines shed what waited too
+/// long.
+fn advance(
+    n: &mut FleetNode,
+    cfg: &AutoscaleConfig,
+    tier_of: &impl Fn(u64) -> Tier,
+    run: &mut Run,
+    shed: &mut usize,
+    tiers_out: &mut [TierReport; 3],
+) {
+    let open = n.st.open_boundary(run);
+
+    if n.draining {
+        // Drain deadline: a draining node out of grace force-drains its
+        // running batch to the retry path.
+        if n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
+            let now = n.st.now;
+            n.st.requeue_or_abort(now, run);
+        }
+        // A gray StuckDrain window wedges the scale-down: the node keeps
+        // renting (billed until it actually retires) without serving.
+        // `drain_deadline_s` is horizon-clamped when the controller sets
+        // it, so the billed tail is bounded.
+        if n.st.idle() {
+            n.retire_drained();
+            return;
+        }
+    }
+    // A boundary that applied faults ends after the drain checks: what
+    // arrived during the outage queues first.
+    if !open {
+        return;
+    }
+
+    // Tier staleness deadlines: shed queued requests past their tier's
+    // patience.
+    let now = n.st.now;
+    let dropped =
+        n.st.scheduler
+            .shed(|r| now - r.arrival_s > cfg.tiers.policy(tier_of(r.id)).deadline_s);
+    *shed += dropped.len();
+    run.stats.rejections += dropped.len() as u64;
+    for r in &dropped {
+        tiers_out[tier_of(r.id).index()].shed += 1;
+    }
+
+    n.st.run_batch(run);
+    // A drained node retires the moment it runs out of work, so no idle
+    // fault can push its clock, and its bill, on.
+    if n.draining && n.st.idle() {
+        n.retire_drained();
+    }
 }
 
 /// The eligible nodes whose breaker accepts new work at `t`, with their
@@ -951,6 +987,32 @@ mod tests {
         let tier_arrivals: usize = r.tiers.iter().map(|t| t.arrivals).sum();
         assert_eq!(tier_arrivals, r.arrivals);
         assert!(r.usd_per_mtok > 0.0);
+    }
+
+    /// A controller tick rents, drains and retires nodes and moves
+    /// queued work between them; the loop must re-place every node in
+    /// its due set after one (debug builds check each choice against
+    /// the reference scan). Rentals that fault while idle, and drains
+    /// that hand work to idle nodes, exercise both.
+    #[test]
+    fn ticks_keep_the_due_set_in_step_with_the_fleet() {
+        let mut scale_downs = 0;
+        for seed in 0..8 {
+            let mut cfg = base_cfg(small_traffic(1.0, 20.0, seed));
+            cfg.base_fleet = vec![quiet_base(1), quiet_base(2)];
+            cfg.rental.rates = FaultRates {
+                preemptions_per_hr: 720.0,
+                attestation_failures_per_hr: 360.0,
+                stuck_drains_per_hr: 360.0,
+                ..FaultRates::none()
+            };
+            cfg.controller.scale_up_step = 2;
+            let (r, stats) = simulate_autoscale_stats(&cfg);
+            assert_eq!(r.completed + r.aborted + r.shed, r.arrivals);
+            assert!(r.scale_ups > 0 && stats.faults_applied > 0, "seed {seed}");
+            scale_downs += r.scale_downs;
+        }
+        assert!(scale_downs > 0, "some tick drains a rental");
     }
 
     #[test]

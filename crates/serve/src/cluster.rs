@@ -34,7 +34,7 @@
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 use crate::kernel::KernelStats;
-use crate::node::{next_step, node_scope, Next, NodeState, RetryRule, Run};
+use crate::node::{next_step, node_scope, DueSet, Next, NodeState, RetryRule, Run};
 use crate::router::{route_least_loaded, AdmissionPolicy, BreakerConfig, BreakerState};
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
 use crate::slo::sorted_percentile;
@@ -365,10 +365,11 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
 /// nothing is left anywhere, returning the requests rejected and the
 /// failovers that spilled across platform classes.
 ///
-/// Each step is [`next_step`]'s choice: route the next arrival or retry
+/// Each step is the [`DueSet`]'s choice: route the next arrival or retry
 /// (a retry waits in its node's inbox for the next boundary), or open
 /// the earliest due node's boundary and run one batch there, after the
-/// admission deadline has shed what waited too long. The single-node
+/// admission deadline has shed what waited too long. An event touches at
+/// most one node, which alone is re-placed in the due set. The single-node
 /// simulator is this loop over one node with no breaker, unbounded
 /// admission and no spill penalty. A fleet of one has no routing choice,
 /// so it records no `route` or `failover` event.
@@ -383,19 +384,27 @@ pub(crate) fn run_fleet(
     let mut pending: VecDeque<Request> = trace.into();
     let mut rejected = 0usize;
     let mut spills = 0u64;
+    let mut due = DueSet::new(nodes.iter());
 
-    while let Some(next) = next_step(
-        pending.front().map(|r| r.arrival_s),
-        run.retry_queue.peek_time(),
-        nodes.iter(),
-    ) {
-        match next {
+    loop {
+        let t_arrival = pending.front().map(|r| r.arrival_s);
+        let t_retry = run.retry_queue.peek_time();
+        let next = due.next(t_arrival, t_retry);
+        debug_assert_eq!(
+            next,
+            next_step(t_arrival, t_retry, nodes.iter()),
+            "the due set must choose what the scan chooses"
+        );
+        let Some(next) = next else { break };
+        // The node the event touched, if any.
+        let touched = match next {
             Next::Arrival => {
                 let r = pending.pop_front().expect("arrival checked");
                 run.stats.arrivals += 1;
                 let t = r.arrival_s;
                 let open = open_nodes(nodes, admission.queue_cap, t, run.sink);
-                if let Some(i) = route_least_loaded(&open) {
+                let target = route_least_loaded(&open);
+                if let Some(i) = target {
                     if run.sink.is_enabled() {
                         run.slab.set_cursor(r.id, t);
                         if routed {
@@ -410,6 +419,7 @@ pub(crate) fn run_fleet(
                     run.sink
                         .event(Scope::Request(r.id), "reject", t, String::new());
                 }
+                target
             }
             Next::Retry => {
                 let (t, e) = run.retry_queue.pop().expect("retry checked");
@@ -447,27 +457,31 @@ pub(crate) fn run_fleet(
                     });
                 }
                 nodes[target].post(e.request, t, run.sink);
+                Some(target)
             }
             Next::Advance(i) => {
                 let n = &mut nodes[i];
-                if !n.open_boundary(run) {
-                    continue;
-                }
-                // Admission control: shed queued requests past their
-                // deadline.
-                if admission.deadline_s.is_finite() {
-                    let (now, deadline_s) = (n.now, admission.deadline_s);
-                    let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
-                    rejected += shed.len();
-                    run.stats.rejections += shed.len() as u64;
-                    for r in &shed {
-                        run.end_chain(r.id, SpanKind::QueueWait, now);
-                        run.sink
-                            .event(Scope::Request(r.id), "shed", now, String::new());
+                if n.open_boundary(run) {
+                    // Admission control: shed queued requests past their
+                    // deadline.
+                    if admission.deadline_s.is_finite() {
+                        let (now, deadline_s) = (n.now, admission.deadline_s);
+                        let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
+                        rejected += shed.len();
+                        run.stats.rejections += shed.len() as u64;
+                        for r in &shed {
+                            run.end_chain(r.id, SpanKind::QueueWait, now);
+                            run.sink
+                                .event(Scope::Request(r.id), "shed", now, String::new());
+                        }
                     }
+                    n.run_batch(run);
                 }
-                n.run_batch(run);
+                Some(i)
             }
+        };
+        if let Some(i) = touched {
+            due.update(i, &nodes[i]);
         }
     }
 

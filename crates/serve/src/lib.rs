@@ -17,10 +17,11 @@
 //!   faults as events, a fault ending the boundary, routed retries
 //!   joining from an inbox), one batching iteration (admit, prefill with
 //!   re-attest/requant/swap-in, page-pressure eviction, derated decode,
-//!   completion records, breaker-close toll), the horizon clamp, and the
-//!   dispatch-or-advance choice. Two loops drive it: the fleet loop of
-//!   [`cluster`], which [`sim`] runs as a one-node fleet, and the
-//!   autoscaler's, whose routing and control really differ.
+//!   completion records, breaker-close toll) priced from per-run tables
+//!   of the roofline, the horizon clamp, and the dispatch-or-advance
+//!   choice, kept in min-trees over the nodes. Two loops drive it: the
+//!   fleet loop of [`cluster`], which [`sim`] runs as a one-node fleet,
+//!   and the autoscaler's, whose routing and control really differ.
 //! * [`workload::ArrivalProcess`] — deterministic-seeded Poisson request
 //!   arrivals with configurable prompt/output length distributions.
 //! * [`scheduler::ContinuousBatcher`] — iteration-level scheduling:

@@ -13,15 +13,17 @@
 //! * victim requeue-or-abort ([`NodeState::requeue_or_abort`]) under one
 //!   [`RetryRule`];
 //! * the batch boundary ([`NodeState::open_boundary`]) and one batching
-//!   iteration ([`NodeState::run_batch`]);
+//!   iteration ([`NodeState::run_batch`]), whose prefill and decode
+//!   prices come from the run's per-node price tables ([`Run`]);
 //! * the horizon clamp ([`clamp_to_horizon`]);
-//! * the dispatch-or-advance choice ([`next_step`]).
+//! * the dispatch-or-advance choice ([`DueSet`], with [`next_step`]'s
+//!   scan as its reference).
 //!
 //! Three boundary rules make a one-node fleet the single node:
 //!
 //! 1. **Idle faults are events.** An idle node's next fault is due at
 //!    the node's clock once it is already due, or at its own time when
-//!    it comes strictly before the next dispatch ([`next_step`]).
+//!    it comes strictly before the next dispatch ([`DueSet::next`]).
 //! 2. **A fault ends the boundary.** A boundary that applies faults ends
 //!    there, so arrivals that came during the outage join the queue
 //!    before the next batch.
@@ -47,6 +49,8 @@ use crate::workload::Request;
 use cllm_cost::SpillPenalty;
 use cllm_obs::{Scope, SpanKind, TraceSink};
 use cllm_workload::kv;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Trace scope for the fleet's `i`-th node (a single node is node 0).
 pub(crate) fn node_scope(i: usize) -> Scope {
@@ -121,6 +125,43 @@ pub(crate) struct Run<'a> {
     /// Ids of the requests the retry rule aborted.
     pub(crate) aborted: Vec<u64>,
     pub(crate) stats: KernelStats,
+    /// One price table per distinct [`ServingNode`] of the run, in the
+    /// order the nodes first priced a step.
+    prices: Vec<PriceTable>,
+}
+
+/// The roofline prices one [`ServingNode`] has paid so far in a run,
+/// keyed by `(batch, mean context)` for a decode step and by prompt
+/// tokens for a prefill. The roofline is a pure function of the node,
+/// the run's config and the shape, so an entry is exactly the direct
+/// call's result: a fleet visits a few hundred step shapes, so nearly
+/// every step is a lookup.
+struct PriceTable {
+    node: ServingNode,
+    decode: HashMap<(u64, u64), f64, BuildHasherDefault<ShapeHasher>>,
+    prefill: HashMap<u64, f64, BuildHasherDefault<ShapeHasher>>,
+}
+
+/// A multiply-rotate hash for the price tables' keys. They are step
+/// shapes the simulator made itself, so SipHash's flood resistance buys
+/// nothing, and SipHash cost the fleet benchmark a tenth of its rate.
+#[derive(Default)]
+struct ShapeHasher(u64);
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl<'a> Run<'a> {
@@ -145,7 +186,40 @@ impl<'a> Run<'a> {
             retries: 0,
             aborted: Vec::new(),
             stats: KernelStats::default(),
+            prices: Vec::new(),
         }
+    }
+
+    /// The index of `node`'s price table, opening one for a node no
+    /// equal node has priced before.
+    fn intern(&mut self, node: &ServingNode) -> usize {
+        if let Some(i) = self.prices.iter().position(|t| t.node == *node) {
+            return i;
+        }
+        self.prices.push(PriceTable {
+            node: node.clone(),
+            decode: HashMap::default(),
+            prefill: HashMap::default(),
+        });
+        self.prices.len() - 1
+    }
+
+    /// [`ServingNode::prefill_time_s`] of table `table`'s node.
+    fn prefill_time_s(&mut self, table: usize, prompt_tokens: u64) -> f64 {
+        let serving = self.serving;
+        let PriceTable { node, prefill, .. } = &mut self.prices[table];
+        *prefill
+            .entry(prompt_tokens)
+            .or_insert_with(|| node.prefill_time_s(serving, prompt_tokens))
+    }
+
+    /// [`ServingNode::decode_step_time_s`] of table `table`'s node.
+    fn decode_step_time_s(&mut self, table: usize, batch: u64, context: u64) -> f64 {
+        let serving = self.serving;
+        let PriceTable { node, decode, .. } = &mut self.prices[table];
+        *decode
+            .entry((batch, context))
+            .or_insert_with(|| node.decode_step_time_s(serving, batch, context))
     }
 
     /// On a traced run, close request `id`'s open span as `kind` at
@@ -175,6 +249,8 @@ pub(crate) struct NodeState {
     /// Fleet position: the node's trace scope and handshake seeds.
     pub(crate) idx: usize,
     pub(crate) node: ServingNode,
+    /// The run's price table for `node`, interned at the first step.
+    prices: Option<usize>,
     pub(crate) scheduler: ContinuousBatcher,
     /// The router's circuit breaker; `None` on the single-node
     /// simulator, which has no router to read it.
@@ -222,6 +298,7 @@ impl NodeState {
             idx,
             kv_budget_bytes: node.kv_residency_budget_bytes(serving),
             node,
+            prices: None,
             scheduler: ContinuousBatcher::configured(serving.limits, serving.kv),
             breaker: breaker.map(CircuitBreaker::new),
             breaker_seen: BreakerState::Closed,
@@ -329,7 +406,7 @@ impl NodeState {
     }
 
     /// Open a batch boundary at the node clock. An idle node is here only
-    /// for its next fault ([`next_step`]), so it first idles up to it.
+    /// for its next fault ([`DueSet`]), so it first idles up to it.
     /// Every due fault then applies, and a boundary that applied one ends
     /// there (`false`): arrivals that came during the outage join the
     /// queue before the next batch. Otherwise the inbox joins the queue
@@ -492,6 +569,7 @@ impl NodeState {
     pub(crate) fn run_batch(&mut self, run: &mut Run) {
         let traced = run.sink.is_enabled();
         let serving = run.serving;
+        let prices = *self.prices.get_or_insert_with(|| run.intern(&self.node));
         for adm in self
             .scheduler
             .admit_any(&serving.model, serving.dtype, self.now)
@@ -505,7 +583,7 @@ impl NodeState {
                         let toll = self.plan.policy.reattest_s;
                         self.charge(run.sink, scope, SpanKind::Reattest, toll);
                     }
-                    let mut t_prefill = self.node.prefill_time_s(serving, r.prompt_tokens);
+                    let mut t_prefill = run.prefill_time_s(prices, r.prompt_tokens);
                     if run.slab.take_spilled(r.id) {
                         self.charge(run.sink, scope, SpanKind::Requant, run.spill.requant_s);
                         t_prefill *= run.spill.prefill_factor;
@@ -561,7 +639,7 @@ impl NodeState {
         let batch = self.scheduler.running().len() as u64;
         let context: u64 = self.scheduler.running().iter().map(|a| a.context()).sum();
         let mean_context = (context as f64 / batch as f64).round() as u64;
-        let mut t_step = self.node.decode_step_time_s(serving, batch, mean_context);
+        let mut t_step = run.decode_step_time_s(prices, batch, mean_context);
         if prep.resident_pages > 0 {
             let excess = prep.resident_pages as f64 * run.block_bytes - self.kv_budget_bytes;
             if excess > 0.0 {
@@ -611,6 +689,7 @@ impl NodeState {
 }
 
 /// What a fleet driver does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Next {
     /// Route the next arrival.
     Arrival,
@@ -620,26 +699,49 @@ pub(crate) enum Next {
     Advance(usize),
 }
 
-/// The dispatch-or-advance choice, in one pass over the nodes. A node
-/// with work is due at its clock. An idle node is due only for its next
-/// fault (rule 1): at its clock once the fault is already due, or at the
-/// fault's own time when that comes strictly before the next dispatch.
-/// After the last dispatch an idle node's future faults stay unapplied,
-/// as nothing could observe them. The next dispatch (an arrival wins a
-/// tie with a retry) goes first unless a node is due strictly earlier;
-/// the earliest due node advances (the lower index wins a tie). `None`
-/// once nothing is left anywhere.
+/// The next dispatch and its time: an arrival wins a tie with a retry.
+fn next_dispatch(t_arrival: Option<f64>, t_retry: Option<f64>) -> Option<(f64, Next)> {
+    match (t_arrival, t_retry) {
+        (Some(a), Some(r)) if r < a => Some((r, Next::Retry)),
+        (Some(a), _) => Some((a, Next::Arrival)),
+        (None, r) => r.map(|r| (r, Next::Retry)),
+    }
+}
+
+/// The dispatch goes first unless the earliest due node, `(index,
+/// time)`, is due strictly before it.
+fn dispatch_or_advance(dispatch: Option<(f64, Next)>, due: Option<(usize, f64)>) -> Option<Next> {
+    match (dispatch, due) {
+        (Some((t, next)), Some((_, at))) if t <= at => Some(next),
+        (_, Some((i, _))) => Some(Next::Advance(i)),
+        (dispatch, None) => dispatch.map(|(_, next)| next),
+    }
+}
+
+/// Whether `a` is strictly less than `b`.
+fn less(a: f64, b: f64) -> bool {
+    // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
+    a.partial_cmp(&b).expect("finite clocks").is_lt()
+}
+
+/// The dispatch-or-advance choice by a scan over every node: the
+/// reference [`DueSet::next`] must agree with, which both fleet loops
+/// check after every event in debug builds. A node with work is due at
+/// its clock. An idle node is due only for its next fault (rule 1): at
+/// its clock once the fault is already due, or at the fault's own time
+/// when that comes strictly before the next dispatch. After the last
+/// dispatch an idle node's future faults stay unapplied, as nothing
+/// could observe them. The next dispatch (an arrival wins a tie with a
+/// retry) goes first unless a node is due strictly earlier; the earliest
+/// due node advances (the lower index wins a tie). `None` once nothing
+/// is left anywhere.
 pub(crate) fn next_step<'a>(
     t_arrival: Option<f64>,
     t_retry: Option<f64>,
     nodes: impl Iterator<Item = &'a NodeState>,
 ) -> Option<Next> {
-    let dispatch = match (t_arrival, t_retry) {
-        (Some(a), Some(r)) if r < a => Some((r, Next::Retry)),
-        (Some(a), _) => Some((a, Next::Arrival)),
-        (None, r) => r.map(|r| (r, Next::Retry)),
-    };
-    let t_dispatch = dispatch.as_ref().map(|(t, _)| *t);
+    let dispatch = next_dispatch(t_arrival, t_retry);
+    let t_dispatch = dispatch.map(|(t, _)| t);
     let mut due: Option<(usize, f64)> = None;
     for (i, n) in nodes.enumerate() {
         let at = if !n.idle() {
@@ -651,22 +753,147 @@ pub(crate) fn next_step<'a>(
                 _ => continue,
             }
         };
-        // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
-        if due.is_none_or(|(_, t)| at.partial_cmp(&t).expect("finite clocks").is_lt()) {
+        if due.is_none_or(|(_, t)| less(at, t)) {
             due = Some((i, at));
         }
     }
-    match (dispatch, due) {
-        (Some((t, next)), Some((_, at))) if t <= at => Some(next),
-        (_, Some((i, _))) => Some(Next::Advance(i)),
-        (dispatch, None) => dispatch.map(|(_, next)| next),
+    dispatch_or_advance(dispatch, due)
+}
+
+/// The nodes a fleet loop may advance, kept so that [`DueSet::next`]
+/// makes [`next_step`]'s choice without scanning the fleet. Two min-trees
+/// over node indices hold every node that can be due (rule 1):
+///
+/// * `at_clock` — nodes with work, and idle nodes whose next fault is
+///   already due, keyed by the node clock;
+/// * `at_fault` — idle nodes whose next fault lies ahead, keyed by the
+///   fault's time; the earliest counts only when it comes strictly
+///   before the next dispatch.
+///
+/// An idle node with no fault left is in neither. Only a node's clock,
+/// its work and its fault cursor place it, so a loop calls
+/// [`DueSet::update`] for each node an event touched, and
+/// [`DueSet::sync`] after a step that may have touched many.
+pub(crate) struct DueSet {
+    at_clock: MinTree,
+    at_fault: MinTree,
+}
+
+impl DueSet {
+    /// The due set of a fleet whose `i`-th node is the iterator's `i`-th.
+    pub(crate) fn new<'a>(nodes: impl Iterator<Item = &'a NodeState>) -> Self {
+        let mut due = DueSet {
+            at_clock: MinTree::default(),
+            at_fault: MinTree::default(),
+        };
+        due.sync(nodes);
+        due
+    }
+
+    /// Re-place every node, growing the trees for appended nodes.
+    pub(crate) fn sync<'a>(&mut self, nodes: impl Iterator<Item = &'a NodeState>) {
+        for (i, n) in nodes.enumerate() {
+            self.update(i, n);
+        }
+    }
+
+    /// Re-place node `i` after an event touched it.
+    pub(crate) fn update(&mut self, i: usize, n: &NodeState) {
+        let (clock, fault) = match n.next_fault_s() {
+            _ if !n.idle() => (Some(n.now), None),
+            Some(f) if f <= n.now => (Some(n.now), None),
+            fault => (None, fault),
+        };
+        self.at_clock.set(i, clock);
+        self.at_fault.set(i, fault);
+    }
+
+    /// [`next_step`]'s choice, read from the two roots: the earliest
+    /// `(time, index)` among the clock keys and the earliest fault, if
+    /// that comes before the next dispatch.
+    pub(crate) fn next(&self, t_arrival: Option<f64>, t_retry: Option<f64>) -> Option<Next> {
+        let dispatch = next_dispatch(t_arrival, t_retry);
+        let mut due = self.at_clock.min();
+        if let (Some((i, f)), Some((t, _))) = (self.at_fault.min(), dispatch) {
+            let earlier = |(j, at): (usize, f64)| less(f, at) || (f == at && i < j);
+            if less(f, t) && due.is_none_or(earlier) {
+                due = Some((i, f));
+            }
+        }
+        dispatch_or_advance(dispatch, due)
+    }
+}
+
+/// A tournament tree over indices `0..`: each slot holds the smallest
+/// key below it with its index (the lower index wins a tie), so the
+/// minimum is read at the root and a key changes in `O(log N)`.
+#[derive(Default)]
+struct MinTree {
+    /// `(index, key)` slots: `slots[1]` is the root, `slots[2k]` and
+    /// `slots[2k + 1]` are the children of `slots[k]`, and index `i`'s
+    /// leaf is `slots[cap + i]`, `cap` a power of two (`None`: no key).
+    slots: Vec<Option<(usize, f64)>>,
+}
+
+impl MinTree {
+    fn cap(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    /// Set (or clear) index `i`'s key, growing the leaves to the next
+    /// power of two past `i` when needed.
+    fn set(&mut self, i: usize, key: Option<f64>) {
+        if i >= self.cap() {
+            self.grow(i + 1);
+        }
+        let mut k = self.cap() + i;
+        let mut slot = key.map(|key| (i, key));
+        // Stop at the first slot that keeps its entry: nothing above it
+        // changes either.
+        while self.slots[k] != slot {
+            self.slots[k] = slot;
+            if k == 1 {
+                break;
+            }
+            k /= 2;
+            slot = min_slot(self.slots[2 * k], self.slots[2 * k + 1]);
+        }
+    }
+
+    fn grow(&mut self, n: usize) {
+        let (old, cap) = (self.cap(), n.next_power_of_two());
+        let mut slots = vec![None; 2 * cap];
+        slots[cap..cap + old].copy_from_slice(&self.slots[old..]);
+        for k in (1..cap).rev() {
+            slots[k] = min_slot(slots[2 * k], slots[2 * k + 1]);
+        }
+        self.slots = slots;
+    }
+
+    /// The smallest key's `(index, key)`.
+    fn min(&self) -> Option<(usize, f64)> {
+        self.slots.get(1).copied().flatten()
+    }
+}
+
+/// The smaller of a left and a right slot (the left wins a tie: its
+/// indices are the lower).
+fn min_slot(l: Option<(usize, f64)>, r: Option<(usize, f64)>) -> Option<(usize, f64)> {
+    match (l, r) {
+        (Some(a), Some(b)) if less(b.1, a.1) => Some(b),
+        (Some(a), _) => Some(a),
+        (None, r) => r,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cllm_tee::platform::TeeKind;
+    use crate::cluster::{build_nodes, run_fleet, ClusterConfig, NodeSpec, WaveModel};
+    use crate::router::AdmissionPolicy;
+    use crate::workload::ArrivalProcess;
+    use cllm_tee::platform::{CpuTeeConfig, TeeKind};
+    use proptest::prelude::*;
 
     #[test]
     fn an_idle_node_is_due_only_for_a_fault_before_the_next_dispatch() {
@@ -680,26 +907,229 @@ mod tests {
             policy: RecoveryPolicy::default(),
         };
         let mut n = NodeState::new(0, ServingNode::preset(TeeKind::Tdx), plan, &cfg, None);
-        let step =
-            |t_arrival: Option<f64>, n: &NodeState| next_step(t_arrival, None, std::iter::once(n));
-        assert!(matches!(step(Some(6.0), &n), Some(Next::Advance(0))));
+        let mut due = DueSet::new(std::iter::once(&n));
+        let step = |t_arrival: Option<f64>, due: &DueSet, n: &NodeState| {
+            let next = due.next(t_arrival, None);
+            assert_eq!(next, next_step(t_arrival, None, std::iter::once(n)));
+            next
+        };
+        assert!(matches!(step(Some(6.0), &due, &n), Some(Next::Advance(0))));
         assert!(
-            matches!(step(Some(5.0), &n), Some(Next::Arrival)),
+            matches!(step(Some(5.0), &due, &n), Some(Next::Arrival)),
             "a dispatch wins a tie with the fault"
         );
         assert!(
-            step(None, &n).is_none(),
+            step(None, &due, &n).is_none(),
             "after the last dispatch a future fault stays unapplied"
         );
         n.now = 5.0;
+        due.update(0, &n);
         assert!(
-            matches!(step(None, &n), Some(Next::Advance(0))),
+            matches!(step(None, &due, &n), Some(Next::Advance(0))),
             "an already-due fault is an event"
         );
         n.retire();
+        due.update(0, &n);
         assert!(
-            matches!(step(Some(6.0), &n), Some(Next::Arrival)),
+            matches!(step(Some(6.0), &due, &n), Some(Next::Arrival)),
             "a retired node takes no further faults"
         );
+    }
+
+    /// Node `i` of a random fleet, from `(clock, shape, lead)`: the clock
+    /// on a half-second grid, so clocks, faults and dispatches tie often,
+    /// and the shape 0 with work, 1 idle with no fault, 2 idle with its
+    /// fault `lead` half-seconds overdue (0: due right now), 3 idle with
+    /// its fault `lead + 1` half-seconds ahead.
+    fn fleet_node(i: usize, (clock, shape, lead): (u8, u8, u8), cfg: &ServingConfig) -> NodeState {
+        let now = f64::from(clock) * 0.5;
+        let lead = f64::from(lead) * 0.5;
+        let fault_at = match shape {
+            2 => Some(now - lead),
+            3 => Some(now + lead + 0.5),
+            _ => None,
+        };
+        let events = fault_at
+            .map(|at_s| FaultEvent {
+                at_s,
+                kind: FaultKind::SpotPreemption,
+                outage_s: 1.0,
+            })
+            .into_iter()
+            .collect();
+        let plan = FaultPlan {
+            events,
+            policy: RecoveryPolicy::default(),
+        };
+        let mut n = NodeState::new(i, ServingNode::preset(TeeKind::Tdx), plan, cfg, None);
+        n.now = now;
+        if shape == 0 {
+            n.inbox.push(Request {
+                id: i as u64,
+                arrival_s: now,
+                prompt_tokens: 8,
+                output_tokens: 8,
+            });
+        }
+        n
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random fleets of 1–70 nodes (mostly not a power of two) under
+        /// no dispatch, an arrival or a retry alone, a tied pair or any
+        /// pair: the due set chooses what the scan chooses when built,
+        /// after each node it re-places, and after growing by `sync`.
+        #[test]
+        fn due_set_chooses_what_the_scan_chooses(
+            shapes in collection::vec((0u8..16, 0u8..4, 0u8..6), 1..71),
+            dispatch in (0u8..5, 0u8..20, 0u8..20),
+            edits in collection::vec((0usize..70, (0u8..16, 0u8..4, 0u8..6)), 0..24),
+            built in 0usize..70,
+        ) {
+            let cfg = ServingConfig::small_test();
+            let (kind, a, r) = dispatch;
+            let (a, r) = (f64::from(a) * 0.5, f64::from(r) * 0.5);
+            let (t_arrival, t_retry) = match kind {
+                0 => (None, None),
+                1 => (Some(a), None),
+                2 => (None, Some(r)),
+                3 => (Some(a), Some(a)),
+                _ => (Some(a), Some(r)),
+            };
+            let mut nodes: Vec<NodeState> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &shape)| fleet_node(i, shape, &cfg))
+                .collect();
+            let scan = |nodes: &[NodeState]| next_step(t_arrival, t_retry, nodes.iter());
+
+            let mut due = DueSet::new(nodes.iter());
+            prop_assert_eq!(due.next(t_arrival, t_retry), scan(&nodes));
+            for (i, shape) in edits {
+                let i = i % nodes.len();
+                nodes[i] = fleet_node(i, shape, &cfg);
+                due.update(i, &nodes[i]);
+                prop_assert_eq!(due.next(t_arrival, t_retry), scan(&nodes), "after node {}", i);
+            }
+
+            let mut grown = DueSet::new(nodes[..=built % nodes.len()].iter());
+            grown.sync(nodes.iter());
+            prop_assert_eq!(grown.next(t_arrival, t_retry), scan(&nodes));
+        }
+    }
+
+    /// The serve_scale experiment's smoke fleet: 48 spot cGPUs and 16
+    /// reserved TDX sockets behind the failover router, faults at ten
+    /// times their rental rates, 400 chat arrivals/s for 30 s.
+    fn serve_scale_smoke() -> ClusterConfig {
+        let shape = std::iter::repeat_n((TeeKind::GpuCc, true), 48)
+            .chain(std::iter::repeat_n((TeeKind::Tdx, false), 16));
+        ClusterConfig {
+            serving: ServingConfig {
+                arrivals: ArrivalProcess {
+                    rate_per_s: 400.0,
+                    prompt_range: (32, 128),
+                    output_range: (8, 32),
+                    seed: 42,
+                },
+                duration_s: 30.0,
+                ..ServingConfig::small_test()
+            },
+            nodes: shape
+                .zip(0u64..)
+                .map(|((kind, spot), i)| NodeSpec::preset(kind, spot, 10.0, 0x5CA1E + i))
+                .collect(),
+            admission: AdmissionPolicy::unbounded(),
+            breaker: BreakerConfig::default(),
+            wave: WaveModel {
+                waves_per_hr: 14.0,
+                frac: 0.25,
+                seed: 0x5CA1E,
+            },
+            failover: true,
+            spill: SpillPenalty::cross_platform(),
+        }
+    }
+
+    #[test]
+    fn price_tables_hold_the_direct_price_of_every_smoke_fleet_shape() {
+        let cfg = serve_scale_smoke();
+        let mut nodes = build_nodes(&cfg, cfg.serving.duration_s);
+        let trace = cfg.serving.arrival_trace();
+        let mut sink = TraceSink::disabled();
+        let mut run = Run::new(
+            &cfg.serving,
+            cfg.spill,
+            RetryRule::Cap,
+            trace.len(),
+            &mut sink,
+        );
+        run_fleet(&mut nodes, trace, cfg.admission, cfg.failover, &mut run);
+
+        assert_eq!(run.prices.len(), 2, "one table each for cGPU and TDX");
+        for n in &nodes {
+            let table = n.prices.expect("every node ran a batch");
+            assert_eq!(run.prices[table].node, n.node);
+        }
+        for table in &run.prices {
+            assert!(table.decode.len() > 10 && table.prefill.len() > 10);
+            for (&(batch, context), &price) in &table.decode {
+                let direct = table.node.decode_step_time_s(&cfg.serving, batch, context);
+                assert_eq!(
+                    price.to_bits(),
+                    direct.to_bits(),
+                    "decode {batch} x {context}"
+                );
+            }
+            for (&prompt, &price) in &table.prefill {
+                let direct = table.node.prefill_time_s(&cfg.serving, prompt);
+                assert_eq!(price.to_bits(), direct.to_bits(), "prefill {prompt}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tdx_node_never_shares_prices_with_a_small_epc_sgx_node() {
+        let cfg = ServingConfig::small_test();
+        let mut small = CpuTeeConfig::sgx();
+        if let Some(sgx) = small.sgx.as_mut() {
+            sgx.epc_bytes = cfg.model.weight_bytes(cfg.dtype) + 0.75 * cllm_hw::GIB;
+        }
+        let nodes = [
+            ServingNode::preset(TeeKind::Tdx),
+            ServingNode::preset(TeeKind::Sgx),
+            ServingNode::Cpu { tee: small },
+        ];
+        let mut sink = TraceSink::disabled();
+        let mut run = Run::new(&cfg, SpillPenalty::none(), RetryRule::Cap, 0, &mut sink);
+        let tables: Vec<usize> = nodes.iter().chain(&nodes).map(|n| run.intern(n)).collect();
+        assert_eq!(tables, [0, 1, 2, 0, 1, 2]);
+
+        let mut small_epc_pages = false;
+        for batch in [1, 8, 64] {
+            for context in [128, 4096, 32_768] {
+                let price: Vec<f64> = (0..3)
+                    .map(|t| run.decode_step_time_s(t, batch, context))
+                    .collect();
+                for (node, p) in nodes.iter().zip(&price) {
+                    let direct = node.decode_step_time_s(&cfg, batch, context);
+                    assert_eq!(p.to_bits(), direct.to_bits(), "{batch} x {context}");
+                }
+                assert_ne!(
+                    price[0], price[2],
+                    "TDX and small-EPC SGX at {batch} x {context}"
+                );
+                small_epc_pages |= price[2] > price[1];
+            }
+        }
+        assert!(small_epc_pages, "the small EPC pages at some shape");
+        for prompt in [32, 1024] {
+            for (t, node) in nodes.iter().enumerate() {
+                let direct = node.prefill_time_s(&cfg, prompt);
+                assert_eq!(run.prefill_time_s(t, prompt).to_bits(), direct.to_bits());
+            }
+        }
     }
 }

@@ -117,7 +117,7 @@ impl ServingConfig {
 /// The hardware a serving simulation runs on: per-step prefill and
 /// decode prices come from the matching `cllm-perf` roofline, so every
 /// TEE mechanism shapes the tail on CPUs and cGPUs alike.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServingNode {
     /// A CPU deployment; steps are priced on the config's
     /// [`ServingConfig::target`].

@@ -142,11 +142,10 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
     let mut pending: Option<(usize, String)> = None;
     let mut nesting = Nesting::default();
     for (i, raw_line) in text.lines().enumerate() {
-        let line = raw_line.split('#').next().unwrap_or("").trim();
+        let line = nesting.scan(raw_line).trim();
         if line.is_empty() {
             continue;
         }
-        nesting.scan(line);
         let (start, acc) = match pending.take() {
             Some((start, mut acc)) => {
                 acc.push(' ');
@@ -240,15 +239,19 @@ struct Nesting {
 }
 
 impl Nesting {
-    fn scan(&mut self, line: &str) {
-        for b in line.bytes() {
+    /// Scan `line` up to its comment, a `#` outside any string (one may
+    /// run on from an earlier line), and return the part before it.
+    fn scan<'a>(&mut self, line: &'a str) -> &'a str {
+        for (i, b) in line.bytes().enumerate() {
             match b {
                 b'"' => self.in_str = !self.in_str,
+                b'#' if !self.in_str => return &line[..i],
                 b'[' | b'{' if !self.in_str => self.depth += 1,
                 b']' | b'}' if !self.in_str => self.depth -= 1,
                 _ => {}
             }
         }
+        line
     }
 
     fn balanced(&self) -> bool {
@@ -395,6 +398,27 @@ sgx.trusted_files = [ { uri = "file:/x", sha256 = "abcd" } ]
         let text = "\n# comment only\nlibos.entrypoint = \"run\" # trailing\n";
         let m = parse_manifest(text).unwrap();
         assert_eq!(m.entrypoint, "run");
+    }
+
+    #[test]
+    fn a_hash_inside_a_string_is_no_comment() {
+        let m = parse_manifest("libos.entrypoint = \"/usr/bin/app#v2\" # note\n").unwrap();
+        assert_eq!(m.entrypoint, "/usr/bin/app#v2");
+    }
+
+    #[test]
+    fn a_signed_sha256_is_rejected() {
+        let text = format!(
+            "libos.entrypoint = \"e\"\nsgx.trusted_files = [ {{ uri = \"file:/x\", sha256 = \"{}\" }} ]\n",
+            "+f".repeat(32)
+        );
+        let e = parse_manifest(&text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("sha256 must be 64 hex chars"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]
