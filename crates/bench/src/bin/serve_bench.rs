@@ -7,7 +7,11 @@
 //! autoscale path cannot hide behind the conservative one. The full
 //! scale pushes 1M+ requests over a 520 s simulated horizon into
 //! `BENCH_serve.json`; the smoke scale is the golden table's ~12k.
-//! Modes, floors and the `--check` gate are `cllm_bench::pin`'s.
+//! Modes, floors and the `--check` gate are `cllm_bench::pin`'s. After
+//! that gate passes, `--check` also re-runs the full scale and fails
+//! naming each pinned simulated field (arrivals, retries, kernel events,
+//! ...) that the fresh run no longer reproduces, so the pin cannot go
+//! stale when the simulator's behaviour changes.
 //!
 //! Only the measured benches ever record wall time; the golden tables
 //! stay machine-independent.
@@ -16,6 +20,7 @@ use cllm_bench::pin::{self, field_f64, float, int, Bench, Scale};
 use cllm_core::experiments::serve_scale::{autoscale_report, paged_report, report};
 use cllm_serve::kernel::KernelStats;
 use serde_json::Value;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -51,8 +56,76 @@ const BENCH: Bench = Bench {
     rules,
 };
 
+/// The fields of a full-scale document that the simulator alone
+/// decides: a fresh full run must reproduce each exactly.
+const SIMULATED: [&str; 13] = [
+    "nodes",
+    "arrivals",
+    "completed",
+    "aborted",
+    "rejected",
+    "retries",
+    "makespan_s",
+    "goodput_tps",
+    "kernel_events",
+    "paged_preemptions",
+    "paged_kernel_events",
+    "autoscale_scale_ups",
+    "autoscale_kernel_events",
+];
+
 fn main() -> ExitCode {
-    pin::main(&BENCH)
+    let code = pin::main(&BENCH);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match &args[..] {
+        [mode, path] if mode == "--check" && code == ExitCode::SUCCESS => {
+            check_simulated(Path::new(path))
+        }
+        _ => code,
+    }
+}
+
+/// Re-run the full scale and compare it with the simulated fields
+/// pinned at `path`: exit 1 naming each one that differs.
+fn check_simulated(path: &Path) -> ExitCode {
+    let pinned = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str::<Value>(&text).map_err(|e| e.to_string()));
+    let pinned = match pinned {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("re-running the full scale to compare its simulated fields");
+    let fresh = measure(Scale::Full);
+    let stale = stale_fields(&pinned, &fresh);
+    for key in &stale {
+        eprintln!(
+            "check failed: pinned {key} {} but a fresh full run gives {}",
+            field_f64(&pinned, key),
+            field_f64(&fresh, key)
+        );
+    }
+    if stale.is_empty() {
+        println!(
+            "check ok: a fresh full run reproduces all {} pinned simulated fields",
+            SIMULATED.len()
+        );
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The simulated fields whose value in `pinned` differs from `fresh`'s
+/// (a missing field reads as NaN, so it differs too).
+fn stale_fields(pinned: &Value, fresh: &Value) -> Vec<&'static str> {
+    SIMULATED
+        .into_iter()
+        .filter(|key| field_f64(pinned, key) != field_f64(fresh, key))
+        .collect()
 }
 
 /// Run `sim` once, returning its result, wall seconds and kernel
@@ -171,6 +244,16 @@ mod tests {
         let mut doc = measure(Scale::Smoke);
         assert_eq!(doc.get("scale").and_then(Value::as_str), Some("smoke"));
         assert_eq!(field_f64(&doc, "nodes") as u64, 64);
+        // No golden pins the paged or the autoscale smoke report (the
+        // serve_scale golden holds only the conservative row).
+        for (key, want) in [
+            ("paged_preemptions", 1_175),
+            ("paged_kernel_events", 229_226),
+            ("autoscale_scale_ups", 10),
+            ("autoscale_kernel_events", 88_144),
+        ] {
+            assert_eq!(field_f64(&doc, key) as u64, want, "smoke {key}");
+        }
         for (_, floor) in BENCH.floors() {
             set(&mut doc, floor, float(1.0));
         }
@@ -180,5 +263,26 @@ mod tests {
         set(&mut doc, "completed", int(1));
         let err = BENCH.validate(&doc).unwrap_err();
         assert!(err.contains("arrivals"), "{err}");
+    }
+
+    #[test]
+    fn the_full_scale_check_names_each_doctored_simulated_field() {
+        let text = include_str!("../../../../BENCH_serve.json");
+        let pinned: Value = serde_json::from_str(text).expect("the pin parses");
+        assert!(stale_fields(&pinned, &pinned).is_empty());
+        for key in ["retries", "makespan_s", "autoscale_kernel_events"] {
+            let mut doctored = pinned.clone();
+            set(&mut doctored, key, float(field_f64(&pinned, key) + 1.0));
+            assert_eq!(stale_fields(&doctored, &pinned), [key]);
+        }
+        // Wall times and rates are measured, not simulated.
+        let mut doctored = pinned.clone();
+        set(&mut doctored, "wall_s", float(1.0e9));
+        assert!(stale_fields(&doctored, &pinned).is_empty());
+        let Value::Object(mut fields) = pinned.clone() else {
+            unreachable!("the pin is an object")
+        };
+        fields.retain(|(k, _)| k != "arrivals");
+        assert_eq!(stale_fields(&Value::Object(fields), &pinned), ["arrivals"]);
     }
 }

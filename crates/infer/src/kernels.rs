@@ -28,7 +28,7 @@
 //! costs `P` weight-vector loads, `R` broadcasts and `R·P` FMAs, and the
 //! `R·P` independent chains hide the FMA latency. Quantized weights are
 //! dequantized in registers for each tile, or, for a call of at least
-//! [`WIDEN_ROWS`] input rows, once per band of up to 4 panels into one
+//! `WIDEN_ROWS` (16) input rows, once per band of up to 4 panels into one
 //! reused f32 buffer that the f32 tiles then run over. Either way each
 //! weight the chain sees is the same f32 product.
 //!

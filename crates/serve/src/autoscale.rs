@@ -10,9 +10,13 @@
 //! steady carrying cost; the break-even between the two is the headline
 //! of the `flash_crowd` experiment.
 //!
-//! The driver runs every node on the same discrete-event kernel, fault
-//! path and batching iteration as the single-node and cluster
-//! simulators, and routes like the cluster, adding:
+//! The driver has no event loop of its own: it runs the cluster's fleet
+//! loop ([`crate::cluster`]) as an elastic fleet, with the same kernel,
+//! fault path, batching iteration and failover router as the
+//! single-node and cluster simulators. What differs is data that loop
+//! reads: each node's lifecycle, a front door of per-tier caps and
+//! deadlines with an optional brownout, and a controller ticked at
+//! arrivals. Together they add:
 //!
 //! * **a dynamic fleet** — nodes progress through
 //!   `ColdStart → Attesting → Unsealing → Serving → Draining → Retired`;
@@ -37,16 +41,15 @@
 //! Everything is deterministic in the config's seeds: two runs are
 //! byte-identical on any `CLLM_RUNNER_THREADS`.
 
-use crate::cluster::NodeSpec;
+use crate::cluster::{least_loaded_eligible, run_fleet, FrontDoor, NodeSpec, TierDoor};
 use crate::faults::{hs_seed, FaultEvent, FaultPlan, FaultRates};
 use crate::kernel::KernelStats;
-use crate::node::{clamp_to_horizon, next_step, DueSet, Next, NodeState, RetryRule, Run};
+use crate::node::{clamp_to_horizon, NodeState, RetryRule, Run};
 use crate::router::{
-    route_least_loaded, BreakerConfig, Brownout, BrownoutConfig, RetryBudget, RetryStormGuard,
-    TieredAdmission,
+    BreakerConfig, Brownout, BrownoutConfig, RetryBudget, RetryStormGuard, TieredAdmission,
 };
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
-use crate::slo::sorted_percentile;
+use crate::slo::percentile_or_zero;
 use crate::workload::Request;
 use cllm_cost::{RentalBill, SpillPenalty};
 use cllm_obs::TraceSink;
@@ -246,45 +249,6 @@ pub struct AutoscaleReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// One fleet member with its lifecycle envelope around the shared
-/// [`NodeState`] machinery.
-struct FleetNode {
-    st: NodeState,
-    /// When the node may first take work (cold start done). `0.0` for
-    /// the base fleet and promoted warm standbys.
-    ready_at_s: f64,
-    /// When rent started accruing (`0.0` for base and warm nodes).
-    rented_at_s: f64,
-    /// Whether the node bills at the rental price.
-    rented: bool,
-    draining: bool,
-    drain_deadline_s: f64,
-    retired: bool,
-    retired_at_s: f64,
-}
-
-impl FleetNode {
-    /// Whether the router may consider this node at time `t`.
-    fn eligible(&self, t: f64) -> bool {
-        !self.retired && !self.draining && self.ready_at_s <= t
-    }
-
-    /// Leave the fleet at `at_s`: rent stops there, and the node takes
-    /// no further faults.
-    fn retire(&mut self, at_s: f64) {
-        self.retired = true;
-        self.retired_at_s = at_s;
-        self.st.retire();
-    }
-
-    /// A draining node out of work leaves the fleet, when its gray
-    /// `StuckDrain` window (if any) or its force-retire deadline allows.
-    fn retire_drained(&mut self) {
-        let at_s = drain_retire_time(self.st.now, self.st.stuck_until_s, self.drain_deadline_s);
-        self.retire(at_s);
-    }
-}
-
 /// Drive one *successful* cold-start secure boot through the real
 /// attestation and sealing layers: a golden-measurement handshake must
 /// verify, and a sealed weight-shard stand-in must round-trip under the
@@ -356,7 +320,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     let tiers: Vec<Tier> = trace.iter().map(|r| r.tier).collect();
     // infallible: request ids are dense trace indices (0..len)
     let tier_of = |id: u64| tiers[usize::try_from(id).expect("dense id")];
-    let mut pending: std::collections::VecDeque<Request> = trace
+    let requests: Vec<Request> = trace
         .iter()
         .map(|r| Request {
             id: r.id,
@@ -365,203 +329,85 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             output_tokens: r.output_tokens,
         })
         .collect();
-    let total_arrivals = pending.len();
+    let total_arrivals = requests.len();
     let mut tiers_out = [TierReport::default(); 3];
     for t in &tiers {
         tiers_out[t.index()].arrivals += 1;
     }
 
-    // The fleet: base nodes first (always ready), rentals appended live.
-    let mut nodes: Vec<FleetNode> = cfg
+    // The fleet: base nodes first (always ready), rentals appended by the
+    // controller.
+    let mut nodes: Vec<NodeState> = cfg
         .base_fleet
         .iter()
         .enumerate()
-        .map(|(i, spec)| FleetNode {
-            st: NodeState::new(
-                i,
-                spec.node.clone(),
-                spec.plan(horizon_s),
-                &cfg.serving,
-                Some(cfg.breaker),
-            ),
-            ready_at_s: 0.0,
-            rented_at_s: 0.0,
-            rented: false,
-            draining: false,
-            drain_deadline_s: f64::INFINITY,
-            retired: false,
-            retired_at_s: 0.0,
+        .map(|(i, spec)| {
+            let plan = spec.plan(horizon_s);
+            NodeState::new(i, spec.node.clone(), plan, &cfg.serving, Some(cfg.breaker))
         })
         .collect();
-
+    let mut door = FrontDoor {
+        queue_cap: usize::MAX,
+        tier_of: &tiers,
+        tiers: Tier::ALL
+            .iter()
+            .map(|&t| TierDoor {
+                queue_cap: cfg.tiers.policy(t).queue_cap,
+                deadline_s: cfg.tiers.policy(t).deadline_s,
+                shed: 0,
+            })
+            .collect(),
+        brownout: cfg.brownout.map(Brownout::new),
+        failover: true,
+    };
+    let mut ctl = Controller::new(cfg);
     let rule = RetryRule::Budget(RetryStormGuard::new(cfg.retry));
     let mut run = Run::new(&cfg.serving, cfg.spill, rule, total_arrivals, &mut sink);
-    let mut brownout = cfg.brownout.map(Brownout::new);
-    let mut shed = 0usize;
-    let mut spills = 0u64;
-    let mut scale_ups = 0u64;
-    let mut warm_promotions = 0u64;
-    let mut cold_starts = 0u64;
-    let mut scale_downs = 0u64;
-    let mut cold_start_s = 0.0f64;
-    let mut unseal_total_s = 0.0f64;
-    let mut warm_available = cfg.warm_pool;
-    let mut next_control_s = 0.0f64;
-    let mut low_ticks = 0u32;
-
-    // A retired node is idle and has no faults left (it retires only
-    // once idle and is never routed to again), so it leaves the due set
-    // when its retiring event re-places it.
-    let mut due = DueSet::new(nodes.iter().map(|n| &n.st));
-    loop {
-        let t_arrival = pending.front().map(|r| r.arrival_s);
-        let t_retry = run.retry_queue.peek_time();
-        let next = due.next(t_arrival, t_retry);
-        debug_assert_eq!(
-            next,
-            next_step(t_arrival, t_retry, nodes.iter().map(|n| &n.st)),
-            "the due set must choose what the scan chooses"
-        );
-        let Some(next) = next else { break };
-        // The node the event touched, if any.
-        let touched = match next {
-            Next::Arrival => {
-                let mut r = pending.pop_front().expect("arrival checked");
-                run.stats.arrivals += 1;
-                let t = r.arrival_s;
-                let tier = tier_of(r.id);
-
-                // Controller tick (deterministic, sim-time driven). It may
-                // rent, drain or retire nodes and move queued work, so
-                // every node is re-placed after it.
-                if t >= next_control_s {
-                    next_control_s = t + cfg.controller.control_interval_s;
-                    run_controller(
-                        cfg,
-                        &mut nodes,
-                        t,
-                        horizon_s,
-                        &mut warm_available,
-                        &mut scale_ups,
-                        &mut warm_promotions,
-                        &mut cold_starts,
-                        &mut scale_downs,
-                        &mut cold_start_s,
-                        &mut unseal_total_s,
-                        &mut low_ticks,
-                        run.sink,
-                    );
-                    due.sync(nodes.iter().map(|n| &n.st));
-                }
-
-                // Brownout: degrade output length before shedding.
-                if let Some(b) = brownout.as_mut() {
-                    let depth: usize = nodes
-                        .iter()
-                        .filter(|n| !n.retired)
-                        .map(|n| n.st.queued())
-                        .sum();
-                    if b.observe_depth(depth) {
-                        r.output_tokens = b.cap_output(r.output_tokens);
-                    }
-                }
-
-                // Tier queue cap: count this tier's queued work fleet-wide.
-                let tier_queued = nodes
-                    .iter()
-                    .filter(|n| !n.retired)
-                    .flat_map(|n| n.st.queued_requests())
-                    .filter(|q| tier_of(q.id) == tier)
-                    .count();
-                let target = if tier_queued >= cfg.tiers.policy(tier).queue_cap {
-                    None
-                } else {
-                    route_least_loaded(&open_nodes(&mut nodes, t, run.sink))
-                };
-                match target {
-                    Some(i) => nodes[i].st.place(r, t, run.sink),
-                    None => {
-                        shed += 1;
-                        tiers_out[tier.index()].shed += 1;
-                        run.stats.rejections += 1;
-                    }
-                }
-                target
-            }
-            Next::Retry => {
-                let (t, e) = run.retry_queue.pop().expect("retry checked");
-                run.stats.retries_delivered += 1;
-                // Retries are always placeable among live nodes: fall
-                // back past breakers to the least-loaded eligible node
-                // (the base fleet is never draining, so one exists).
-                let target = route_least_loaded(&open_nodes(&mut nodes, t, run.sink))
-                    .unwrap_or_else(|| least_loaded_eligible(&nodes, t, None));
-                if nodes[target].st.is_gpu() != e.origin_gpu {
-                    spills += 1;
-                    run.slab.mark_spilled(e.request.id);
-                }
-                nodes[target].st.post(e.request, t, run.sink);
-                Some(target)
-            }
-            Next::Advance(i) => {
-                advance(
-                    &mut nodes[i],
-                    cfg,
-                    &tier_of,
-                    &mut run,
-                    &mut shed,
-                    &mut tiers_out,
-                );
-                Some(i)
-            }
-        };
-        if let Some(i) = touched {
-            due.update(i, &nodes[i].st);
-        }
-    }
+    let spills = run_fleet(&mut nodes, requests, &mut door, Some(&mut ctl), &mut run);
 
     // Retire every node still draining (idle by construction once the
     // loop exits) and clamp never-ready rentals to the horizon. A gray
     // StuckDrain window wedges the drain: the node bills until the
     // window clears or its force-retire deadline, whichever is first.
     for n in &mut nodes {
-        if n.draining && !n.retired {
-            n.retire_drained();
+        if n.drain_deadline_s.is_some() && n.retired_at_s.is_none() {
+            n.retire_drained(n.now);
         }
-        if n.rented && !n.retired && n.ready_at_s >= horizon_s {
+    }
+    for (n, &rented_at_s) in nodes[ctl.base..].iter_mut().zip(&ctl.rented_at_s) {
+        if n.retired_at_s.is_none() && n.ready_at_s >= horizon_s {
             // Rented against a burst so late it never became ready: the
             // contract ends at the horizon, not at the phantom ready
             // time.
-            n.retire(horizon_s.max(n.rented_at_s));
+            n.retire(horizon_s.max(rented_at_s));
         }
     }
 
-    let makespan_s = nodes.iter().map(|n| n.st.now).fold(0.0f64, f64::max);
+    let makespan_s = nodes.iter().map(|n| n.now).fold(0.0f64, f64::max);
 
     // Billing.
     let bill = RentalBill {
         price_per_hr: cfg.rental.price_per_hr,
     };
-    let rental_cost_usd: f64 = nodes
+    let rental_cost_usd: f64 = nodes[ctl.base..]
         .iter()
-        .filter(|n| n.rented)
-        .map(|n| {
-            let end = if n.retired {
-                n.retired_at_s
-            } else {
-                makespan_s
-            };
-            bill.node_cost_usd(end - n.rented_at_s)
+        .zip(&ctl.rented_at_s)
+        .map(|(n, &rented_at_s)| {
+            bill.node_cost_usd(n.retired_at_s.unwrap_or(makespan_s) - rented_at_s)
         })
         .sum();
-    let warm_pool_cost_usd = bill.warm_pool_cost_usd(warm_available, horizon_s);
+    let warm_pool_cost_usd = bill.warm_pool_cost_usd(ctl.warm_available, horizon_s);
     let base_bill = RentalBill {
         price_per_hr: cfg.base_price_per_hr,
     };
     let base_cost_usd = base_bill.warm_pool_cost_usd(cfg.base_fleet.len(), makespan_s);
     let total_cost_usd = rental_cost_usd + warm_pool_cost_usd + base_cost_usd;
 
-    // Per-tier outcomes the shared node machinery recorded by id.
+    // Per-tier outcomes: the front door counted sheds by tier, and the
+    // shared node machinery recorded the rest by id.
+    for (out, tier) in tiers_out.iter_mut().zip(&door.tiers) {
+        out.shed = tier.shed;
+    }
     for &id in &run.aborted {
         tiers_out[tier_of(id).index()].aborted += 1;
     }
@@ -575,7 +421,7 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             tiers_out[tier.index()].slo_met += 1;
         }
     }
-    let delivered_tokens: u64 = nodes.iter().map(|n| n.st.useful_tokens).sum();
+    let delivered_tokens: u64 = nodes.iter().map(|n| n.useful_tokens).sum();
     let completed = records.len();
     let mut ttft: Vec<f64> = records.iter().map(|r| r.ttft_s).collect();
     // infallible: latencies are differences of finite sim clocks
@@ -604,21 +450,21 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
         arrivals: total_arrivals,
         completed,
         aborted: run.aborted.len(),
-        shed,
+        shed: door.tiers.iter().map(|t| t.shed).sum(),
         retries: run.retries,
         storm_drops: match &run.rule {
             RetryRule::Budget(guard) => guard.storm_drops,
             RetryRule::Cap => 0,
         },
         spills,
-        scale_ups,
-        warm_promotions,
-        cold_starts,
-        scale_downs,
-        cold_start_s,
-        unseal_s: unseal_total_s,
-        brownout_activations: brownout.as_ref().map_or(0, |b| b.activations),
-        tokens_trimmed: brownout.as_ref().map_or(0, |b| b.tokens_trimmed),
+        scale_ups: ctl.scale_ups,
+        warm_promotions: ctl.warm_promotions,
+        cold_starts: ctl.cold_starts,
+        scale_downs: ctl.scale_downs,
+        cold_start_s: ctl.cold_start_s,
+        unseal_s: ctl.unseal_s,
+        brownout_activations: door.brownout.as_ref().map_or(0, |b| b.activations),
+        tokens_trimmed: door.brownout.as_ref().map_or(0, |b| b.tokens_trimmed),
         makespan_s,
         goodput_tps: if completed == 0 {
             0.0
@@ -647,94 +493,6 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
         );
     }
     (report, run.stats)
-}
-
-/// Open node `n`'s boundary and run one batch there: a draining node
-/// past its deadline force-drains its running batch first and retires
-/// once idle, and the tiers' staleness deadlines shed what waited too
-/// long.
-fn advance(
-    n: &mut FleetNode,
-    cfg: &AutoscaleConfig,
-    tier_of: &impl Fn(u64) -> Tier,
-    run: &mut Run,
-    shed: &mut usize,
-    tiers_out: &mut [TierReport; 3],
-) {
-    let open = n.st.open_boundary(run);
-
-    if n.draining {
-        // Drain deadline: a draining node out of grace force-drains its
-        // running batch to the retry path.
-        if n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
-            let now = n.st.now;
-            n.st.requeue_or_abort(now, run);
-        }
-        // A gray StuckDrain window wedges the scale-down: the node keeps
-        // renting (billed until it actually retires) without serving.
-        // `drain_deadline_s` is horizon-clamped when the controller sets
-        // it, so the billed tail is bounded.
-        if n.st.idle() {
-            n.retire_drained();
-            return;
-        }
-    }
-    // A boundary that applied faults ends after the drain checks: what
-    // arrived during the outage queues first.
-    if !open {
-        return;
-    }
-
-    // Tier staleness deadlines: shed queued requests past their tier's
-    // patience.
-    let now = n.st.now;
-    let dropped =
-        n.st.scheduler
-            .shed(|r| now - r.arrival_s > cfg.tiers.policy(tier_of(r.id)).deadline_s);
-    *shed += dropped.len();
-    run.stats.rejections += dropped.len() as u64;
-    for r in &dropped {
-        tiers_out[tier_of(r.id).index()].shed += 1;
-    }
-
-    n.st.run_batch(run);
-    // A drained node retires the moment it runs out of work, so no idle
-    // fault can push its clock, and its bill, on.
-    if n.draining && n.st.idle() {
-        n.retire_drained();
-    }
-}
-
-/// The eligible nodes whose breaker accepts new work at `t`, with their
-/// depths.
-fn open_nodes(nodes: &mut [FleetNode], t: f64, sink: &mut TraceSink) -> Vec<(usize, usize)> {
-    let mut open = Vec::with_capacity(nodes.len());
-    for (i, n) in nodes.iter_mut().enumerate() {
-        if n.eligible(t) && n.st.accepts(t, sink) {
-            open.push((i, n.st.depth()));
-        }
-    }
-    open
-}
-
-/// The least-loaded node eligible at `t`, other than `skip`.
-fn least_loaded_eligible(nodes: &[FleetNode], t: f64, skip: Option<usize>) -> usize {
-    let all: Vec<(usize, usize)> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(i, n)| Some(*i) != skip && n.eligible(t))
-        .map(|(i, n)| (i, n.st.depth()))
-        .collect();
-    // infallible: the base fleet never drains, so an eligible node always exists
-    route_least_loaded(&all).expect("base fleet is always eligible")
-}
-
-fn percentile_or_zero(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        sorted_percentile(sorted, p)
-    }
 }
 
 fn empty_report() -> AutoscaleReport {
@@ -770,147 +528,172 @@ fn empty_report() -> AutoscaleReport {
     }
 }
 
-/// One controller evaluation at time `t`: scale up against backlog
-/// (warm promotion first, then cold rentals paying the real attested
-/// boot), scale down after sustained calm by draining the newest rental.
-#[allow(clippy::too_many_arguments, clippy::cast_precision_loss)]
-fn run_controller(
-    cfg: &AutoscaleConfig,
-    nodes: &mut Vec<FleetNode>,
-    t: f64,
-    horizon_s: f64,
-    warm_available: &mut usize,
-    scale_ups: &mut u64,
-    warm_promotions: &mut u64,
-    cold_starts: &mut u64,
-    scale_downs: &mut u64,
-    cold_start_s: &mut f64,
-    unseal_total_s: &mut f64,
-    low_ticks: &mut u32,
-    sink: &mut TraceSink,
-) {
-    let serving = nodes.iter().filter(|n| n.eligible(t)).count().max(1);
-    let queued: usize = nodes
-        .iter()
-        .filter(|n| !n.retired)
-        .map(|n| n.st.queued())
-        .sum();
-    let backlog_per_node = queued as f64 / serving as f64;
-    let rented_active = nodes
-        .iter()
-        .filter(|n| n.rented && !n.retired && !n.draining)
-        .count();
-
-    if backlog_per_node > cfg.controller.up_depth_per_node {
-        *low_ticks = 0;
-        for step in 0..cfg.controller.scale_up_step {
-            if rented_active + step >= cfg.controller.max_rented {
-                break;
-            }
-            let idx = nodes.len();
-            let mut plan = FaultPlan::seeded(
-                &cfg.rental.rates,
-                horizon_s,
-                cfg.rental.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let (ready_at_s, rented_at_s) = if *warm_available > 0 {
-                *warm_available -= 1;
-                *warm_promotions += 1;
-                // A promoted standby was attested and unsealed before
-                // the horizon started; its carrying cost since t=0 is
-                // what bought the instant readiness.
-                (t, 0.0)
-            } else {
-                *cold_starts += 1;
-                cold_start_secure_boot(hs_seed(idx, 0) ^ cfg.rental.seed);
-                let unseal_s = cfg.rental.node.weight_unseal_time_s(&cfg.serving);
-                let ready = t + cfg.rental.attest_s + unseal_s;
-                // Horizon clamp: a scale-up in the last seconds cannot
-                // charge cold-start time past the end of the run.
-                let charged = clamp_to_horizon(t, ready - t, horizon_s);
-                *cold_start_s += charged;
-                *unseal_total_s += unseal_s.min(charged);
-                (ready, t)
-            };
-            plan.events.retain(|e: &FaultEvent| e.at_s >= ready_at_s);
-            let node = cfg.rental.node.clone();
-            let mut st = NodeState::new(idx, node, plan, &cfg.serving, Some(cfg.breaker));
-            st.now = ready_at_s.min(horizon_s);
-            st.downtime_s = clamp_to_horizon(rented_at_s, ready_at_s - rented_at_s, horizon_s);
-            nodes.push(FleetNode {
-                st,
-                ready_at_s,
-                rented_at_s,
-                rented: true,
-                draining: false,
-                drain_deadline_s: f64::INFINITY,
-                retired: false,
-                retired_at_s: 0.0,
-            });
-            *scale_ups += 1;
-        }
-        return;
-    }
-
-    if backlog_per_node <= cfg.controller.down_depth_per_node && rented_active > 0 {
-        *low_ticks += 1;
-        if *low_ticks >= cfg.controller.scale_down_ticks {
-            *low_ticks = 0;
-            *scale_downs += 1;
-            // Drain the newest active rental: stop routing to it, move
-            // its queued work to the survivors, give the running batch a
-            // horizon-clamped grace window.
-            let victim = nodes
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, n)| n.rented && !n.retired && !n.draining && n.ready_at_s <= t)
-                .map(|(i, _)| i);
-            if let Some(v) = victim {
-                nodes[v].draining = true;
-                nodes[v].drain_deadline_s = (t + cfg.controller.drain_window_s).min(horizon_s);
-                let moved = nodes[v].st.scheduler.shed(|_| true);
-                for r in moved {
-                    let target = least_loaded_eligible(nodes, t, Some(v));
-                    nodes[target].st.place(r, t, sink);
-                }
-                for r in nodes[v].st.take_inbox() {
-                    let target = least_loaded_eligible(nodes, t, Some(v));
-                    nodes[target].st.post(r, t, sink);
-                }
-                if nodes[v].st.idle() {
-                    // An idle victim retires on the spot — unless a
-                    // gray StuckDrain window is wedging it, in which
-                    // case it bills until the window clears or the
-                    // force-retire deadline, whichever comes first.
-                    let n = &mut nodes[v];
-                    let at_s =
-                        drain_retire_time(t.max(n.st.now), n.st.stuck_until_s, n.drain_deadline_s);
-                    n.retire(at_s);
-                }
-            }
-        }
-    } else {
-        *low_ticks = 0;
-    }
+/// The autoscaler's controller, which the fleet loop ticks at arrivals:
+/// its tuning, its clock, the rentals it made and what it counted.
+pub(crate) struct Controller<'a> {
+    cfg: &'a AutoscaleConfig,
+    /// Base-fleet size: rental `k` is node `base + k`.
+    base: usize,
+    /// When each rental's rent started, in rental order (`0.0` for a
+    /// promoted warm standby).
+    rented_at_s: Vec<f64>,
+    next_tick_s: f64,
+    /// Consecutive calm ticks.
+    low_ticks: u32,
+    /// Warm standbys not yet promoted.
+    warm_available: usize,
+    scale_ups: u64,
+    warm_promotions: u64,
+    cold_starts: u64,
+    scale_downs: u64,
+    /// Cold-start time charged, horizon-clamped, and its unseal part.
+    cold_start_s: f64,
+    unseal_s: f64,
 }
 
-/// When a draining node goes idle at `now`, the time at which it can
-/// actually retire: immediately when no stuck-drain window is active,
-/// at the window's end if the window clears before the drain deadline,
-/// or force-retired at the deadline when the drain stays wedged past
-/// it. Never earlier than `now`, so clocks only move forward.
-pub(crate) fn drain_retire_time(now: f64, stuck_until_s: f64, deadline_s: f64) -> f64 {
-    if now >= stuck_until_s {
-        now
-    } else {
-        stuck_until_s.min(deadline_s).max(now)
+impl<'a> Controller<'a> {
+    /// A controller over `cfg`'s base fleet, with no rentals yet.
+    pub(crate) fn new(cfg: &'a AutoscaleConfig) -> Self {
+        Controller {
+            cfg,
+            base: cfg.base_fleet.len(),
+            rented_at_s: Vec::new(),
+            next_tick_s: 0.0,
+            low_ticks: 0,
+            warm_available: cfg.warm_pool,
+            scale_ups: 0,
+            warm_promotions: 0,
+            cold_starts: 0,
+            scale_downs: 0,
+            cold_start_s: 0.0,
+            unseal_s: 0.0,
+        }
+    }
+
+    /// Run a controller evaluation at arrival time `t` if one is due
+    /// (deterministic, sim-time driven), returning whether it ran.
+    pub(crate) fn tick(
+        &mut self,
+        nodes: &mut Vec<NodeState>,
+        t: f64,
+        sink: &mut TraceSink,
+    ) -> bool {
+        let due = t >= self.next_tick_s;
+        if due {
+            self.next_tick_s = t + self.cfg.controller.control_interval_s;
+            self.evaluate(nodes, t, sink);
+        }
+        due
+    }
+
+    /// One controller evaluation at `t`: scale up against backlog (warm
+    /// promotion first, then cold rentals paying the real attested boot),
+    /// scale down after sustained calm by draining the newest rental.
+    #[allow(clippy::cast_precision_loss)]
+    fn evaluate(&mut self, nodes: &mut Vec<NodeState>, t: f64, sink: &mut TraceSink) {
+        let ctl = self.cfg.controller;
+        let horizon_s = self.cfg.serving.duration_s;
+        let serving = nodes.iter().filter(|n| n.eligible(t)).count().max(1);
+        let queued: usize = nodes
+            .iter()
+            .filter(|n| n.retired_at_s.is_none())
+            .map(NodeState::queued)
+            .sum();
+        let backlog_per_node = queued as f64 / serving as f64;
+        let rented_active = nodes[self.base..]
+            .iter()
+            .filter(|n| n.retired_at_s.is_none() && n.drain_deadline_s.is_none())
+            .count();
+
+        if backlog_per_node > ctl.up_depth_per_node {
+            self.low_ticks = 0;
+            for step in 0..ctl.scale_up_step {
+                if rented_active + step >= ctl.max_rented {
+                    break;
+                }
+                nodes.push(self.rent(nodes.len(), t));
+            }
+        } else if backlog_per_node <= ctl.down_depth_per_node && rented_active > 0 {
+            self.low_ticks += 1;
+            if self.low_ticks >= ctl.scale_down_ticks {
+                self.low_ticks = 0;
+                self.scale_downs += 1;
+                // Drain the newest ready rental: stop routing to it, move
+                // its queued work to the survivors, give the running batch
+                // a horizon-clamped grace window.
+                if let Some(v) = (self.base..nodes.len())
+                    .rev()
+                    .find(|&i| nodes[i].eligible(t))
+                {
+                    nodes[v].drain_deadline_s = Some((t + ctl.drain_window_s).min(horizon_s));
+                    for r in nodes[v].scheduler.shed(|_| true) {
+                        let target = least_loaded_eligible(nodes, t);
+                        nodes[target].place(r, t, sink);
+                    }
+                    for r in nodes[v].take_inbox() {
+                        let target = least_loaded_eligible(nodes, t);
+                        nodes[target].post(r, t, sink);
+                    }
+                    // An idle victim retires on the spot — unless a gray
+                    // StuckDrain window is wedging it, in which case it
+                    // bills until the window clears or the force-retire
+                    // deadline, whichever comes first.
+                    if nodes[v].idle() {
+                        let now = t.max(nodes[v].now);
+                        nodes[v].retire_drained(now);
+                    }
+                }
+            }
+        } else {
+            self.low_ticks = 0;
+        }
+    }
+
+    /// Rent node `idx` at `t`: a warm standby ready at once, or a cold
+    /// start ready after the attested handshake and the weight unseal.
+    fn rent(&mut self, idx: usize, t: f64) -> NodeState {
+        let cfg = self.cfg;
+        let horizon_s = cfg.serving.duration_s;
+        let mut plan = FaultPlan::seeded(
+            &cfg.rental.rates,
+            horizon_s,
+            cfg.rental.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        let (ready_at_s, rented_at_s) = if self.warm_available > 0 {
+            self.warm_available -= 1;
+            self.warm_promotions += 1;
+            // A promoted standby was attested and unsealed before the
+            // horizon started; its carrying cost since t=0 is what bought
+            // the instant readiness.
+            (t, 0.0)
+        } else {
+            self.cold_starts += 1;
+            cold_start_secure_boot(hs_seed(idx, 0) ^ cfg.rental.seed);
+            let unseal_s = cfg.rental.node.weight_unseal_time_s(&cfg.serving);
+            let ready = t + cfg.rental.attest_s + unseal_s;
+            // Horizon clamp: a scale-up in the last seconds cannot charge
+            // cold-start time past the end of the run.
+            let charged = clamp_to_horizon(t, ready - t, horizon_s);
+            self.cold_start_s += charged;
+            self.unseal_s += unseal_s.min(charged);
+            (ready, t)
+        };
+        plan.events.retain(|e: &FaultEvent| e.at_s >= ready_at_s);
+        let node = cfg.rental.node.clone();
+        let mut st = NodeState::new(idx, node, plan, &cfg.serving, Some(cfg.breaker));
+        st.now = ready_at_s.min(horizon_s);
+        st.downtime_s = clamp_to_horizon(rented_at_s, ready_at_s - rented_at_s, horizon_s);
+        st.ready_at_s = ready_at_s;
+        self.rented_at_s.push(rented_at_s);
+        self.scale_ups += 1;
+        st
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::drain_retire_time;
     use cllm_tee::platform::CpuTeeConfig;
     use cllm_workload::trace::LognormalLen;
 
@@ -1110,25 +893,16 @@ mod tests {
         let horizon_s = cfg.serving.duration_s;
         let boot_s = cfg.rental.attest_s + cfg.rental.node.weight_unseal_time_s(&cfg.serving);
         assert!(boot_s > 0.3, "fixture needs a boot longer than the window");
-        let mut nodes = vec![FleetNode {
-            st: NodeState::new(
-                0,
-                tdx_serving_node(),
-                FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
-                &cfg.serving,
-                Some(cfg.breaker),
-            ),
-            ready_at_s: 0.0,
-            rented_at_s: 0.0,
-            rented: false,
-            draining: false,
-            drain_deadline_s: f64::INFINITY,
-            retired: false,
-            retired_at_s: 0.0,
-        }];
+        let mut nodes = vec![NodeState::new(
+            0,
+            tdx_serving_node(),
+            FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
+            &cfg.serving,
+            Some(cfg.breaker),
+        )];
         let t = horizon_s - 0.5;
         for id in 0..32 {
-            nodes[0].st.scheduler.enqueue_at(
+            nodes[0].scheduler.enqueue_at(
                 Request {
                     id,
                     arrival_s: t,
@@ -1138,26 +912,11 @@ mod tests {
                 t,
             );
         }
-        let (mut warm, mut ups, mut promos, mut colds, mut downs) =
-            (0usize, 0u64, 0u64, 0u64, 0u64);
-        let (mut cold_s, mut unseal_s, mut low) = (0.0f64, 0.0f64, 0u32);
+        let mut ctl = Controller::new(&cfg);
         let mut sink = TraceSink::disabled();
-        run_controller(
-            &cfg,
-            &mut nodes,
-            t,
-            horizon_s,
-            &mut warm,
-            &mut ups,
-            &mut promos,
-            &mut colds,
-            &mut downs,
-            &mut cold_s,
-            &mut unseal_s,
-            &mut low,
-            &mut sink,
-        );
-        assert_eq!(colds, 1);
+        assert!(ctl.tick(&mut nodes, t, &mut sink), "a first tick is due");
+        assert_eq!(ctl.cold_starts, 1);
+        let cold_s = ctl.cold_start_s;
         assert!(
             cold_s <= 0.5 + 1e-12,
             "cold-start charge {cold_s} must clamp to the {} s left",
@@ -1173,10 +932,10 @@ mod tests {
             "this boot cannot finish in time"
         );
         assert!(
-            rented.st.now <= horizon_s + 1e-12,
+            rented.now <= horizon_s + 1e-12,
             "a never-ready node's clock must park at the horizon"
         );
-        assert!(rented.st.downtime_s <= 0.5 + 1e-12);
+        assert!(rented.downtime_s <= 0.5 + 1e-12);
     }
 
     #[test]
@@ -1187,26 +946,22 @@ mod tests {
         cfg.controller.scale_down_ticks = 1;
         cfg.controller.drain_window_s = 1.0e9;
         let horizon_s = cfg.serving.duration_s;
-        let mk = |idx: usize, rented: bool| FleetNode {
-            st: NodeState::new(
+        let mk = |idx: usize| {
+            NodeState::new(
                 idx,
                 tdx_serving_node(),
                 FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
                 &cfg.serving,
                 Some(cfg.breaker),
-            ),
-            ready_at_s: 0.0,
-            rented_at_s: 0.0,
-            rented,
-            draining: false,
-            drain_deadline_s: f64::INFINITY,
-            retired: false,
-            retired_at_s: 0.0,
+            )
         };
-        let mut nodes = vec![mk(0, false), mk(1, true)];
+        // Node 0 is the base fleet, node 1 a rental from t = 0.
+        let mut nodes = vec![mk(0), mk(1)];
+        let mut ctl = Controller::new(&cfg);
+        ctl.rented_at_s.push(0.0);
         // Keep the rental busy so it drains instead of retiring on the
         // spot (the deadline only exists for in-flight work).
-        nodes[1].st.scheduler.enqueue_at(
+        nodes[1].scheduler.enqueue_at(
             Request {
                 id: 0,
                 arrival_s: 0.0,
@@ -1216,36 +971,19 @@ mod tests {
             0.0,
         );
         let _ = nodes[1]
-            .st
             .scheduler
             .admit_any(&cfg.serving.model, cfg.serving.dtype, 0.0);
         let t = horizon_s - 2.0;
-        let (mut warm, mut ups, mut promos, mut colds, mut downs) =
-            (0usize, 0u64, 0u64, 0u64, 0u64);
-        let (mut cold_s, mut unseal_s, mut low) = (0.0f64, 0.0f64, 0u32);
         let mut sink = TraceSink::disabled();
-        run_controller(
-            &cfg,
-            &mut nodes,
-            t,
-            horizon_s,
-            &mut warm,
-            &mut ups,
-            &mut promos,
-            &mut colds,
-            &mut downs,
-            &mut cold_s,
-            &mut unseal_s,
-            &mut low,
-            &mut sink,
+        assert!(ctl.tick(&mut nodes, t, &mut sink), "a first tick is due");
+        assert_eq!(
+            ctl.scale_downs, 1,
+            "one calm tick at scale_down_ticks=1 must drain"
         );
-        assert_eq!(downs, 1, "one calm tick at scale_down_ticks=1 must drain");
-        assert!(nodes[1].draining);
+        let deadline_s = nodes[1].drain_deadline_s.expect("node 1 is draining");
         assert!(
-            nodes[1].drain_deadline_s <= horizon_s + 1e-12,
-            "regression: drain deadline {} leaked past the horizon {}",
-            nodes[1].drain_deadline_s,
-            horizon_s
+            deadline_s <= horizon_s + 1e-12,
+            "regression: drain deadline {deadline_s} leaked past the horizon {horizon_s}"
         );
     }
 

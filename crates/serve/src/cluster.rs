@@ -4,8 +4,10 @@
 //! The single-node simulator ([`crate::sim`]) answers "what does one
 //! faulted box look like"; this module answers the deployment question
 //! the paper's cost story raises: **is a fleet of cheap spot cGPU nodes
-//! with failover better than reserved CPU TEEs?** Both run the one fleet
-//! loop here: the single node is a one-node fleet. N heterogeneous
+//! with failover better than reserved CPU TEEs?** Every serving driver
+//! runs the one fleet loop here: the single node is a one-node fleet,
+//! and the autoscaler ([`crate::autoscale`]) an elastic fleet whose
+//! controller rents, drains and retires nodes. N heterogeneous
 //! [`ServingNode`]s — each with its own seeded [`FaultPlan`] — sit
 //! behind a router that:
 //!
@@ -32,15 +34,17 @@
 //! Everything is deterministic in its seeds: two runs of the same
 //! [`ClusterConfig`] are byte-identical on any thread count.
 
+use crate::autoscale::Controller;
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 use crate::kernel::KernelStats;
 use crate::node::{next_step, node_scope, DueSet, Next, NodeState, RetryRule, Run};
-use crate::router::{route_least_loaded, AdmissionPolicy, BreakerConfig, BreakerState};
+use crate::router::{AdmissionPolicy, BreakerConfig, BreakerState, Brownout};
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
-use crate::slo::sorted_percentile;
+use crate::slo::percentile_or_zero;
 use crate::workload::Request;
 use cllm_cost::SpillPenalty;
 use cllm_obs::{Scope, SpanKind, Trace, TraceSink};
+use cllm_workload::trace::Tier;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -347,12 +351,13 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
         total_arrivals,
         sink,
     );
-    let (rejected, spills) = run_fleet(&mut nodes, trace, cfg.admission, cfg.failover, &mut run);
+    let mut door = FrontDoor::fixed(cfg.admission, cfg.failover);
+    let spills = run_fleet(&mut nodes, trace, &mut door, None, &mut run);
     let aborted = run.aborted.len();
     let report = drain_report(
         nodes,
         total_arrivals,
-        rejected,
+        door.tiers[0].shed,
         aborted,
         run.retries,
         spills,
@@ -361,29 +366,111 @@ fn run_cluster(cfg: &ClusterConfig, sink: &mut TraceSink) -> (ClusterReport, Ker
     (report, run.stats)
 }
 
-/// The fleet loop: serve `trace` on `nodes` behind the router until
-/// nothing is left anywhere, returning the requests rejected and the
-/// failovers that spilled across platform classes.
+/// The router's rules as data the fleet loop reads: where a fresh
+/// arrival may go, when queued work is too stale to keep, and where a
+/// retry goes. A fixed fleet caps each node's queue and has one uncapped
+/// tier at its admission deadline; the autoscaler caps no node's queue
+/// but each tier fleet-wide, and may brown out.
+pub(crate) struct FrontDoor<'a> {
+    /// Most requests a node may have waiting and still take a fresh
+    /// arrival (`usize::MAX`: no cap).
+    pub(crate) queue_cap: usize,
+    /// Each request's tier, by id; empty when the fleet has one tier.
+    pub(crate) tier_of: &'a [Tier],
+    /// The tiers, by [`Tier::index`].
+    pub(crate) tiers: Vec<TierDoor>,
+    /// Output-length degradation before shedding.
+    pub(crate) brownout: Option<Brownout>,
+    /// Whether a retry may land on another node; without failover it
+    /// returns to the node it lost.
+    pub(crate) failover: bool,
+}
+
+/// One admission tier at the front door.
+pub(crate) struct TierDoor {
+    /// Requests of the tier waiting fleet-wide at which a fresh one is
+    /// shed (`usize::MAX`: no cap).
+    pub(crate) queue_cap: usize,
+    /// Seconds from arrival after which a waiting request of the tier
+    /// is shed.
+    pub(crate) deadline_s: f64,
+    /// Requests of the tier shed, at the door or past the deadline.
+    pub(crate) shed: usize,
+}
+
+impl FrontDoor<'_> {
+    /// A fixed fleet's door: `admission`'s per-node queue cap and one
+    /// uncapped tier at its deadline, with no brownout.
+    pub(crate) fn fixed(admission: AdmissionPolicy, failover: bool) -> Self {
+        FrontDoor {
+            queue_cap: admission.queue_cap,
+            tier_of: &[],
+            tiers: vec![TierDoor {
+                queue_cap: usize::MAX,
+                deadline_s: admission.deadline_s,
+                shed: 0,
+            }],
+            brownout: None,
+            failover,
+        }
+    }
+
+    /// Request `id`'s tier index.
+    fn tier(&self, id: u64) -> usize {
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| self.tier_of.get(i))
+            .map_or(0, |t| t.index())
+    }
+
+    /// Whether tier `tier` already has its cap of requests waiting
+    /// across the fleet.
+    fn tier_full(&self, tier: usize, nodes: &[NodeState]) -> bool {
+        let cap = self.tiers[tier].queue_cap;
+        cap < usize::MAX
+            && nodes
+                .iter()
+                .filter(|n| n.retired_at_s.is_none())
+                .flat_map(NodeState::queued_requests)
+                .filter(|q| self.tier(q.id) == tier)
+                .count()
+                >= cap
+    }
+}
+
+/// The fleet loop: serve `trace` on `nodes` behind `door` until nothing
+/// is left anywhere, returning the failovers that spilled across
+/// platform classes; each tier counts its sheds.
 ///
-/// Each step is the [`DueSet`]'s choice: route the next arrival or retry
-/// (a retry waits in its node's inbox for the next boundary), or open
-/// the earliest due node's boundary and run one batch there, after the
-/// admission deadline has shed what waited too long. An event touches at
-/// most one node, which alone is re-placed in the due set. The single-node
+/// Each step is the [`DueSet`]'s choice:
+///
+/// * route the next arrival, after the controller's tick when one is due
+///   (it may rent, drain and retire nodes), the brownout and the tier
+///   cap, to the least-loaded open node, or shed it;
+/// * route the next retry to the least-loaded open node, else the
+///   least-loaded eligible one, or back to its origin without failover;
+///   it waits in that node's inbox for the next boundary;
+/// * or open the earliest due node's boundary: a draining node past its
+///   deadline force-drains its batch and retires once idle, the tiers'
+///   deadlines shed what waited too long, and one batch runs.
+///
+/// An event touches at most one node, which alone is re-placed in the
+/// due set, and a controller tick re-places every node. The single-node
 /// simulator is this loop over one node with no breaker, unbounded
 /// admission and no spill penalty. A fleet of one has no routing choice,
 /// so it records no `route` or `failover` event.
 pub(crate) fn run_fleet(
-    nodes: &mut [NodeState],
+    nodes: &mut Vec<NodeState>,
     trace: Vec<Request>,
-    admission: AdmissionPolicy,
-    failover: bool,
+    door: &mut FrontDoor,
+    mut controller: Option<&mut Controller>,
     run: &mut Run,
-) -> (usize, u64) {
-    let routed = nodes.len() > 1;
+) -> u64 {
     let mut pending: VecDeque<Request> = trace.into();
-    let mut rejected = 0usize;
     let mut spills = 0u64;
+    // With every deadline infinite nothing is ever stale, so the queues
+    // are not rebuilt at each boundary.
+    let sheds_stale = door.tiers.iter().any(|t| t.deadline_s.is_finite());
     let mut due = DueSet::new(nodes.iter());
 
     loop {
@@ -399,22 +486,42 @@ pub(crate) fn run_fleet(
         // The node the event touched, if any.
         let touched = match next {
             Next::Arrival => {
-                let r = pending.pop_front().expect("arrival checked");
+                let mut r = pending.pop_front().expect("arrival checked");
                 run.stats.arrivals += 1;
                 let t = r.arrival_s;
-                let open = open_nodes(nodes, admission.queue_cap, t, run.sink);
-                let target = route_least_loaded(&open);
+                if let Some(c) = controller.as_deref_mut() {
+                    if c.tick(nodes, t, run.sink) {
+                        due.sync(nodes.iter());
+                    }
+                }
+                // Brownout: degrade output length before shedding.
+                if let Some(b) = door.brownout.as_mut() {
+                    let depth = nodes
+                        .iter()
+                        .filter(|n| n.retired_at_s.is_none())
+                        .map(NodeState::queued)
+                        .sum();
+                    if b.observe_depth(depth) {
+                        r.output_tokens = b.cap_output(r.output_tokens);
+                    }
+                }
+                let tier = door.tier(r.id);
+                let target = if door.tier_full(tier, nodes) {
+                    None
+                } else {
+                    least_loaded_open(nodes, door.queue_cap, t, run.sink)
+                };
                 if let Some(i) = target {
                     if run.sink.is_enabled() {
                         run.slab.set_cursor(r.id, t);
-                        if routed {
+                        if nodes.len() > 1 {
                             run.sink
                                 .event(node_scope(i), "route", t, format!("req {}", r.id));
                         }
                     }
                     nodes[i].place(r, t, run.sink);
                 } else {
-                    rejected += 1; // load shed at the front door
+                    door.tiers[tier].shed += 1; // load shed at the front door
                     run.stats.rejections += 1;
                     run.sink
                         .event(Scope::Request(r.id), "reject", t, String::new());
@@ -425,18 +532,13 @@ pub(crate) fn run_fleet(
                 let (t, e) = run.retry_queue.pop().expect("retry checked");
                 let id = e.request.id;
                 run.stats.retries_delivered += 1;
-                let target = if failover {
-                    let open = open_nodes(nodes, admission.queue_cap, t, run.sink);
+                let target = if door.failover {
                     // Retries are always placeable: if every breaker is
                     // open / every queue full, fall back to the least
-                    // loaded node anyway — the deadline shed, not the
-                    // router, is what bounds a hopeless request.
-                    route_least_loaded(&open).unwrap_or_else(|| {
-                        let all: Vec<(usize, usize)> =
-                            nodes.iter().map(NodeState::depth).enumerate().collect();
-                        // infallible: the fleet is non-empty by construction, so least-loaded always resolves
-                        route_least_loaded(&all).expect("fleet is non-empty")
-                    })
+                    // loaded eligible node anyway — the deadline shed,
+                    // not the router, is what bounds a hopeless request.
+                    least_loaded_open(nodes, door.queue_cap, t, run.sink)
+                        .unwrap_or_else(|| least_loaded_eligible(nodes, t))
                 } else {
                     e.origin
                 };
@@ -451,7 +553,7 @@ pub(crate) fn run_fleet(
                     run.sink
                         .event_fmt(node_scope(target), "spill", t, || format!("req {id} {dir}"));
                 }
-                if routed {
+                if nodes.len() > 1 {
                     run.sink.event_fmt(node_scope(target), "failover", t, || {
                         format!("req {id} from node {}", e.origin)
                     });
@@ -460,23 +562,7 @@ pub(crate) fn run_fleet(
                 Some(target)
             }
             Next::Advance(i) => {
-                let n = &mut nodes[i];
-                if n.open_boundary(run) {
-                    // Admission control: shed queued requests past their
-                    // deadline.
-                    if admission.deadline_s.is_finite() {
-                        let (now, deadline_s) = (n.now, admission.deadline_s);
-                        let shed = n.scheduler.shed(|r| now - r.arrival_s > deadline_s);
-                        rejected += shed.len();
-                        run.stats.rejections += shed.len() as u64;
-                        for r in &shed {
-                            run.end_chain(r.id, SpanKind::QueueWait, now);
-                            run.sink
-                                .event(Scope::Request(r.id), "shed", now, String::new());
-                        }
-                    }
-                    n.run_batch(run);
-                }
+                advance(&mut nodes[i], door, sheds_stale, run);
                 Some(i)
             }
         };
@@ -495,24 +581,87 @@ pub(crate) fn run_fleet(
                 .span(node_scope(n.idx), SpanKind::Idle, n.now, makespan_s);
         }
     }
-    (rejected, spills)
+    spills
 }
 
-/// The nodes the router may send new work to at `t` — queue under the
-/// cap and breaker accepting — with their depths.
-fn open_nodes(
+/// Open node `n`'s boundary and run one batch there. A draining node
+/// past its deadline force-drains its running batch to the retry path
+/// first and retires once idle; a boundary that applied faults ends
+/// after those drain checks (what arrived during the outage queues
+/// first); and the tiers' deadlines shed what waited too long.
+fn advance(n: &mut NodeState, door: &mut FrontDoor, sheds_stale: bool, run: &mut Run) {
+    let open = n.open_boundary(run);
+    if let Some(deadline_s) = n.drain_deadline_s {
+        if n.now >= deadline_s && !n.scheduler.running().is_empty() {
+            let now = n.now;
+            n.requeue_or_abort(now, run);
+        }
+        // A gray StuckDrain window wedges the scale-down: the node keeps
+        // renting (billed until it actually retires) without serving.
+        // The deadline is horizon-clamped, so the billed tail is bounded.
+        if n.idle() {
+            n.retire_drained(n.now);
+            return;
+        }
+    }
+    if !open {
+        return;
+    }
+    if sheds_stale {
+        let now = n.now;
+        let shed = n
+            .scheduler
+            .shed(|r| now - r.arrival_s > door.tiers[door.tier(r.id)].deadline_s);
+        run.stats.rejections += shed.len() as u64;
+        for r in &shed {
+            let tier = door.tier(r.id);
+            door.tiers[tier].shed += 1;
+            run.end_chain(r.id, SpanKind::QueueWait, now);
+            run.sink
+                .event(Scope::Request(r.id), "shed", now, String::new());
+        }
+    }
+    n.run_batch(run);
+    // A drained node retires the moment it runs out of work, so no idle
+    // fault can push its clock, and its bill, on.
+    if n.drain_deadline_s.is_some() && n.idle() {
+        n.retire_drained(n.now);
+    }
+}
+
+/// The least-loaded node the router may send new work to at `t` —
+/// eligible, queue under the cap and breaker accepting — ties to the
+/// lowest index. Every eligible node under the cap is asked whether its
+/// breaker accepts, in index order.
+fn least_loaded_open(
     nodes: &mut [NodeState],
     queue_cap: usize,
     t: f64,
     sink: &mut TraceSink,
-) -> Vec<(usize, usize)> {
-    let mut open = Vec::with_capacity(nodes.len());
+) -> Option<usize> {
+    let mut least: Option<(usize, usize)> = None;
     for (i, n) in nodes.iter_mut().enumerate() {
-        if n.queued() < queue_cap && n.accepts(t, sink) {
-            open.push((i, n.depth()));
+        if n.eligible(t) && n.queued() < queue_cap && n.accepts(t, sink) {
+            let depth = n.depth();
+            if least.is_none_or(|(_, least)| depth < least) {
+                least = Some((i, depth));
+            }
         }
     }
-    open
+    least.map(|(i, _)| i)
+}
+
+/// The least-loaded node eligible at `t`, past breakers and caps, ties
+/// to the lowest index.
+pub(crate) fn least_loaded_eligible(nodes: &[NodeState], t: f64) -> usize {
+    let (i, _) = nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.eligible(t))
+        .min_by_key(|(i, n)| (n.depth(), *i))
+        // infallible: a fixed fleet is non-empty and never drains, and an elastic one keeps its base fleet
+        .expect("a fleet always has an eligible node");
+    i
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -581,16 +730,8 @@ pub(crate) fn drain_report(
         } else {
             useful_tokens as f64 / makespan_s.max(1e-9)
         },
-        ttft_p50_s: if ttft.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&ttft, 0.50)
-        },
-        ttft_p99_s: if ttft.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&ttft, 0.99)
-        },
+        ttft_p50_s: percentile_or_zero(&ttft, 0.50),
+        ttft_p99_s: percentile_or_zero(&ttft, 0.99),
         nodes: node_reports,
         records,
     };

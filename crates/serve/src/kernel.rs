@@ -1,12 +1,11 @@
 //! The discrete-event simulation kernel shared by the serving drivers.
 //!
-//! Two loops drive the serving simulations: the fleet loop of
+//! One loop drives the serving simulations: the fleet loop of
 //! [`cluster`](crate::cluster), which [`sim`](crate::sim) runs as a
-//! one-node fleet, and the loop of [`autoscale`](crate::autoscale)
-//! (dynamic fleet), whose routing and control really differ. Both take
-//! their dispatch-or-advance choice, batch boundaries, fault path and
-//! batching iteration from the crate-internal `node` module, and both
-//! drive the same three primitives:
+//! one-node fleet and [`autoscale`](crate::autoscale) as an elastic
+//! fleet. It takes its dispatch-or-advance choice, batch boundaries,
+//! fault path and batching iteration from the crate-internal `node`
+//! module, and drives three primitives:
 //!
 //! * [`EventQueue`] — a binary-heap future-event list with a
 //!   deterministic `(time, key, seq)` total order. Dynamically scheduled

@@ -19,9 +19,9 @@
 //!   re-attest/requant/swap-in, page-pressure eviction, derated decode,
 //!   completion records, breaker-close toll) priced from per-run tables
 //!   of the roofline, the horizon clamp, and the dispatch-or-advance
-//!   choice, kept in min-trees over the nodes. Two loops drive it: the
-//!   fleet loop of [`cluster`], which [`sim`] runs as a one-node fleet,
-//!   and the autoscaler's, whose routing and control really differ.
+//!   choice, kept in min-trees over the nodes. One loop drives it: the
+//!   fleet loop of [`cluster`], which [`sim`] runs as a one-node fleet
+//!   and [`autoscale`] as an elastic fleet.
 //! * [`workload::ArrivalProcess`] — deterministic-seeded Poisson request
 //!   arrivals with configurable prompt/output length distributions.
 //! * [`scheduler::ContinuousBatcher`] — iteration-level scheduling:
@@ -63,7 +63,7 @@
 //!   behind a failover router surviving correlated preemption waves,
 //!   with cross-platform spills priced via `cllm-cost`.
 //! * [`autoscale`] — a deterministic reactive autoscaler over the same
-//!   kernel: flash-crowd traffic from `cllm_workload::trace`, scale-ups
+//!   fleet loop: flash-crowd traffic from `cllm_workload::trace`, scale-ups
 //!   that pay the real attested handshake plus weight-unseal before
 //!   joining routing (optionally skipped by a pre-attested warm pool at
 //!   carrying cost), graceful scale-down drains, tiered shedding, retry

@@ -1,11 +1,10 @@
 //! One serving node's live state and the per-node machinery every
 //! serving driver shares.
 //!
-//! Two loops drive nodes: the fleet loop in `cluster` (which the
-//! single-node simulator `sim` runs as a one-node fleet) and the
-//! autoscaler's own, whose routing, shedding and control really differ.
-//! What happens *on* a node, and when a node acts, is the same in both
-//! and lives only here:
+//! One loop drives nodes: the fleet loop in `cluster`, which the
+//! single-node simulator `sim` runs as a one-node fleet and `autoscale`
+//! as an elastic fleet. What happens *on* a node, and when a node acts,
+//! lives only here:
 //!
 //! * the fault path ([`NodeState::apply_due_faults`]): horizon-clamped
 //!   outages, gray windows, the attested re-handshake after a rejected
@@ -15,6 +14,9 @@
 //! * the batch boundary ([`NodeState::open_boundary`]) and one batching
 //!   iteration ([`NodeState::run_batch`]), whose prefill and decode
 //!   prices come from the run's per-node price tables ([`Run`]);
+//! * the node's place in an elastic fleet ([`NodeState::eligible`]): a
+//!   rental's ready time, a drain with its force-drain deadline, and
+//!   retirement, which a fixed fleet's nodes never reach;
 //! * the horizon clamp ([`clamp_to_horizon`]);
 //! * the dispatch-or-advance choice ([`DueSet`], with [`next_step`]'s
 //!   scan as its reference).
@@ -278,10 +280,18 @@ pub(crate) struct NodeState {
     /// End of the latest gray [`FaultKind::DegradedThroughput`] window:
     /// decode steps starting before it are derated.
     pub(crate) derate_until_s: f64,
-    /// End of the latest gray [`FaultKind::StuckDrain`] window. Only the
-    /// autoscaler has drains to wedge; elsewhere it is recorded and
+    /// End of the latest gray [`FaultKind::StuckDrain`] window. Only an
+    /// elastic fleet has drains to wedge; elsewhere it is recorded and
     /// never read.
     pub(crate) stuck_until_s: f64,
+    /// When the node may first take work: a rental's cold start ends
+    /// here (`0.0` for every other node).
+    pub(crate) ready_at_s: f64,
+    /// A draining node's force-drain deadline: it takes no new work and
+    /// retires once idle (`None`: not draining).
+    pub(crate) drain_deadline_s: Option<f64>,
+    /// When the node left the fleet (`None`: still in it).
+    pub(crate) retired_at_s: Option<f64>,
 }
 
 impl NodeState {
@@ -315,7 +325,16 @@ impl NodeState {
             swap_in_bytes: 0.0,
             derate_until_s: 0.0,
             stuck_until_s: 0.0,
+            ready_at_s: 0.0,
+            drain_deadline_s: None,
+            retired_at_s: None,
         }
+    }
+
+    /// Whether the router may consider the node at `t`: ready, not
+    /// draining and not retired.
+    pub(crate) fn eligible(&self, t: f64) -> bool {
+        self.retired_at_s.is_none() && self.drain_deadline_s.is_none() && self.ready_at_s <= t
     }
 
     /// Whether the node has no work: nothing queued, resident or waiting
@@ -400,9 +419,20 @@ impl NodeState {
         std::mem::take(&mut self.inbox)
     }
 
-    /// Take no further faults: the node has left the fleet.
-    pub(crate) fn retire(&mut self) {
+    /// Leave the fleet at `at_s`: rent stops there, and the node takes
+    /// no further faults.
+    pub(crate) fn retire(&mut self, at_s: f64) {
+        self.retired_at_s = Some(at_s);
         self.next_event = self.plan.events.len();
+    }
+
+    /// A draining node out of work at `now` leaves the fleet, when its
+    /// gray `StuckDrain` window (if any) or its force-drain deadline
+    /// allows ([`drain_retire_time`]).
+    pub(crate) fn retire_drained(&mut self, now: f64) {
+        // infallible: only a draining node retires drained
+        let deadline_s = self.drain_deadline_s.expect("a draining node");
+        self.retire(drain_retire_time(now, self.stuck_until_s, deadline_s));
     }
 
     /// Open a batch boundary at the node clock. An idle node is here only
@@ -688,7 +718,20 @@ impl NodeState {
     }
 }
 
-/// What a fleet driver does next.
+/// When a draining node goes idle at `now`, the time at which it can
+/// actually retire: immediately when no stuck-drain window is active,
+/// at the window's end if the window clears before the drain deadline,
+/// or force-retired at the deadline when the drain stays wedged past
+/// it. Never earlier than `now`, so clocks only move forward.
+pub(crate) fn drain_retire_time(now: f64, stuck_until_s: f64, deadline_s: f64) -> f64 {
+    if now >= stuck_until_s {
+        now
+    } else {
+        stuck_until_s.min(deadline_s).max(now)
+    }
+}
+
+/// What the fleet loop does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Next {
     /// Route the next arrival.
@@ -725,8 +768,8 @@ fn less(a: f64, b: f64) -> bool {
 }
 
 /// The dispatch-or-advance choice by a scan over every node: the
-/// reference [`DueSet::next`] must agree with, which both fleet loops
-/// check after every event in debug builds. A node with work is due at
+/// reference [`DueSet::next`] must agree with, which the fleet loop
+/// checks after every event in debug builds. A node with work is due at
 /// its clock. An idle node is due only for its next fault (rule 1): at
 /// its clock once the fault is already due, or at the fault's own time
 /// when that comes strictly before the next dispatch. After the last
@@ -760,7 +803,7 @@ pub(crate) fn next_step<'a>(
     dispatch_or_advance(dispatch, due)
 }
 
-/// The nodes a fleet loop may advance, kept so that [`DueSet::next`]
+/// The nodes the fleet loop may advance, kept so that [`DueSet::next`]
 /// makes [`next_step`]'s choice without scanning the fleet. Two min-trees
 /// over node indices hold every node that can be due (rule 1):
 ///
@@ -771,7 +814,7 @@ pub(crate) fn next_step<'a>(
 ///   before the next dispatch.
 ///
 /// An idle node with no fault left is in neither. Only a node's clock,
-/// its work and its fault cursor place it, so a loop calls
+/// its work and its fault cursor place it, so the loop calls
 /// [`DueSet::update`] for each node an event touched, and
 /// [`DueSet::sync`] after a step that may have touched many.
 pub(crate) struct DueSet {
@@ -889,7 +932,7 @@ fn min_slot(l: Option<(usize, f64)>, r: Option<(usize, f64)>) -> Option<(usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_nodes, run_fleet, ClusterConfig, NodeSpec, WaveModel};
+    use crate::cluster::{build_nodes, run_fleet, ClusterConfig, FrontDoor, NodeSpec, WaveModel};
     use crate::router::AdmissionPolicy;
     use crate::workload::ArrivalProcess;
     use cllm_tee::platform::{CpuTeeConfig, TeeKind};
@@ -928,7 +971,7 @@ mod tests {
             matches!(step(None, &due, &n), Some(Next::Advance(0))),
             "an already-due fault is an event"
         );
-        n.retire();
+        n.retire(5.0);
         due.update(0, &n);
         assert!(
             matches!(step(Some(6.0), &due, &n), Some(Next::Arrival)),
@@ -1066,7 +1109,8 @@ mod tests {
             trace.len(),
             &mut sink,
         );
-        run_fleet(&mut nodes, trace, cfg.admission, cfg.failover, &mut run);
+        let mut door = FrontDoor::fixed(cfg.admission, cfg.failover);
+        run_fleet(&mut nodes, trace, &mut door, None, &mut run);
 
         assert_eq!(run.prices.len(), 2, "one table each for cGPU and TDX");
         for n in &nodes {

@@ -1,14 +1,14 @@
 //! The single-node serving driver, and the configuration, node and
 //! record types every driver shares.
 //!
-//! The single node has no event loop of its own: it runs the fleet loop
-//! ([`crate::cluster`]) as a one-node fleet with no circuit breaker,
-//! unbounded admission and the retry cap. Time advances iteration by
-//! iteration: at each boundary the scheduler admits waiting requests
-//! (charging their prefill), then the whole batch performs one decode
-//! step priced by the calibrated `cllm-perf` roofline under the chosen
-//! TEE. Per-request records capture time to first token (TTFT) and time
-//! per output token (TPOT).
+//! The single node has no event loop of its own: like the cluster and
+//! the autoscaler, it runs the one fleet loop ([`crate::cluster`]), as
+//! a one-node fleet with no circuit breaker, unbounded admission and the
+//! retry cap. Time advances iteration by iteration: at each boundary the
+//! scheduler admits waiting requests (charging their prefill), then the
+//! whole batch performs one decode step priced by the calibrated
+//! `cllm-perf` roofline under the chosen TEE. Per-request records
+//! capture time to first token (TTFT) and time per output token (TPOT).
 //!
 //! # Faults and recovery
 //!
@@ -24,13 +24,12 @@
 //! [`FaultPlan::none`] and is
 //! byte-identical to the historic fault-free loop.
 
-use crate::cluster::run_fleet;
+use crate::cluster::{run_fleet, FrontDoor};
 use crate::faults::FaultPlan;
-use crate::kernel::KernelStats;
 use crate::node::{NodeState, RetryRule, Run};
 use crate::router::AdmissionPolicy;
 use crate::scheduler::{KvConfig, QueueStats, SchedulerLimits};
-use crate::slo::{sorted_percentile, ServingReport};
+use crate::slo::{percentile_or_zero, ServingReport};
 use crate::workload::{ArrivalProcess, Request};
 use cllm_cost::SpillPenalty;
 use cllm_hw::{DType, GpuModel};
@@ -262,19 +261,6 @@ pub fn simulate_serving_faulted(
     node: &ServingNode,
     plan: &FaultPlan,
 ) -> ServingReport {
-    simulate_serving_faulted_stats(cfg, node, plan).0
-}
-
-/// [`simulate_serving_faulted`] plus the kernel's event counters: the
-/// report is byte-identical, and the [`KernelStats`] sum is the exact
-/// number of discrete events the kernel processed (the numerator of the
-/// events/sec throughput `serve_scale` benchmarks).
-#[must_use]
-pub fn simulate_serving_faulted_stats(
-    cfg: &ServingConfig,
-    node: &ServingNode,
-    plan: &FaultPlan,
-) -> (ServingReport, KernelStats) {
     run_faulted(cfg, node, plan, &mut TraceSink::disabled())
 }
 
@@ -295,7 +281,7 @@ pub fn simulate_serving_traced(
     plan: &FaultPlan,
 ) -> (ServingReport, Trace) {
     let mut sink = TraceSink::new();
-    let (report, _) = run_faulted(cfg, node, plan, &mut sink);
+    let report = run_faulted(cfg, node, plan, &mut sink);
     (report, sink.finish())
 }
 
@@ -306,13 +292,13 @@ fn run_faulted(
     node: &ServingNode,
     plan: &FaultPlan,
     sink: &mut TraceSink,
-) -> (ServingReport, KernelStats) {
+) -> ServingReport {
     let trace = cfg.arrival_trace();
     if trace.is_empty() {
-        return (empty_report(), KernelStats::default());
+        return empty_report();
     }
     let total_arrivals = trace.len();
-    let mut nodes = [NodeState::new(0, node.clone(), plan.clone(), cfg, None)];
+    let mut nodes = vec![NodeState::new(0, node.clone(), plan.clone(), cfg, None)];
     let mut run = Run::new(
         cfg,
         SpillPenalty::none(),
@@ -320,15 +306,10 @@ fn run_faulted(
         total_arrivals,
         sink,
     );
-    run_fleet(
-        &mut nodes,
-        trace,
-        AdmissionPolicy::unbounded(),
-        false,
-        &mut run,
-    );
-    let [n] = nodes;
-    let report = build_report(
+    let mut door = FrontDoor::fixed(AdmissionPolicy::unbounded(), false);
+    run_fleet(&mut nodes, trace, &mut door, None, &mut run);
+    let n = &nodes[0];
+    build_report(
         total_arrivals,
         n.useful_tokens,
         n.now,
@@ -340,8 +321,7 @@ fn run_faulted(
         n.preemptions,
         n.swap_out_bytes,
         n.swap_in_bytes,
-    );
-    (report, run.stats)
+    )
 }
 
 /// The report of a run with no arrivals.
@@ -416,31 +396,11 @@ pub(crate) fn build_report(
         },
         queue_depth_peak: queue.depth_peak,
         queue_wait_mean_s,
-        queue_wait_p99_s: if waits.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&waits, 0.99)
-        },
-        ttft_p50_s: if ttft.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&ttft, 0.50)
-        },
-        ttft_p95_s: if ttft.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&ttft, 0.95)
-        },
-        tpot_p50_s: if tpot.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&tpot, 0.50)
-        },
-        tpot_p95_s: if tpot.is_empty() {
-            0.0
-        } else {
-            sorted_percentile(&tpot, 0.95)
-        },
+        queue_wait_p99_s: percentile_or_zero(&waits, 0.99),
+        ttft_p50_s: percentile_or_zero(&ttft, 0.50),
+        ttft_p95_s: percentile_or_zero(&ttft, 0.95),
+        tpot_p50_s: percentile_or_zero(&tpot, 0.50),
+        tpot_p95_s: percentile_or_zero(&tpot, 0.95),
         preemptions,
         swap_out_bytes,
         swap_in_bytes,

@@ -110,11 +110,10 @@ impl ServingReport {
 
 /// Percentile by linear interpolation over an unsorted sample.
 ///
-/// Edge cases are explicit: an empty sample returns `NaN` (callers that
-/// need a finite placeholder must substitute it themselves — the serving
-/// simulator reports `0.0` for empty reports), a single-element sample
-/// returns that element for every `q`, and finite inputs always produce
-/// a finite interpolated value.
+/// Edge cases are explicit: an empty sample returns `NaN` (report
+/// builders want [`percentile_or_zero`] instead), a single-element
+/// sample returns that element for every `q`, and finite inputs always
+/// produce a finite interpolated value.
 ///
 /// # Panics
 ///
@@ -128,23 +127,24 @@ pub fn percentile_of(samples: &[f64], q: f64) -> f64 {
     let mut sorted = samples.to_vec();
     // infallible: latencies are differences of finite sim clocks
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    sorted_percentile(&sorted, q)
+    cllm_perf::stats::percentile(&sorted, q)
 }
 
-/// Percentile over an **already ascending-sorted** sample.
+/// Percentile over an **already ascending-sorted** sample, or `0.0`
+/// when it is empty: the placeholder every serving report publishes for
+/// a run with nothing to measure.
 ///
 /// Report builders that take several percentiles of the same vector sort
 /// once and call this per quantile, instead of paying [`percentile_of`]'s
-/// clone-and-sort on every call. Same contract: `NaN` on empty, the sole
-/// element for singletons, linear interpolation otherwise — so for any
-/// sorted `v`, `sorted_percentile(&v, q) == percentile_of(&v, q)` bit for
-/// bit.
+/// clone-and-sort on every call. On a non-empty sorted `v`,
+/// `percentile_or_zero(&v, q) == percentile_of(&v, q)` bit for bit.
 #[must_use]
-pub fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
+pub fn percentile_or_zero(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
-        return f64::NAN;
+        0.0
+    } else {
+        cllm_perf::stats::percentile(sorted, q)
     }
-    cllm_perf::stats::percentile(sorted, q)
 }
 
 #[cfg(test)]
@@ -209,16 +209,16 @@ mod tests {
     }
 
     #[test]
-    fn sorted_percentile_matches_percentile_of_bit_for_bit() {
+    fn percentile_or_zero_matches_percentile_of_bit_for_bit() {
         let unsorted = [3.0, 1.0, 7.5, 2.0, 2.0, 9.0, 0.25];
         let mut sorted = unsorted.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         for q in [0.0, 0.05, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let a = percentile_of(&unsorted, q);
-            let b = sorted_percentile(&sorted, q);
+            let b = percentile_or_zero(&sorted, q);
             assert_eq!(a.to_bits(), b.to_bits(), "q={q}: {a} vs {b}");
         }
-        assert!(sorted_percentile(&[], 0.5).is_nan());
+        assert_eq!(percentile_or_zero(&[], 0.5).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
