@@ -317,7 +317,9 @@ pub enum InvalidPoint {
     /// An infer point with a zero draft window.
     ZeroDraftWindow,
     /// An infer point whose prompt, output and draft window do not fit
-    /// the KV cache (verification holds up to `draft_k` extra positions).
+    /// the KV cache. Speculative decode holds at most `prompt.len() +
+    /// max_new - 1` positions and vanilla decode `prompt.len() +
+    /// max_new`; the draft window on top is slack.
     KvOverflow {
         /// `prompt.len() + max_new + draft_k`.
         needed: usize,

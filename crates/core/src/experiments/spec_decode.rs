@@ -3,13 +3,15 @@
 //! decode, and what does each platform's confidentiality tax do to the
 //! break-even acceptance rate?
 //!
-//! The executable engine's `bench_infer` measures speculative decoding
-//! *losing* (~0.7x tiled decode) because its draft shares the target's
-//! shape: a draft step costs over half a target step, so batching the
-//! verify cannot pay for the drafting. This experiment prices the
-//! regime speculation is actually for — a draft ~25x smaller than the
-//! target — on the paper's platforms (bare metal, TDX, SGX, and the
-//! confidential H100).
+//! The executable engine (`cllm_infer::speculative`) runs this round on
+//! one KV cache, with a draft that shares the target's shape and is
+//! cheaper only by its int8 weights: a draft step costs about a third
+//! of a target step, and `bench_infer` measures ~1.4x tiled decode at
+//! k = 2 (`cllm_perf::calib::measured::SPEC_OVER_TILED_DECODE` derives
+//! that from this round). This experiment prices the regime speculation
+//! is usually deployed in — a draft ~25x smaller than the target — on
+//! the paper's platforms (bare metal, TDX, SGX, and the confidential
+//! H100).
 //!
 //! The model is the standard speculative-decoding round: the draft
 //! proposes `k` tokens (k sequential draft decode steps), the target
@@ -42,7 +44,7 @@ pub const PLATFORMS: [&str; 4] = ["bare-metal", "tdx", "sgx", "cgpu-h100"];
 
 /// Acceptance rates swept. 0.6 is a mediocre draft, 0.8 a production
 /// draft, 0.9 a well-distilled one (the engine's same-shape int8 draft
-/// measures ~0.94 on seeded weights).
+/// measures ~0.91 on `bench_infer`'s seeded weights).
 pub const ALPHAS: [f64; 3] = [0.6, 0.8, 0.9];
 
 /// Draft window: tokens proposed per round. Longer windows amortize

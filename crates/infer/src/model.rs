@@ -188,8 +188,9 @@ pub struct TinyModel {
 /// Keys are stored transposed in blocks of [`PANEL`] positions
 /// (`[block][kv_dim][PANEL]`), so attention scores a whole block with
 /// one FMA chain over the head dimension; lanes of the last block past
-/// `len` are scored but never used. Values stay row-major
-/// (`[position][kv_dim]`).
+/// `len` are scored but never used, so they may keep stale keys from a
+/// truncated suffix until the next store rewrites them. Values stay
+/// row-major (`[position][kv_dim]`).
 /// The serialized form ([`KvCache::to_bytes`]) is row-major for both.
 #[derive(Debug, Clone)]
 pub struct KvCache {
@@ -241,7 +242,8 @@ impl KvCache {
     }
 
     /// Drop cached entries beyond the first `len` tokens. Speculative
-    /// decoding uses this to roll back a rejected draft suffix.
+    /// decoding uses this to drop the draft's entries before each verify
+    /// and a rejected suffix after it.
     ///
     /// # Panics
     ///
@@ -309,12 +311,8 @@ impl KvCache {
             if n != len * kv_dim {
                 return None;
             }
-            let raw = take(pos, n * 4)?;
-            Some(
-                raw.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-                    .collect(),
-            )
+            let (floats, _) = take(pos, n * 4)?.as_chunks::<4>();
+            Some(floats.iter().map(|&f| f32::from_le_bytes(f)).collect())
         };
         let k: Option<Vec<Vec<f32>>> = (0..layers).map(|_| read_layer(&mut pos)).collect();
         let v: Option<Vec<Vec<f32>>> = (0..layers).map(|_| read_layer(&mut pos)).collect();

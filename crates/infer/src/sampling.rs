@@ -51,6 +51,13 @@ impl SamplingParams {
 /// Select the next token from raw logits under the given parameters,
 /// given the tokens generated so far (for the repetition penalty).
 ///
+/// Tokens are ranked by [`f32::total_cmp`], so a NaN logit (or one a
+/// NaN or infinite temperature makes) ranks without panicking: a
+/// positive NaN above every number, a negative one below. The token
+/// drawn from such logits is still in the vocabulary but meaningless;
+/// callers that must not emit one check the logits first, as the
+/// `forbid-nonfinite-logits` invariant does for speculative decoding.
+///
 /// # Panics
 ///
 /// Panics on empty logits.
@@ -87,7 +94,7 @@ pub fn sample_next(
 
     // Rank tokens by logit.
     let mut order: Vec<usize> = (0..work.len()).collect();
-    order.sort_by(|&a, &b| work[b].partial_cmp(&work[a]).expect("finite logits"));
+    order.sort_by(|&a, &b| work[b].total_cmp(&work[a]));
 
     // Top-k cut.
     let k = if params.top_k == 0 {
@@ -207,18 +214,11 @@ pub fn generate_batch(
         if live.is_empty() {
             break;
         }
-        let mut gathered: Vec<&mut KvCache> = Vec::with_capacity(live.len());
-        {
-            let mut rest = &mut caches[..];
-            let mut offset = 0usize;
-            for &i in &live {
-                let (_, tail) = rest.split_at_mut(i - offset);
-                let (cache, tail) = tail.split_first_mut().expect("live index in range");
-                gathered.push(cache);
-                rest = tail;
-                offset = i + 1;
-            }
-        }
+        // The live sequences are exactly those whose caches have room.
+        let mut gathered: Vec<&mut KvCache> = caches
+            .iter_mut()
+            .filter(|c| c.len < model.config.max_seq)
+            .collect();
         let rows = model.forward_batch(&step, &mut gathered);
         for (slot, &i) in live.iter().enumerate() {
             logits[i] = rows.row(slot).to_vec();
@@ -325,6 +325,52 @@ mod tests {
             let solo = generate_with(&m, prompt, 5, &SamplingParams::greedy());
             assert_eq!(&solo, expect);
         }
+    }
+
+    #[test]
+    fn batch_drops_full_sequences_and_keeps_the_rest_exact() {
+        // The long prompt fills its cache after three tokens; the others
+        // must decode on exactly as they do alone.
+        let m = model();
+        let long: Vec<usize> = (0..m.config.max_seq - 3).map(|i| i % 200).collect();
+        let prompts = vec![vec![1usize, 2], long, vec![9]];
+        let greedy = SamplingParams::greedy();
+        let batched = generate_batch(&m, &prompts, 8, &greedy);
+        assert_eq!(batched.iter().map(Vec::len).collect::<Vec<_>>(), [8, 3, 8]);
+        for (prompt, out) in prompts.iter().zip(&batched) {
+            let alone = generate_batch(&m, std::slice::from_ref(prompt), 8, &greedy);
+            assert_eq!(&alone[0], out);
+        }
+    }
+
+    #[test]
+    fn nan_logits_rank_without_panicking() {
+        // A NaN logit, or a NaN temperature that makes every logit NaN,
+        // still yields an in-vocabulary token, the same one every time.
+        let logits = [0.5, f32::NAN, -1.0, 2.0];
+        let nan_temperature = SamplingParams {
+            temperature: f32::NAN,
+            ..SamplingParams::default()
+        };
+        for params in [
+            SamplingParams::default(),
+            SamplingParams {
+                top_k: 2,
+                top_p: 0.9,
+                ..SamplingParams::default()
+            },
+            nan_temperature,
+        ] {
+            let t = sample_next(&logits, &[], &params, &mut rng());
+            assert!(t < logits.len(), "{params:?}");
+            assert_eq!(sample_next(&logits, &[], &params, &mut rng()), t);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty logits")]
+    fn empty_logits_are_rejected() {
+        let _ = sample_next(&[], &[], &SamplingParams::default(), &mut rng());
     }
 
     #[test]

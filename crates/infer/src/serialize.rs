@@ -115,12 +115,21 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SerializeError> {
+        let (&head, _) = self.bytes[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(SerializeError::Malformed("truncated"))?;
+        self.pos += N;
+        Ok(head)
+    }
+
     fn u32(&mut self) -> Result<u32, SerializeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn f32(&mut self) -> Result<f32, SerializeError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(f32::from_le_bytes(self.array()?))
     }
 
     fn remaining(&self) -> usize {
@@ -129,7 +138,7 @@ impl<'a> Reader<'a> {
 
     /// A matrix that must be `rows x cols`.
     fn matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, SerializeError> {
-        let len = u64::from_le_bytes(self.take(8)?.try_into().expect("8"));
+        let len = u64::from_le_bytes(self.array()?);
         let len = usize::try_from(len).map_err(|_| SerializeError::Malformed("truncated"))?;
         let m =
             Matrix::from_bytes(self.take(len)?).ok_or(SerializeError::Malformed("bad matrix"))?;
@@ -164,7 +173,7 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<TinyModel, SerializeError> {
     if r.take(4)? != MAGIC {
         return Err(SerializeError::Malformed("bad magic"));
     }
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2"));
+    let version = u16::from_le_bytes(r.array()?);
     if version != VERSION {
         return Err(SerializeError::Malformed("unsupported version"));
     }

@@ -1,29 +1,55 @@
 //! Seeded deterministic speculative decoding (draft-k / verify /
-//! accept-prefix), token-identical to vanilla decode by construction.
+//! accept-prefix) on one KV cache, token-identical to vanilla decode by
+//! construction.
 //!
-//! A small draft model proposes `k` tokens greedily; the target model
-//! verifies the whole proposal in **one chunked forward**
+//! The target prefills the prompt once and samples the first token,
+//! which is then *pending*: emitted, but not yet in the cache. Each
+//! round a draft model proposes up to `k` tokens greedily, running
+//! `forward(pending)` and then `forward(d_i)` for every proposal but the
+//! last, on the target's own cache. The cache is truncated back, and the
+//! target verifies `[pending, d_1..d_k]` in **one chunked forward**
 //! ([`crate::model::TinyModel::forward_chunk`]), streaming its weights
 //! once per round instead of once per token — the weight-traffic
 //! amortization that makes speculative decoding pay on memory-bound
-//! decode. Rejected suffixes are rolled back with
-//! [`crate::model::KvCache::truncate`].
+//! decode. Row `i` of the verify is the target's next-token logits after
+//! `d_i` (row 0 after `pending`): the target samples its own token
+//! there, and a token equal to `d_{i+1}` accepts that proposal. The
+//! first mismatch emits the target's token instead and truncates the
+//! cache to the accepted prefix; when all `k` are accepted the last row
+//! yields a bonus token. Either way the round ends on a token the target
+//! chose, the next round's pending token, so a round emits between 1
+//! and `k + 1` tokens — the round `cllm_core`'s `spec_decode` experiment
+//! prices.
+//!
+//! **One cache.** The draft reads the keys and values the target wrote
+//! for every verified position and appends its own only past them. Those
+//! are truncated before each verify, and the verify's stores into the
+//! [`crate::model::KvCache`] rewrite every position it covers (lanes of
+//! a partly filled key block past the cache length are never read), so
+//! between rounds every cached position holds keys and values the
+//! target wrote itself, exactly as in vanilla decode. The draft must
+//! therefore share the target's cache geometry (layers, KV heads, head
+//! dimension) as well as its vocabulary; its weights, weight format and
+//! query heads are free.
 //!
 //! **Draw-aligned determinism.** Vanilla [`crate::generate::generate`]
 //! consumes exactly one RNG draw per emitted token (temperature) or none
 //! (greedy). This implementation preserves that discipline exactly: the
 //! `j`-th emitted token is always produced by
 //! `generate::next_token(logits after the j-token prefix, draw j)`,
-//! whether the token came from an accepted draft (the target's choice
-//! happened to equal the proposal) or a rejection (the target's choice
-//! is emitted directly, no extra draw). By induction the output is
-//! **token-identical to vanilla decode for any draft model and any k**
-//! — the draft only decides how many target forwards were batched
-//! together, never what gets emitted. The equivalence suite
-//! (`tests/spec_equivalence.rs`) pins this for greedy and temperature
-//! sampling across draft models of varying quality.
+//! whether the token accepted a draft (the target's choice happened to
+//! equal the proposal) or is the target's own (the first token, a
+//! rejection's replacement or a bonus). Those logits are bit-identical
+//! to vanilla decode's, since the target computed them over its own keys
+//! and values. By induction the output is **token-identical to vanilla
+//! decode for any draft model and any k** — the draft only decides how
+//! many target forwards were batched together, never what gets emitted.
+//! The equivalence suite (`tests/spec_equivalence.rs`) pins this for
+//! greedy and temperature sampling across draft models of varying
+//! quality.
 
 use crate::generate::{next_token, Sampling};
+use crate::kernels::argmax;
 use crate::model::TinyModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,8 +65,9 @@ pub struct SpecStats {
     pub drafted: usize,
     /// Proposals the target accepted (emitted verbatim).
     pub accepted: usize,
-    /// Positions where the target disagreed and its own sample was
-    /// emitted instead.
+    /// Tokens the target sampled itself: the first token, each
+    /// rejection's replacement and each bonus token. Every round ends on
+    /// exactly one, so a run emitting any token has `rounds + 1`.
     pub resampled: usize,
     /// Non-finite values observed across all logit vectors used for
     /// emission decisions (must be 0 on a healthy model).
@@ -49,8 +76,9 @@ pub struct SpecStats {
 
 impl SpecStats {
     /// Tokens emitted: every emission is either an accepted draft or a
-    /// target resample, so `accepted + resampled` must equal the output
-    /// length — the token-conservation invariant.
+    /// token the target sampled itself (the first, a rejection's
+    /// replacement or a bonus), so `accepted + resampled` must equal the
+    /// output length — the token-conservation invariant.
     #[must_use]
     pub fn emitted(&self) -> usize {
         self.accepted + self.resampled
@@ -70,14 +98,17 @@ impl SpecStats {
     }
 }
 
-/// Count non-finite entries of a logits vector into `stats`.
-fn scan_logits(logits: &[f32], stats: &mut SpecStats) {
+/// The target's token after `logits` (one RNG draw under temperature),
+/// counting any non-finite logit into `stats`.
+fn sample(logits: &[f32], sampling: Sampling, rng: &mut StdRng, stats: &mut SpecStats) -> usize {
     stats.nonfinite_logits += logits.iter().filter(|v| !v.is_finite()).count();
+    next_token(logits, sampling, rng)
 }
 
-/// Generate `max_new` tokens with speculative decoding: `draft` proposes
-/// up to `k` tokens per round (greedy), `target` verifies them in one
-/// chunked forward, and the accepted prefix is kept. Returns the emitted
+/// Generate `max_new` tokens with speculative decoding on the target's
+/// KV cache: `draft` proposes up to `k` tokens per round (greedy),
+/// `target` verifies them in one chunked forward, and the accepted
+/// prefix plus the target's own next token is kept. Returns the emitted
 /// tokens and the round/acceptance counters.
 ///
 /// Output is token-identical to
@@ -86,10 +117,11 @@ fn scan_logits(logits: &[f32], stats: &mut SpecStats) {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`, the draft and target vocabularies differ, or
-/// `prompt.len() + max_new + k` overflows either model's `max_seq`
-/// (verification briefly holds up to `k` unaccepted positions in the
-/// cache).
+/// Panics if `k == 0`, the draft and target vocabularies differ, the
+/// draft's KV cache geometry (layers, KV heads, head dimension) differs
+/// from the target's, a prompt token is out of vocabulary, or
+/// `prompt.len() + max_new - 1` positions overflow either model's
+/// `max_seq` (the last emitted token is never fed back).
 #[must_use]
 pub fn speculative_generate(
     target: &TinyModel,
@@ -101,107 +133,68 @@ pub fn speculative_generate(
     seed: u64,
 ) -> (Vec<usize>, SpecStats) {
     assert!(k >= 1, "draft window k must be at least 1");
+    let (tc, dc) = (&target.config, &draft.config);
     assert_eq!(
-        target.config.vocab, draft.config.vocab,
+        tc.vocab, dc.vocab,
         "draft and target must share a vocabulary"
+    );
+    assert!(
+        (tc.layers, tc.kv_heads, tc.head_dim()) == (dc.layers, dc.kv_heads, dc.head_dim()),
+        "draft and target must share one KV cache: layers, KV heads and head dim"
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = SpecStats::default();
-    let mut tcache = target.new_cache();
-    let mut dcache = draft.new_cache();
+    let mut out = Vec::with_capacity(max_new);
+    if max_new == 0 {
+        return (out, stats);
+    }
+    let mut cache = target.new_cache();
 
-    // Prefill both models on the prompt in one chunked pass each. With an
-    // empty prompt, vanilla decode samples its first token from all-zero
-    // logits; mirror that exactly.
-    let zero_logits = vec![0.0f32; target.config.vocab];
-    let mut logits_t: Option<Vec<f32>> = if prompt.is_empty() {
-        Some(zero_logits.clone())
+    // Prefill once and sample the first token. With an empty prompt,
+    // vanilla decode samples it from all-zero logits; mirror that.
+    let first = if prompt.is_empty() {
+        vec![0.0f32; tc.vocab]
     } else {
-        let rows = target.forward_chunk(prompt, &mut tcache);
-        Some(rows.row(prompt.len() - 1).to_vec())
-    };
-    let mut logits_d: Vec<f32> = if prompt.is_empty() {
-        vec![0.0f32; draft.config.vocab]
-    } else {
-        let rows = draft.forward_chunk(prompt, &mut dcache);
+        let rows = target.forward_chunk(prompt, &mut cache);
         rows.row(prompt.len() - 1).to_vec()
     };
-
-    let mut out = Vec::with_capacity(max_new);
-    // A token emitted by rejection that neither model has consumed yet;
-    // it rides at the front of the next verification chunk (target) and
-    // is fed to the draft at the top of the next round, so rejection
-    // costs no extra full forward.
-    let mut pending: Option<usize> = None;
+    let mut pending = sample(&first, sampling, &mut rng, &mut stats);
+    out.push(pending);
+    stats.resampled += 1;
 
     while out.len() < max_new {
-        // Catch the draft up on last round's resampled token.
-        if let Some(t) = pending {
-            logits_d = draft.forward(t, &mut dcache);
+        // A round emits up to one token past its drafts, so the tokens
+        // still owed need at most one draft fewer.
+        let kr = k.min(max_new - out.len() - 1);
+        let base = cache.len;
+        let mut chunk = Vec::with_capacity(kr + 1);
+        chunk.push(pending);
+        for i in 0..kr {
+            let proposal = argmax(&draft.forward(chunk[i], &mut cache));
+            chunk.push(proposal);
         }
-
-        // Draft proposes greedily. Verifying more than `remaining`
-        // positions could never emit anything, so clamp.
-        let kr = k.min(max_new - out.len());
-        let mut drafts = Vec::with_capacity(kr);
-        for _ in 0..kr {
-            let d = crate::kernels::argmax(&logits_d);
-            drafts.push(d);
-            logits_d = draft.forward(d, &mut dcache);
-        }
+        cache.truncate(base);
         stats.drafted += kr;
 
-        // Target verifies the pending token (if any) plus the whole
-        // proposal in a single chunked forward.
-        let tbase = tcache.len;
-        let chunk: Vec<usize> = pending
-            .iter()
-            .copied()
-            .chain(drafts.iter().copied())
-            .collect();
-        let rows = target.forward_chunk(&chunk, &mut tcache);
-        let off = usize::from(pending.is_some());
-        let mut cur: Vec<f32> = if pending.is_some() {
-            rows.row(0).to_vec()
-        } else {
-            logits_t
-                .take()
-                .expect("logits available when nothing pending")
-        };
-        pending = None;
-
-        let emitted_before = out.len();
-        let mut accepted_this = 0usize;
-        let mut rejected = false;
-        for (i, &d) in drafts.iter().enumerate() {
-            scan_logits(&cur, &mut stats);
-            let t = next_token(&cur, sampling, &mut rng);
-            if t == d {
-                out.push(t);
+        // The target verifies the pending token and every proposal in one
+        // chunked forward; row `i` decides `chunk[i + 1]`, and the last
+        // row, past every proposal, always yields the target's own token.
+        let rows = target.forward_chunk(&chunk, &mut cache);
+        for i in 0..=kr {
+            let t = sample(rows.row(i), sampling, &mut rng, &mut stats);
+            out.push(t);
+            if chunk.get(i + 1) == Some(&t) {
                 stats.accepted += 1;
-                accepted_this += 1;
-                cur = rows.row(off + i).to_vec();
             } else {
-                out.push(t);
+                // A rejection's replacement or the bonus: keep the
+                // pending token and the `i` accepted proposals.
                 stats.resampled += 1;
-                // Roll both caches back to the emitted prefix. The target
-                // keeps the accepted drafts (and last round's pending
-                // token); the draft keeps only its accepted proposals.
-                tcache.truncate(tbase + off + accepted_this);
-                dcache.truncate(prompt.len() + out.len() - 1);
-                pending = Some(t);
-                rejected = true;
+                cache.truncate(base + i + 1);
+                pending = t;
                 break;
             }
         }
-        if !rejected {
-            logits_t = Some(cur);
-        }
         stats.rounds += 1;
-        debug_assert_eq!(
-            out.len() - emitted_before,
-            accepted_this + usize::from(rejected)
-        );
     }
 
     debug_assert_eq!(stats.emitted(), out.len());

@@ -91,10 +91,8 @@ impl Matrix {
         if rows.checked_mul(cols)?.checked_mul(4)? != body.len() {
             return None;
         }
-        let data = body
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-            .collect();
+        let (floats, _) = body.as_chunks::<4>();
+        let data = floats.iter().map(|&f| f32::from_le_bytes(f)).collect();
         Some(Matrix { rows, cols, data })
     }
 }

@@ -533,15 +533,18 @@ pub struct InferLoopReport {
     pub drafted: usize,
     /// Draft proposals accepted verbatim.
     pub accepted: usize,
-    /// Target resamples emitted on draft rejection. For non-speculative
-    /// decode every token counts as a resample, keeping the ledger total.
+    /// Tokens the target sampled itself: in speculative decode the first
+    /// token, each rejection's replacement and each bonus token after a
+    /// fully accepted round. For non-speculative decode every token
+    /// counts as a resample, keeping the ledger total.
     pub resampled: usize,
     /// Non-finite entries observed across all emission logits.
     pub nonfinite_logits: usize,
 }
 
 /// Check the infer loop's token ledger and logit health:
-/// `emitted == accepted + resampled`, `accepted <= drafted`,
+/// `emitted == accepted + resampled` (every token is an accepted draft
+/// or the target's own), `accepted <= drafted`,
 /// `emitted <= requested`, and no non-finite logit ever reached an
 /// emission decision (`forbid-nonfinite-logits`).
 #[must_use]

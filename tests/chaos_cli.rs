@@ -20,7 +20,7 @@ fn chaos_stdout(threads: &str, extra: &[&str]) -> (String, bool) {
 /// simulators' behaviour beyond the goldens: any drift in a fault path,
 /// retry rule or batching step that still satisfies every invariant
 /// changes this digest.
-const DIGEST_48: &str = "b6857660d107dc78";
+const DIGEST_48: &str = "1dc0f4dcd3da29be";
 
 #[test]
 fn chaos_search_is_thread_invariant_and_clean() {
