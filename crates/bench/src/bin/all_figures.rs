@@ -16,7 +16,7 @@
 
 use cllm_core::experiments::{ExperimentEntry, ExperimentResult};
 use cllm_core::runner::{
-    default_workers, run_entries_isolated, with_grid_workers, ExperimentError,
+    default_workers, run_entries_profiled, with_grid_workers, ExperimentError,
 };
 use std::time::Instant;
 
@@ -35,12 +35,12 @@ fn main() {
 
     cllm_perf::cache::clear();
     let t0 = Instant::now();
-    let sequential = with_grid_workers(1, || run_entries_isolated(&entries, 1));
+    let sequential = with_grid_workers(1, || run_entries_profiled(&entries, 1));
     let seq_wall = t0.elapsed();
 
     cllm_perf::cache::clear();
     let t1 = Instant::now();
-    let parallel = run_entries_isolated(&entries, workers);
+    let parallel = run_entries_profiled(&entries, workers);
     let par_wall = t1.elapsed();
     let cache = cllm_perf::cache::stats();
 
@@ -52,7 +52,7 @@ fn main() {
 
     let mut failures: Vec<ExperimentError> = Vec::new();
     let mut emitted = 0usize;
-    for ((id, seq), (_, par)) in sequential.iter().zip(&parallel) {
+    for ((id, seq, _), (_, par, _)) in sequential.iter().zip(&parallel) {
         match (seq, par) {
             (Ok(s), Ok(p)) => {
                 let seq_json =

@@ -4,12 +4,19 @@
 //! verification policy (golden measurement, minimum TCB). They encrypt
 //! the model once, and release the decryption key only to an enclave
 //! that attests successfully — the deployment model Figure 1 motivates.
+//!
+//! The key has one way out: [`ModelOwner::begin_session`] issues a
+//! challenge, the enclave answers it with
+//! `cllm_tee::session::enclave_respond` (a quote bound to the channel
+//! transcript), [`ModelOwner::release_key_secure`] checks that answer
+//! and seals the key as the session's first record, and only the
+//! enclave's `SecureChannel::recv` opens it.
 
 use cllm_crypto::drbg::HashDrbg;
 use cllm_crypto::{aead_open, aead_seal, AuthError};
 use cllm_infer::model::TinyModel;
 use cllm_infer::serialize::{model_from_bytes, model_to_bytes, SerializeError};
-use cllm_tee::attestation::{verify_policy, AttestError, Measurement, Quote};
+use cllm_tee::attestation::{AttestError, Measurement};
 use cllm_tee::session::{Challenge, Record, Response, SecureChannel, SessionError, Verifier};
 
 /// A model encrypted at rest; safe to hand to any cloud provider.
@@ -108,21 +115,6 @@ impl ModelOwner {
         Ok(EncryptedModel { ciphertext, nonce })
     }
 
-    /// Issue a fresh attestation challenge nonce.
-    pub fn challenge(&mut self) -> Vec<u8> {
-        let mut nonce = vec![0u8; 16];
-        self.nonce_gen.fill(&mut nonce);
-        nonce
-    }
-
-    /// Verify an enclave quote against the policy; on success release the
-    /// model key (in reality: over the attested secure channel).
-    pub fn release_key(&self, quote: &Quote, nonce: &[u8]) -> Result<[u8; 16], OwnerError> {
-        verify_policy(quote, &self.hw_root, nonce, &self.golden, self.min_svn)
-            .map_err(OwnerError::Attestation)?;
-        Ok(self.model_key)
-    }
-
     /// Begin an attested session: returns the verifier state and the
     /// challenge to forward to the enclave.
     pub fn begin_session(&mut self) -> (Verifier, Challenge) {
@@ -135,6 +127,14 @@ impl ModelOwner {
     /// the channel transcript), then release the model key as the first
     /// protected record. Returns the owner's channel end and the record
     /// carrying the key.
+    ///
+    /// # Errors
+    ///
+    /// No key is released to a platform TCB below the owner's minimum
+    /// ([`AttestError::TcbOutOfDate`]), to a quote that does not verify or
+    /// answers another session's challenge
+    /// ([`SessionError::Attestation`]), or to any measurement but the
+    /// golden one ([`SessionError::WrongEnclave`]).
     pub fn release_key_secure(
         &self,
         verifier: &Verifier,
@@ -169,7 +169,7 @@ impl ModelOwner {
 mod tests {
     use super::*;
     use cllm_infer::model::TinyConfig;
-    use cllm_tee::attestation::generate_quote;
+    use cllm_tee::session::enclave_respond;
 
     fn model() -> TinyModel {
         TinyModel::init(&TinyConfig::test_small(), 3)
@@ -179,13 +179,39 @@ mod tests {
         Measurement([0xAB; 32])
     }
 
+    /// What an enclave of `measurement` at TCB level `svn` receives when
+    /// it answers `challenge` and the owner checks that answer against
+    /// `verifier`: the key, opened from the owner's sealed record.
+    fn enclave_receives(
+        owner: &ModelOwner,
+        verifier: &Verifier,
+        challenge: &Challenge,
+        measurement: Measurement,
+        svn: u16,
+    ) -> Result<[u8; 16], OwnerError> {
+        let (response, mut channel) = enclave_respond(b"hw", measurement, svn, challenge, b"enc")
+            .map_err(OwnerError::Session)?;
+        let (_, record) = owner.release_key_secure(verifier, &response)?;
+        let key = channel.recv(&record).map_err(OwnerError::Session)?;
+        Ok(key.try_into().expect("the key record holds 16 bytes"))
+    }
+
+    /// One whole session: a fresh challenge answered by that enclave.
+    fn release(
+        owner: &mut ModelOwner,
+        measurement: Measurement,
+        svn: u16,
+    ) -> Result<[u8; 16], OwnerError> {
+        let (verifier, challenge) = owner.begin_session();
+        enclave_receives(owner, &verifier, &challenge, measurement, svn)
+    }
+
     #[test]
     fn full_key_release_flow() {
         let mut owner = ModelOwner::new(b"hw", golden(), 5, b"seed");
         let encrypted = owner.encrypt_model(&model()).unwrap();
-        let nonce = owner.challenge();
-        let quote = generate_quote(b"hw", golden(), 7, &nonce);
-        let key = owner.release_key(&quote, &nonce).unwrap();
+        let key = release(&mut owner, golden(), 7).unwrap();
+        assert_eq!(key, owner.model_key);
         let decrypted = ModelOwner::decrypt_model(&key, &encrypted).unwrap();
         assert_eq!(decrypted, model());
     }
@@ -193,33 +219,57 @@ mod tests {
     #[test]
     fn wrong_measurement_gets_no_key() {
         let mut owner = ModelOwner::new(b"hw", golden(), 5, b"seed");
-        let nonce = owner.challenge();
         let evil = Measurement([0xEE; 32]);
-        let quote = generate_quote(b"hw", evil, 7, &nonce);
-        assert!(matches!(
-            owner.release_key(&quote, &nonce),
-            Err(OwnerError::Attestation(AttestError::MeasurementMismatch))
-        ));
+        assert_eq!(
+            release(&mut owner, evil, 7),
+            Err(OwnerError::Session(SessionError::WrongEnclave))
+        );
     }
 
     #[test]
     fn stale_nonce_gets_no_key() {
+        // An enclave (or a relay) answers an earlier session's challenge:
+        // its genuine quote commits to the old transcript, not this one.
         let mut owner = ModelOwner::new(b"hw", golden(), 5, b"seed");
-        let old = owner.challenge();
-        let fresh = owner.challenge();
-        let quote = generate_quote(b"hw", golden(), 7, &old);
-        assert!(owner.release_key(&quote, &fresh).is_err());
+        let (_, old) = owner.begin_session();
+        let (verifier, fresh) = owner.begin_session();
+        assert_ne!(old, fresh, "each session draws a fresh challenge");
+        assert_eq!(
+            enclave_receives(&owner, &verifier, &old, golden(), 7),
+            Err(OwnerError::Session(SessionError::Attestation(
+                AttestError::StaleNonce
+            )))
+        );
+        assert!(enclave_receives(&owner, &verifier, &fresh, golden(), 7).is_ok());
     }
 
     #[test]
     fn low_tcb_gets_no_key() {
         let mut owner = ModelOwner::new(b"hw", golden(), 9, b"seed");
-        let nonce = owner.challenge();
-        let quote = generate_quote(b"hw", golden(), 7, &nonce);
-        assert!(matches!(
-            owner.release_key(&quote, &nonce),
+        assert_eq!(
+            release(&mut owner, golden(), 8),
             Err(OwnerError::Attestation(AttestError::TcbOutOfDate))
-        ));
+        );
+        assert!(
+            release(&mut owner, golden(), 9).is_ok(),
+            "min_svn itself passes"
+        );
+    }
+
+    #[test]
+    fn raised_svn_on_a_low_tcb_quote_gets_no_key() {
+        // The TCB check reads the quote's SVN before the quote verifies;
+        // raising it past the minimum breaks the quote's signature.
+        let mut owner = ModelOwner::new(b"hw", golden(), 9, b"seed");
+        let (verifier, challenge) = owner.begin_session();
+        let (mut response, _) = enclave_respond(b"hw", golden(), 7, &challenge, b"enc").unwrap();
+        response.quote.report.svn = 9;
+        assert_eq!(
+            owner.release_key_secure(&verifier, &response).map(|_| ()),
+            Err(OwnerError::Session(SessionError::Attestation(
+                AttestError::BadSignature
+            )))
+        );
     }
 
     #[test]
@@ -261,9 +311,10 @@ mod tests {
         let mut encrypted = owner.encrypt_model(&model()).unwrap();
         let mid = encrypted.ciphertext.len() / 2;
         encrypted.ciphertext[mid] ^= 1;
-        let nonce = owner.challenge();
-        let quote = generate_quote(b"hw", golden(), 7, &nonce);
-        let key = owner.release_key(&quote, &nonce).unwrap();
-        assert!(ModelOwner::decrypt_model(&key, &encrypted).is_err());
+        let key = release(&mut owner, golden(), 7).unwrap();
+        assert!(matches!(
+            ModelOwner::decrypt_model(&key, &encrypted),
+            Err(OwnerError::Decrypt(_))
+        ));
     }
 }

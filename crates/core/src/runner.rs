@@ -5,7 +5,7 @@
 //!
 //! Two levels of parallelism compose here:
 //!
-//! * **Across experiments** — [`run_all_parallel`] distributes the
+//! * **Across experiments** — [`run_entries_profiled`] distributes the
 //!   registry entries over a worker pool.
 //! * **Within an experiment** — heavy sweeps (fig9/fig10/fig11/
 //!   model_sizes) evaluate their grids through [`par_map`], which keeps
@@ -14,25 +14,25 @@
 //! Determinism: the simulator is seeded purely from its inputs and the
 //! `cllm-perf` memoization cache stores values keyed by those inputs, so
 //! thread scheduling cannot change any number — only wall-clock time.
-//! [`run_all_sequential`] additionally pins grid parallelism to one
-//! worker for the duration of the call, making it a true single-thread
-//! baseline for timing comparisons.
+//! A one-worker run inside [`with_grid_workers`]`(1, ..)` also pins grid
+//! parallelism to one worker, making it a true single-thread baseline
+//! for timing comparisons.
 //!
 //! # Isolation
 //!
 //! A panic in one experiment must not cost the other results their
-//! emission: [`run_entries_isolated`] fences every entry with
+//! emission: [`run_entries_profiled`] fences every entry with
 //! `catch_unwind` and returns a typed [`ExperimentError`] per failure,
 //! so harness binaries can persist the partial results and report the
 //! failures instead of aborting wholesale.
 
-use crate::experiments::{all_experiments, run_by_id, ExperimentEntry, ExperimentResult};
+use crate::experiments::{all_experiments, ExperimentEntry, ExperimentResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Grid-parallelism override: 0 = use [`default_workers`], otherwise a
-/// fixed worker count. Set to 1 while [`run_all_sequential`] runs so the
+/// fixed worker count. Set to 1 inside [`with_grid_workers`]`(1, ..)` so a
 /// sequential baseline really is sequential.
 static GRID_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
@@ -184,25 +184,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `entries` across `workers` scoped threads with each experiment
-/// fenced by `catch_unwind`: one panicking entry yields an
-/// [`ExperimentError::Panicked`] in its slot while every other entry
-/// still returns its result. Output order equals input order.
-#[must_use]
-pub fn run_entries_isolated(
-    entries: &[ExperimentEntry],
-    workers: usize,
-) -> Vec<(&'static str, Result<ExperimentResult, ExperimentError>)> {
-    par_map(entries, workers, |&(id, run)| {
-        let outcome =
-            catch_unwind(AssertUnwindSafe(run)).map_err(|payload| ExperimentError::Panicked {
-                id: id.to_string(),
-                message: panic_message(payload.as_ref()),
-            });
-        (id, outcome)
-    })
-}
-
 /// Wall-clock and memoization profile for one experiment run. Collected
 /// by [`run_entries_profiled`] and reported on stderr only — profiles
 /// depend on the host machine and thread schedule, so they are kept out
@@ -234,11 +215,13 @@ impl RunProfile {
     }
 }
 
-/// [`run_entries_isolated`] plus a per-experiment [`RunProfile`]:
-/// wall-clock time and the `cllm_perf` cache hit/miss delta observed
-/// around each entry. Results (and their order) are identical to the
-/// unprofiled run; the profile rides alongside and must never feed a
-/// golden.
+/// Run `entries` across `workers` scoped threads with each experiment
+/// fenced by `catch_unwind`: one panicking entry yields an
+/// [`ExperimentError::Panicked`] in its slot while every other entry
+/// still returns its result. Output order equals input order. Each
+/// entry also gets a [`RunProfile`]: wall-clock time and the
+/// `cllm_perf` cache hit/miss delta observed around it. The profile
+/// rides alongside the results and must never feed a golden.
 #[must_use]
 pub fn run_entries_profiled(
     entries: &[ExperimentEntry],
@@ -285,35 +268,6 @@ pub fn run_one_isolated(id: &str) -> Result<ExperimentResult, ExperimentError> {
     })
 }
 
-/// Run every registered experiment one after another on the calling
-/// thread, with in-experiment grid parallelism pinned to one worker —
-/// the timing baseline for [`run_all_parallel`]. Results are in paper
-/// order.
-#[must_use]
-pub fn run_all_sequential() -> Vec<ExperimentResult> {
-    let _guard = GridWorkersGuard::pin(1);
-    all_experiments()
-        .into_iter()
-        .map(|(_, run)| run())
-        .collect()
-}
-
-/// Run every registered experiment across `workers` scoped threads.
-/// Results are in paper order and identical (to the byte, after JSON
-/// rendering) to [`run_all_sequential`]'s.
-#[must_use]
-pub fn run_all_parallel(workers: usize) -> Vec<ExperimentResult> {
-    let entries = all_experiments();
-    par_map(&entries, workers, |(_, run)| run())
-}
-
-/// Run a single experiment by id through the runner (grids inside it
-/// still parallelize via [`par_map`]). `None` for an unknown id.
-#[must_use]
-pub fn run_one(id: &str) -> Option<ExperimentResult> {
-    run_by_id(id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,14 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn run_one_matches_registry() {
-        let direct = crate::experiments::run_by_id("fig1").expect("fig1 exists");
-        let via_runner = run_one("fig1").expect("fig1 exists");
-        assert_eq!(direct, via_runner);
-        assert!(run_one("nope").is_none());
-    }
-
-    #[test]
     fn sequential_pins_grid_workers() {
         let _guard = GridWorkersGuard::pin(1);
         assert_eq!(grid_workers(), 1);
@@ -399,7 +345,7 @@ mod tests {
     #[test]
     fn isolated_run_survives_a_panicking_entry() {
         let entries: Vec<ExperimentEntry> = vec![("fig1", good), ("boom", bad), ("fig1b", good)];
-        let out = run_entries_isolated(&entries, 2);
+        let out = run_entries_profiled(&entries, 2);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].0, "fig1");
         assert!(out[0].1.is_ok(), "healthy entry before the failure");
@@ -417,17 +363,20 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_matches_isolated_results() {
+    fn profiles_ride_beside_unchanged_results() {
         let entries: Vec<ExperimentEntry> = vec![("fig1", good), ("boom", bad)];
-        let plain = run_entries_isolated(&entries, 1);
         let profiled = run_entries_profiled(&entries, 1);
-        assert_eq!(profiled.len(), plain.len());
-        for ((pid, pres, profile), (id, res)) in profiled.iter().zip(plain.iter()) {
-            assert_eq!(pid, id, "profiling must not reorder entries");
-            assert_eq!(pres, res, "profiling must not change results");
+        assert_eq!(profiled.len(), entries.len());
+        for ((id, _, profile), (entry_id, _)) in profiled.iter().zip(&entries) {
+            assert_eq!(id, entry_id, "profiling must not reorder entries");
             assert_eq!(profile.id, *id);
             assert!(profile.wall_s >= 0.0);
         }
+        assert_eq!(
+            profiled[0].1,
+            Ok(good()),
+            "profiling must not change results"
+        );
     }
 
     #[test]
@@ -455,9 +404,13 @@ mod tests {
     #[test]
     fn isolation_is_deterministic_across_workers() {
         let entries: Vec<ExperimentEntry> = vec![("fig1", good), ("boom", bad)];
-        let seq = run_entries_isolated(&entries, 1);
-        let par = run_entries_isolated(&entries, 4);
-        assert_eq!(seq, par);
+        let outcomes = |workers| {
+            run_entries_profiled(&entries, workers)
+                .into_iter()
+                .map(|(id, outcome, _)| (id, outcome))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(outcomes(1), outcomes(4));
     }
 
     #[test]

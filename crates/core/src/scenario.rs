@@ -262,7 +262,8 @@ pub fn grid3<A: Copy, B: Copy, C: Copy>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B,
 /// worker finishes first.
 ///
 /// Parallelism follows [`runner::grid_workers`], so a sequential baseline
-/// run (`run_all_sequential`) automatically pins sweeps to one worker.
+/// run inside [`runner::with_grid_workers`]`(1, ..)` automatically pins
+/// sweeps to one worker.
 #[derive(Debug, Clone)]
 pub struct Sweep<P> {
     points: Vec<P>,

@@ -2,22 +2,28 @@
 //! experiment in the registry, the parallel run's `ExperimentResult` rows
 //! and rendered JSON are identical to the sequential run's.
 
-use cllm_core::experiments::all_experiments;
-use cllm_core::runner;
+use cllm_core::experiments::{all_experiments, run_by_id, ExperimentResult};
+use cllm_core::runner::{run_entries_profiled, with_grid_workers};
 
 #[test]
 fn parallel_matches_sequential_for_all_experiments() {
-    let ids: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
+    let entries = all_experiments();
+    let results = |workers| -> Vec<ExperimentResult> {
+        run_entries_profiled(&entries, workers)
+            .into_iter()
+            .map(|(id, outcome, _)| outcome.unwrap_or_else(|e| panic!("{id}: {e}")))
+            .collect()
+    };
 
     cllm_perf::cache::clear();
-    let sequential = runner::run_all_sequential();
+    let sequential = with_grid_workers(1, || results(1));
 
     cllm_perf::cache::clear();
-    let parallel = runner::run_all_parallel(4);
+    let parallel = results(4);
 
-    assert_eq!(sequential.len(), ids.len());
-    assert_eq!(parallel.len(), ids.len());
-    for ((id, seq), par) in ids.iter().zip(&sequential).zip(&parallel) {
+    assert_eq!(sequential.len(), entries.len());
+    assert_eq!(parallel.len(), entries.len());
+    for (((id, _), seq), par) in entries.iter().zip(&sequential).zip(&parallel) {
         assert_eq!(seq.id, *id, "sequential run out of paper order");
         assert_eq!(par.id, *id, "parallel run out of paper order");
         assert_eq!(seq.rows, par.rows, "{id}: rows diverge");
@@ -33,8 +39,8 @@ fn warm_cache_changes_nothing() {
     // Running an experiment again over a warm memoization cache must
     // reproduce the cold-cache result exactly.
     cllm_perf::cache::clear();
-    let cold = runner::run_one("fig9").expect("fig9 exists");
-    let warm = runner::run_one("fig9").expect("fig9 exists");
+    let cold = run_by_id("fig9").expect("fig9 exists");
+    let warm = run_by_id("fig9").expect("fig9 exists");
     assert!(
         cllm_perf::cache::stats().hits > 0,
         "warm run should hit the cache"

@@ -55,7 +55,6 @@ pub mod generate;
 pub mod kernels;
 pub mod model;
 pub mod quant;
-pub mod sampling;
 pub mod serialize;
 pub mod speculative;
 pub mod tensor;

@@ -87,12 +87,6 @@ impl Engine {
         self.texts.get(&doc).map(String::as_str)
     }
 
-    /// Ids of all stored documents (unordered).
-    #[must_use]
-    pub fn doc_ids(&self) -> Vec<u64> {
-        self.texts.keys().copied().collect()
-    }
-
     /// Execute a search, returning up to `k` hits.
     #[must_use]
     pub fn search(&self, query: &str, mode: SearchMode, k: usize) -> Vec<Hit> {

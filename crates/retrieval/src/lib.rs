@@ -38,6 +38,5 @@ pub mod dense;
 pub mod engine;
 pub mod index;
 pub mod metrics;
-pub mod persist;
 pub mod rerank;
 pub mod text;

@@ -74,9 +74,6 @@ pub struct Quote {
 pub enum AttestError {
     /// The quote's signature does not verify against the trusted root.
     BadSignature,
-    /// The quote is authentic but the measurement differs from the
-    /// verifier's golden value (wrong or tampered enclave).
-    MeasurementMismatch,
     /// The report data does not commit to the verifier's nonce
     /// (replayed quote).
     StaleNonce,
@@ -88,7 +85,6 @@ impl std::fmt::Display for AttestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             AttestError::BadSignature => "quote signature does not verify",
-            AttestError::MeasurementMismatch => "enclave measurement mismatch",
             AttestError::StaleNonce => "report data does not commit to the nonce",
             AttestError::TcbOutOfDate => "platform TCB below minimum SVN",
         };
@@ -148,26 +144,6 @@ pub fn verify_quote(
     Ok(quote.report.measurement)
 }
 
-/// Full verification policy: authenticity, freshness, golden measurement
-/// and minimum TCB level — what a model owner runs before releasing the
-/// weight-decryption key.
-pub fn verify_policy(
-    quote: &Quote,
-    root_secret: &[u8],
-    nonce: &[u8],
-    golden: &Measurement,
-    min_svn: u16,
-) -> Result<(), AttestError> {
-    let measured = verify_quote(quote, root_secret, nonce)?;
-    if &measured != golden {
-        return Err(AttestError::MeasurementMismatch);
-    }
-    if quote.report.svn < min_svn {
-        return Err(AttestError::TcbOutOfDate);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,18 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn policy_pins_measurement_and_svn() {
+    fn quote_attests_its_measurement_and_svn() {
+        // verify_quote returns the measurement the owner pins, and both it
+        // and the SVN the owner's TCB check reads are under the signature.
         let m = measurement();
         let q = generate_quote(b"root", m, 5, b"n");
-        assert!(verify_policy(&q, b"root", b"n", &m, 5).is_ok());
+        assert_eq!(verify_quote(&q, b"root", b"n"), Ok(m));
+        let mut raised = q.clone();
+        raised.report.svn = 6;
         assert_eq!(
-            verify_policy(&q, b"root", b"n", &m, 6),
-            Err(AttestError::TcbOutOfDate)
-        );
-        let other = Measurement([9u8; 32]);
-        assert_eq!(
-            verify_policy(&q, b"root", b"n", &other, 5),
-            Err(AttestError::MeasurementMismatch)
+            verify_quote(&raised, b"root", b"n"),
+            Err(AttestError::BadSignature)
         );
     }
 

@@ -112,7 +112,7 @@ impl Enclave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attestation::{verify_policy, verify_quote};
+    use crate::attestation::verify_quote;
 
     fn manifest() -> Manifest {
         Manifest::builder("infer")
@@ -137,7 +137,8 @@ mod tests {
         // Verifier attests with a fresh nonce and pins the measurement.
         let quote = enclave.quote(b"nonce-42");
         let golden = manifest().measurement();
-        assert!(verify_policy(&quote, b"hw-secret", b"nonce-42", &golden, 1).is_ok());
+        assert_eq!(verify_quote(&quote, b"hw-secret", b"nonce-42"), Ok(golden));
+        assert_eq!(quote.report.svn, 7);
         // After attestation the enclave seals its working state.
         let sealed = enclave.seal("kv-cache", b"cache bytes", b"seed");
         assert_eq!(enclave.unseal(&sealed).unwrap(), b"cache bytes");

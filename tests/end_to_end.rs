@@ -7,8 +7,9 @@ use confidential_llms_in_tees::core::pipeline::{
 };
 use confidential_llms_in_tees::core::{EncryptedModel, ModelOwner};
 use confidential_llms_in_tees::infer::model::{TinyConfig, TinyModel};
-use confidential_llms_in_tees::tee::attestation::{generate_quote, Measurement};
+use confidential_llms_in_tees::tee::attestation::Measurement;
 use confidential_llms_in_tees::tee::platform::{CpuTeeConfig, Platform, TeeKind};
+use confidential_llms_in_tees::tee::session::enclave_respond;
 use confidential_llms_in_tees::workload::phase::RequestSpec;
 
 #[test]
@@ -60,14 +61,16 @@ fn weight_theft_is_prevented() {
     for guess in [[0u8; 16], [0xFFu8; 16]] {
         assert!(ModelOwner::decrypt_model(&guess, &artifact).is_err());
     }
-    // A quote from a *different* enclave gets no key:
-    let nonce = owner.challenge();
-    let evil_quote = generate_quote(b"hw-root", Measurement([66u8; 32]), 9, &nonce);
-    assert!(owner.release_key(&evil_quote, &nonce).is_err());
-    // The legitimate enclave does:
-    let nonce = owner.challenge();
-    let good_quote = generate_quote(b"hw-root", golden, 9, &nonce);
-    let key = owner.release_key(&good_quote, &nonce).unwrap();
+    // A session answered by a *different* enclave releases no key:
+    let (verifier, challenge) = owner.begin_session();
+    let (evil, _) =
+        enclave_respond(b"hw-root", Measurement([66u8; 32]), 9, &challenge, b"evil").unwrap();
+    assert!(owner.release_key_secure(&verifier, &evil).is_err());
+    // The legitimate enclave's session does, sealed to its channel:
+    let (verifier, challenge) = owner.begin_session();
+    let (good, mut enclave) = enclave_respond(b"hw-root", golden, 9, &challenge, b"good").unwrap();
+    let (_, record) = owner.release_key_secure(&verifier, &good).unwrap();
+    let key: [u8; 16] = enclave.recv(&record).unwrap().try_into().unwrap();
     assert_eq!(ModelOwner::decrypt_model(&key, &artifact).unwrap(), model);
 }
 
