@@ -1,59 +1,57 @@
 //! Figure 12: vCPU scaling and cost of generating one million tokens
 //! (EMR2, Llama2-7B bf16, 128 in / 128 out, single socket, 128 GiB of
 //! memory held constant), with the cGPU cost line.
+//!
+//! [`tdx_cost_sweep`] and [`cgpu_usd_per_mtok`] price any request shape:
+//! Figure 13 and `cllm plan` (the paper's §V-D decision) call them at
+//! their own shapes.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, CpuScenario, GpuScenario, Sweep};
-use cllm_cost::{cost_per_mtok, CostPoint, CpuPricing, GpuPricing};
+use crate::scenario::{CpuScenario, GpuScenario, Sweep};
+use cllm_cost::{cost_per_mtok, socket_cost_per_hr, CostPoint, GpuPricing};
 use cllm_perf::CpuTarget;
 use cllm_workload::phase::RequestSpec;
-
-/// Hyperthreads billed per physical core (GCP bills vCPUs).
-pub const VCPUS_PER_CORE: u32 = 2;
-
-/// Memory held constant across the sweep, GiB (the paper found 128 GiB
-/// sufficient for Llama2-7B in all shown cases).
-pub const MEMORY_GIB: f64 = 128.0;
 
 /// Core counts swept (per socket).
 pub const CORES: [u32; 6] = [4, 8, 16, 32, 48, 60];
 
-fn scenario(cores: u32, batch: u64) -> CpuScenario {
-    CpuScenario::llama2_7b(RequestSpec::new(batch, 128, 128))
-        .with_target(CpuTarget::emr2_single_socket().with_cores(cores))
-}
+/// Batch sizes of the figure.
+const BATCHES: [u64; 4] = [1, 16, 64, 128];
 
-/// TDX generation throughput at a core count and batch size (e2e,
-/// includes first-token latency, as the figure caption specifies).
+/// The figure's request at one batch size: 128 input and 128 output
+/// tokens.
 #[must_use]
-pub fn tdx_e2e_tps(cores: u32, batch: u64) -> f64 {
-    scenario(cores, batch).simulate().e2e_tps
+pub fn request(batch: u64) -> RequestSpec {
+    RequestSpec::new(batch, 128, 128)
 }
 
-fn bare_e2e_tps(cores: u32, batch: u64) -> f64 {
-    scenario(cores, batch).baseline().simulate().e2e_tps
+fn scenario(cores: u32, req: &RequestSpec) -> CpuScenario {
+    CpuScenario::llama2_7b(*req).with_target(CpuTarget::emr2_single_socket().with_cores(cores))
 }
 
-fn tdx_overhead(cores: u32, batch: u64) -> f64 {
-    cllm_perf::throughput_overhead_pct(bare_e2e_tps(cores, batch), tdx_e2e_tps(cores, batch))
+fn tdx_overhead(cores: u32, req: &RequestSpec) -> f64 {
+    let tdx = scenario(cores, req);
+    cllm_perf::throughput_overhead_pct(tdx.baseline().simulate().e2e_tps, tdx.simulate().e2e_tps)
 }
 
-/// cGPU $/Mtoken at a batch size (the orange line of Figure 12).
+/// cGPU $/Mtoken at one request shape (the orange line of Figure 12).
 #[must_use]
-pub fn cgpu_usd_per_mtok(batch: u64) -> f64 {
-    let sim = GpuScenario::llama2_7b(RequestSpec::new(batch, 128, 128)).simulate();
+pub fn cgpu_usd_per_mtok(req: &RequestSpec) -> f64 {
+    let sim = GpuScenario::llama2_7b(*req).simulate();
     cost_per_mtok(GpuPricing::azure_ncc_h100().per_hr, sim.e2e_tps)
 }
 
-/// The TDX cost sweep over core counts at one batch size.
+/// The TDX cost sweep over [`CORES`] at one request shape: each point's
+/// throughput is end to end (it includes first-token latency, as the
+/// figure caption specifies) and its price is one socket's
+/// ([`socket_cost_per_hr`]).
 #[must_use]
-pub fn tdx_cost_sweep(batch: u64) -> Vec<CostPoint> {
-    let pricing = CpuPricing::gcp_spot_us_east1();
+pub fn tdx_cost_sweep(req: &RequestSpec) -> Vec<CostPoint> {
     CORES
         .iter()
         .map(|&cores| {
-            let price = pricing.instance_cost_per_hr(cores * VCPUS_PER_CORE, MEMORY_GIB);
-            CostPoint::new(u64::from(cores), tdx_e2e_tps(cores, batch), price)
+            let tps = scenario(cores, req).simulate().e2e_tps;
+            CostPoint::new(u64::from(cores), tps, socket_cost_per_hr(cores))
         })
         .collect()
 }
@@ -73,20 +71,25 @@ pub fn run() -> ExperimentResult {
             Column::float("cgpu_usd_per_mtok", Unit::UsdPerMtok, 3),
         ],
     );
-    let pricing = CpuPricing::gcp_spot_us_east1();
-    let sweep = Sweep::over(grid2(&[1u64, 16, 64, 128], &CORES));
-    r.extend_rows(sweep.rows(|&(batch, cores)| {
-        let tps = tdx_e2e_tps(cores, batch);
-        let price = pricing.instance_cost_per_hr(cores * VCPUS_PER_CORE, MEMORY_GIB);
-        vec![
-            Value::uint(batch),
-            Value::int(i64::from(cores)),
-            Value::float(tps, Unit::TokensPerSec, 0),
-            Value::pct(tdx_overhead(cores, batch)),
-            Value::float(cost_per_mtok(price, tps), Unit::UsdPerMtok, 3),
-            Value::float(cgpu_usd_per_mtok(batch), Unit::UsdPerMtok, 3),
-        ]
-    }));
+    let rows = Sweep::over(BATCHES).map(|&batch| {
+        let req = request(batch);
+        let cgpu = cgpu_usd_per_mtok(&req);
+        CORES
+            .iter()
+            .zip(tdx_cost_sweep(&req))
+            .map(|(&cores, point)| {
+                vec![
+                    Value::uint(batch),
+                    Value::int(i64::from(cores)),
+                    Value::float(point.tokens_per_s, Unit::TokensPerSec, 0),
+                    Value::pct(tdx_overhead(cores, &req)),
+                    Value::float(point.usd_per_mtok, Unit::UsdPerMtok, 3),
+                    Value::float(cgpu, Unit::UsdPerMtok, 3),
+                ]
+            })
+            .collect::<Vec<_>>()
+    });
+    r.extend_rows(rows.concat());
     r.note("paper: workload is compute-bound until ~32 cores, then memory-bound");
     r.note("paper: cGPUs are up to 100% more expensive at small batch; parity near batch 128");
     r
@@ -100,9 +103,8 @@ mod tests {
     #[test]
     fn throughput_knee_near_32_cores() {
         // Figure 12: minimal gain above ~32 cores.
-        let t16 = tdx_e2e_tps(16, 64);
-        let t32 = tdx_e2e_tps(32, 64);
-        let t60 = tdx_e2e_tps(60, 64);
+        let tps = |cores| scenario(cores, &request(64)).simulate().e2e_tps;
+        let (t16, t32, t60) = (tps(16), tps(32), tps(60));
         assert!(t32 > 1.05 * t16, "still scaling into 32 cores");
         assert!(t60 < 1.15 * t32, "should flatten past 32 cores");
     }
@@ -111,7 +113,7 @@ mod tests {
     fn cost_curve_is_u_shaped() {
         // Memory dominates at low cores; throughput plateau raises cost at
         // high cores -> the cheapest point is interior.
-        let sweep = tdx_cost_sweep(64);
+        let sweep = tdx_cost_sweep(&request(64));
         let best = cheapest_point(&sweep).unwrap();
         assert!(
             best.x > CORES[0].into() && best.x <= 48,
@@ -125,8 +127,9 @@ mod tests {
         // Paper: CPU TEEs up to ~100% cheaper at batch 1; parity around
         // batch 128.
         let adv = |batch| {
-            let cpu_best = cheapest_point(&tdx_cost_sweep(batch)).unwrap().usd_per_mtok;
-            cost_advantage_pct(cpu_best, cgpu_usd_per_mtok(batch))
+            let req = request(batch);
+            let cpu_best = cheapest_point(&tdx_cost_sweep(&req)).unwrap().usd_per_mtok;
+            cost_advantage_pct(cpu_best, cgpu_usd_per_mtok(&req))
         };
         let b1 = adv(1);
         let b64 = adv(64);
@@ -144,7 +147,7 @@ mod tests {
     #[test]
     fn overheads_moderate_across_core_counts() {
         for cores in CORES {
-            let ovh = tdx_overhead(cores, 64);
+            let ovh = tdx_overhead(cores, &request(64));
             assert!((2.0..14.0).contains(&ovh), "{cores} cores: {ovh}%");
         }
     }

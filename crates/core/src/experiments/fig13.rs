@@ -3,10 +3,10 @@
 //! sensitive to input size than cGPUs: attention grows quadratically with
 //! the input, which hits the compute-poor CPU much harder (Section V-D2).
 
+use super::fig12::{cgpu_usd_per_mtok, tdx_cost_sweep};
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, GpuScenario, Sweep};
-use cllm_cost::{cost_advantage_pct, cost_per_mtok, CpuPricing, GpuPricing};
-use cllm_perf::CpuTarget;
+use crate::scenario::Sweep;
+use cllm_cost::{cheapest_point, cost_advantage_pct};
 use cllm_workload::phase::RequestSpec;
 
 /// Inputs swept.
@@ -15,27 +15,20 @@ pub const INPUTS: [u64; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192];
 /// Fixed batch size of the figure.
 pub const BATCH: u64 = 4;
 
+fn request(input: u64) -> RequestSpec {
+    RequestSpec::new(BATCH, input, 128)
+}
+
 fn cpu_usd_per_mtok(input: u64) -> f64 {
     // As in Figure 12, the operator picks the cost-optimal core count.
-    let pricing = CpuPricing::gcp_spot_us_east1();
-    super::fig12::CORES
-        .iter()
-        .map(|&cores| {
-            let sim = CpuScenario::llama2_7b(RequestSpec::new(BATCH, input, 128))
-                .with_target(CpuTarget::emr2_single_socket().with_cores(cores))
-                .simulate();
-            let price = pricing.instance_cost_per_hr(
-                cores * super::fig12::VCPUS_PER_CORE,
-                super::fig12::MEMORY_GIB,
-            );
-            cost_per_mtok(price, sim.e2e_tps)
-        })
-        .fold(f64::INFINITY, f64::min)
+    let sweep = tdx_cost_sweep(&request(input));
+    cheapest_point(&sweep)
+        .expect("the core sweep is nonempty")
+        .usd_per_mtok
 }
 
 fn gpu_usd_per_mtok(input: u64) -> f64 {
-    let sim = GpuScenario::llama2_7b(RequestSpec::new(BATCH, input, 128)).simulate();
-    cost_per_mtok(GpuPricing::azure_ncc_h100().per_hr, sim.e2e_tps)
+    cgpu_usd_per_mtok(&request(input))
 }
 
 /// CPU-vs-cGPU cost advantage at one input size (positive = CPU cheaper).

@@ -180,9 +180,10 @@ pub fn check_all() -> Vec<InsightCheck> {
     // Figure 12 batch-1 cost columns.
     {
         let adv = {
-            let sweep = fig12::tdx_cost_sweep(1);
+            let req = fig12::request(1);
+            let sweep = fig12::tdx_cost_sweep(&req);
             let cpu = cllm_cost::cheapest_point(&sweep).unwrap().usd_per_mtok;
-            cllm_cost::cost_advantage_pct(cpu, fig12::cgpu_usd_per_mtok(1))
+            cllm_cost::cost_advantage_pct(cpu, fig12::cgpu_usd_per_mtok(&req))
         };
         let stricter = security_score(TeeKind::Tdx) > security_score(TeeKind::GpuCc);
         out.push(InsightCheck {

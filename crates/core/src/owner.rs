@@ -124,26 +124,28 @@ impl ModelOwner {
     }
 
     /// Complete the session: verify the enclave's response (quote bound to
-    /// the channel transcript), then release the model key as the first
-    /// protected record. Returns the owner's channel end and the record
-    /// carrying the key.
+    /// the channel transcript), check the platform TCB the verified quote
+    /// reports, then release the model key as the first protected record.
+    /// Returns the owner's channel end and the record carrying the key.
     ///
     /// # Errors
     ///
-    /// No key is released to a platform TCB below the owner's minimum
-    /// ([`AttestError::TcbOutOfDate`]), to a quote that does not verify or
-    /// answers another session's challenge
-    /// ([`SessionError::Attestation`]), or to any measurement but the
-    /// golden one ([`SessionError::WrongEnclave`]).
+    /// No key is released to a quote that does not verify or answers
+    /// another session's challenge ([`SessionError::Attestation`]), to any
+    /// measurement but the golden one ([`SessionError::WrongEnclave`]),
+    /// or, once the quote verifies, to a platform TCB below the owner's
+    /// minimum ([`AttestError::TcbOutOfDate`]). The SVN is read only from
+    /// a verified quote, so a forged quote is refused as a bad signature
+    /// whatever SVN it carries.
     pub fn release_key_secure(
         &self,
         verifier: &Verifier,
         response: &Response,
     ) -> Result<(SecureChannel, Record), OwnerError> {
+        let mut channel = verifier.finish(response).map_err(OwnerError::Session)?;
         if response.quote.report.svn < self.min_svn {
             return Err(OwnerError::Attestation(AttestError::TcbOutOfDate));
         }
-        let mut channel = verifier.finish(response).map_err(OwnerError::Session)?;
         let record = channel.send(&self.model_key);
         Ok((channel, record))
     }
@@ -258,12 +260,28 @@ mod tests {
 
     #[test]
     fn raised_svn_on_a_low_tcb_quote_gets_no_key() {
-        // The TCB check reads the quote's SVN before the quote verifies;
-        // raising it past the minimum breaks the quote's signature.
+        // The SVN is signed with the rest of the report: raising it past
+        // the minimum breaks the quote's signature.
         let mut owner = ModelOwner::new(b"hw", golden(), 9, b"seed");
         let (verifier, challenge) = owner.begin_session();
         let (mut response, _) = enclave_respond(b"hw", golden(), 7, &challenge, b"enc").unwrap();
         response.quote.report.svn = 9;
+        assert_eq!(
+            owner.release_key_secure(&verifier, &response).map(|_| ()),
+            Err(OwnerError::Session(SessionError::Attestation(
+                AttestError::BadSignature
+            )))
+        );
+    }
+
+    #[test]
+    fn forged_quote_is_a_bad_signature_whatever_its_svn() {
+        // The quote verifies before its SVN is read, so a forgery is
+        // named as one even when it also reports a TCB below the minimum.
+        let mut owner = ModelOwner::new(b"hw", golden(), 9, b"seed");
+        let (verifier, challenge) = owner.begin_session();
+        let (mut response, _) = enclave_respond(b"hw", golden(), 7, &challenge, b"enc").unwrap();
+        response.quote.signature = [0; 32];
         assert_eq!(
             owner.release_key_secure(&verifier, &response).map(|_| ()),
             Err(OwnerError::Session(SessionError::Attestation(

@@ -26,7 +26,7 @@
 //! so harness binaries can persist the partial results and report the
 //! failures instead of aborting wholesale.
 
-use crate::experiments::{all_experiments, ExperimentEntry, ExperimentResult};
+use crate::experiments::{ExperimentEntry, ExperimentResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -152,11 +152,6 @@ pub enum ExperimentError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// No experiment with the requested id is registered.
-    UnknownId(
-        /// The id that failed to resolve.
-        String,
-    ),
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -165,7 +160,6 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::Panicked { id, message } => {
                 write!(f, "experiment '{id}' panicked: {message}")
             }
-            ExperimentError::UnknownId(id) => write!(f, "unknown experiment id '{id}'"),
         }
     }
 }
@@ -248,23 +242,6 @@ pub fn run_entries_profiled(
             cache_misses: stats1.misses.saturating_sub(stats0.misses),
         };
         (id, outcome, profile)
-    })
-}
-
-/// Run a single experiment by id with panic isolation.
-///
-/// # Errors
-///
-/// [`ExperimentError::UnknownId`] if `id` is not registered,
-/// [`ExperimentError::Panicked`] if the experiment panicked.
-pub fn run_one_isolated(id: &str) -> Result<ExperimentResult, ExperimentError> {
-    let entries = all_experiments();
-    let Some(&(found, run)) = entries.iter().find(|(eid, _)| *eid == id) else {
-        return Err(ExperimentError::UnknownId(id.to_string()));
-    };
-    catch_unwind(AssertUnwindSafe(run)).map_err(|payload| ExperimentError::Panicked {
-        id: found.to_string(),
-        message: panic_message(payload.as_ref()),
     })
 }
 
@@ -393,15 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_single_runs() {
-        assert!(run_one_isolated("fig1").is_ok());
-        assert_eq!(
-            run_one_isolated("nope"),
-            Err(ExperimentError::UnknownId("nope".to_string()))
-        );
-    }
-
-    #[test]
     fn isolation_is_deterministic_across_workers() {
         let entries: Vec<ExperimentEntry> = vec![("fig1", good), ("boom", bad)];
         let outcomes = |workers| {
@@ -420,10 +388,6 @@ mod tests {
             message: "why".to_string(),
         };
         assert_eq!(e.to_string(), "experiment 'x' panicked: why");
-        assert_eq!(
-            ExperimentError::UnknownId("y".to_string()).to_string(),
-            "unknown experiment id 'y'"
-        );
     }
 
     #[test]

@@ -31,8 +31,14 @@ fn cluster_resilience_is_byte_identical_across_thread_counts() {
     assert_eq!(render_1, render_4);
     assert_eq!(render_1, render_7);
 
-    // And the isolated runner path reproduces the same bytes too.
-    let isolated = cllm_core::runner::run_one_isolated("cluster_resilience").expect("runs clean");
+    // And the isolated runner `all_figures` uses reproduces the same
+    // bytes too.
+    let entry = cllm_core::experiments::all_experiments()
+        .into_iter()
+        .find(|(id, _)| *id == "cluster_resilience")
+        .expect("cluster_resilience registered");
+    let (_, isolated, _) = cllm_core::runner::run_entries_profiled(&[entry], 1).remove(0);
+    let isolated = isolated.expect("runs clean");
     let isolated_json = serde_json::to_string_pretty(isolated.to_json()).expect("serializes");
     assert_eq!(json_1, isolated_json);
 }

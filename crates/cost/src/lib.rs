@@ -66,6 +66,17 @@ impl CpuPricing {
     }
 }
 
+/// Hourly price of one CPU socket with `cores` physical cores at
+/// [`CpuPricing::gcp_spot_us_east1`] rates: two vCPUs per core (GCP bills
+/// hyperthreads) and 128 GiB of memory (the paper found 128 GiB enough
+/// for Llama2-7B in every case it shows, and held it constant).
+/// Figures 12 and 13, the §V-D planner and every simulated CPU node rent
+/// this shape.
+#[must_use]
+pub fn socket_cost_per_hr(cores: u32) -> f64 {
+    CpuPricing::gcp_spot_us_east1().instance_cost_per_hr(cores * 2, 128.0)
+}
+
 /// Fixed-shape GPU instance pricing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpuPricing {
@@ -391,6 +402,12 @@ mod tests {
     }
 
     #[test]
+    fn a_socket_rents_two_vcpus_per_core_and_128_gib() {
+        let p = CpuPricing::gcp_spot_us_east1();
+        assert_eq!(socket_cost_per_hr(60), p.instance_cost_per_hr(120, 128.0));
+    }
+
+    #[test]
     fn memory_dominates_at_low_core_counts() {
         // Figure 12: "Memory initially dominates the cost of renting".
         let p = CpuPricing::gcp_spot_us_east1();
@@ -436,13 +453,7 @@ mod tests {
             (60, 480.0),
         ]
         .iter()
-        .map(|&(c, tps)| {
-            CostPoint::new(
-                c,
-                tps,
-                CpuPricing::gcp_spot_us_east1().instance_cost_per_hr(c as u32 * 2, 128.0),
-            )
-        })
+        .map(|&(c, tps)| CostPoint::new(c, tps, socket_cost_per_hr(c as u32)))
         .collect();
         let best = cheapest_point(&pts).unwrap();
         assert!(best.x > 4 && best.x < 60, "valley at {}", best.x);

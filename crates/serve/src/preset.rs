@@ -11,7 +11,7 @@
 use crate::cluster::NodeSpec;
 use crate::faults::FaultRates;
 use crate::sim::{ServingConfig, ServingNode};
-use cllm_cost::{CpuPricing, GpuPricing, SpotParams};
+use cllm_cost::{socket_cost_per_hr, GpuPricing, SpotParams};
 use cllm_tee::platform::{Platform, TeeKind};
 
 impl ServingNode {
@@ -29,13 +29,13 @@ impl ServingNode {
     }
 
     /// Hourly price of this node: the Azure NCC H100 rate for GPUs, the
-    /// GCP spot vCPU and memory rates for a CPU socket of `cfg`'s target.
+    /// GCP spot price of one socket of `cfg`'s target for CPUs
+    /// ([`socket_cost_per_hr`]).
     #[must_use]
     pub fn price_per_hr(&self, cfg: &ServingConfig) -> f64 {
         match self {
             ServingNode::Gpu { .. } => GpuPricing::azure_ncc_h100().per_hr,
-            ServingNode::Cpu { .. } => CpuPricing::gcp_spot_us_east1()
-                .instance_cost_per_hr(cfg.target.cores_per_socket * 2, 128.0),
+            ServingNode::Cpu { .. } => socket_cost_per_hr(cfg.target.cores_per_socket),
         }
     }
 }
@@ -73,6 +73,7 @@ impl NodeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cllm_cost::CpuPricing;
 
     #[test]
     fn preset_is_a_gpu_node_exactly_for_the_gpu_kinds() {

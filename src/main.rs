@@ -27,12 +27,11 @@
 //!                                        timeline as Chrome trace-event JSON
 //! ```
 
-use cllm_core::experiments::{all_experiments, run_by_id, trace_by_id, TRACEABLE};
+use cllm_core::experiments::{all_experiments, fig12, run_by_id, trace_by_id, TRACEABLE};
 use cllm_core::pipeline::{ConfidentialPipeline, DeploymentSpec};
 use cllm_cost::SpillPenalty;
-use cllm_cost::{cost_advantage_pct, cost_per_mtok, CpuPricing, GpuPricing};
+use cllm_cost::{cheapest_point, cost_advantage_pct};
 use cllm_hw::DType;
-use cllm_perf::{simulate_gpu, CpuTarget};
 use cllm_serve::autoscale::{simulate_autoscale, AutoscaleConfig, ControllerConfig, RentalSpec};
 use cllm_serve::cluster::{simulate_cluster, ClusterConfig, NodeSpec, WaveModel};
 use cllm_serve::faults::{FaultPlan, FaultRates};
@@ -45,7 +44,7 @@ use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
 use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_FLEET_NODES, MAX_HOURLY_RATE_X_DURATION};
-use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig, Platform, TeeKind};
+use cllm_tee::platform::{Platform, TeeKind};
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
 use cllm_workload::zoo;
@@ -372,35 +371,20 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let batch = num_flag(flags, "batch", 16)?;
     let input = num_flag(flags, "input", 512)?;
-    let model = zoo::llama2_7b();
-    let req = RequestSpec::new(batch, input, 128);
-
-    let pricing = CpuPricing::gcp_spot_us_east1();
-    let mut best: Option<(u32, f64)> = None;
-    for cores in [4u32, 8, 16, 32, 48, 60] {
-        let target = CpuTarget::emr2_single_socket().with_cores(cores);
-        let sim = cllm_perf::simulate_cpu(&model, &req, DType::Bf16, &target, &CpuTeeConfig::tdx());
-        let price = pricing.instance_cost_per_hr(cores * 2, 128.0);
-        let usd = cost_per_mtok(price, sim.e2e_tps);
-        if best.is_none_or(|(_, b)| usd < b) {
-            best = Some((cores, usd));
-        }
+    if batch == 0 {
+        return Err("--batch needs at least one sequence, got 0".into());
     }
-    let (cpu_cores, cpu_usd) = best.expect("nonempty sweep");
-    let gpu = cllm_hw::presets::h100_nvl();
-    let sim = simulate_gpu(
-        &model,
-        &req,
-        DType::Bf16,
-        &gpu,
-        &GpuTeeConfig::confidential(),
-    );
-    let gpu_usd = cost_per_mtok(GpuPricing::azure_ncc_h100().per_hr, sim.e2e_tps);
+    // Figure 12's sweep and cGPU line, priced at this shape.
+    let req = RequestSpec::new(batch, input, 128);
+    let sweep = fig12::tdx_cost_sweep(&req);
+    let best = cheapest_point(&sweep).expect("the core sweep is nonempty");
+    let (cpu_cores, cpu_usd) = (best.x, best.usd_per_mtok);
+    let gpu_usd = fig12::cgpu_usd_per_mtok(&req);
     let adv = cost_advantage_pct(cpu_usd, gpu_usd);
 
     println!(
         "shape       : batch {batch}, {input} in / 128 out ({})",
-        model.name
+        zoo::llama2_7b().name
     );
     println!("TDX best    : ${cpu_usd:.3}/Mtok at {cpu_cores} cores");
     println!("cGPU        : ${gpu_usd:.3}/Mtok");

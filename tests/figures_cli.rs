@@ -1,9 +1,11 @@
 //! The single-experiment CLI paths: `cllm figures <id>` and `cllm <id>`
 //! run the same code, an unknown id is a usage error listing the
-//! registry, `cllm insights` confirms all 12 insights, and DESIGN.md's
-//! experiment index names exactly the registered ids.
+//! registry, `cllm insights` confirms all 12 insights, DESIGN.md's
+//! experiment index names exactly the registered ids, and README's list
+//! of runnable examples names exactly the files in `examples/`.
 
 use confidential_llms_in_tees::core::experiments::all_experiments;
+use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
 fn cllm(args: &[&str]) -> Output {
@@ -60,4 +62,36 @@ fn design_experiment_index_names_every_registered_id() {
         let named = named.split('`').next().unwrap_or_default();
         assert!(ids.contains(&named), "section 4 names unknown id {named:?}");
     }
+}
+
+#[test]
+fn readme_lists_exactly_the_runnable_examples() {
+    let readme = include_str!("../README.md");
+    let start = readme
+        .find("\nRunnable examples")
+        .expect("README has a runnable-examples list");
+    // The list is the run of `* ` bullets, with their indented
+    // continuation lines, under that line.
+    let listed: BTreeSet<String> = readme[start + 1..]
+        .lines()
+        .skip(1)
+        .skip_while(|line| line.trim().is_empty())
+        .take_while(|line| line.starts_with("* ") || line.starts_with("  "))
+        .filter_map(|line| line.strip_prefix("* `")?.split('`').next())
+        .map(str::to_string)
+        .collect();
+    let files: BTreeSet<String> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/examples"))
+            .expect("examples/ is readable")
+            .map(|entry| {
+                let name = entry.expect("examples/ entry").file_name();
+                let name = name.to_string_lossy();
+                name.strip_suffix(".rs").unwrap_or(&name).to_string()
+            })
+            .collect();
+    assert_eq!(
+        listed, files,
+        "README's runnable examples must name exactly the files in examples/ \
+         (what only re-runs a CLI subcommand belongs in the CLI)"
+    );
 }

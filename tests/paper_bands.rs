@@ -64,15 +64,17 @@ fn fig11_gpu_band() {
 #[test]
 fn fig12_cost_story() {
     // Paper: cGPU up to ~100% more expensive at small batch, parity ~128.
-    let sweep1 = experiments::fig12::tdx_cost_sweep(1);
+    let req1 = experiments::fig12::request(1);
+    let sweep1 = experiments::fig12::tdx_cost_sweep(&req1);
     let cpu1 = cllm_cost::cheapest_point(&sweep1).unwrap().usd_per_mtok;
-    let gpu1 = experiments::fig12::cgpu_usd_per_mtok(1);
+    let gpu1 = experiments::fig12::cgpu_usd_per_mtok(&req1);
     let adv1 = cllm_cost::cost_advantage_pct(cpu1, gpu1);
     assert!(adv1 > 40.0, "batch-1 advantage {adv1}%");
 
-    let sweep128 = experiments::fig12::tdx_cost_sweep(128);
+    let req128 = experiments::fig12::request(128);
+    let sweep128 = experiments::fig12::tdx_cost_sweep(&req128);
     let cpu128 = cllm_cost::cheapest_point(&sweep128).unwrap().usd_per_mtok;
-    let gpu128 = experiments::fig12::cgpu_usd_per_mtok(128);
+    let gpu128 = experiments::fig12::cgpu_usd_per_mtok(&req128);
     let adv128 = cllm_cost::cost_advantage_pct(cpu128, gpu128);
     assert!(
         adv128 < 35.0,

@@ -4,8 +4,12 @@
 //! panicking, hanging, or aborting on allocation; a zero rate is a
 //! degenerate config every serve path answers with an empty report.
 //! Every platform name runs on every serve path, and unknown platform
-//! or `--dtype` names exit 2 naming the value.
+//! or `--dtype` names exit 2 naming the value. `cllm plan` prints
+//! Figure 12's cost sweep priced at the requested shape.
 
+use confidential_llms_in_tees::core::experiments::fig12;
+use confidential_llms_in_tees::cost::cheapest_point;
+use confidential_llms_in_tees::workload::phase::RequestSpec;
 use std::process::{Command, Output};
 
 /// Every CLI platform name, `sev` being an alias of `sev-snp`.
@@ -170,4 +174,37 @@ fn estimate_accepts_exactly_the_three_dtypes() {
             "nothing is estimated for --dtype {bad:?}"
         );
     }
+}
+
+#[test]
+fn plan_prints_figure_12s_sweep_at_the_requested_shape() {
+    for (args, batch, input) in [
+        (&[][..], 16, 512),
+        (&["--batch", "1", "--input", "128"], 1, 128),
+        (&["--batch", "128", "--input", "128"], 128, 128),
+    ] {
+        let out = cllm(&[&["plan"], args].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "plan {args:?}: {stdout}");
+        let req = RequestSpec::new(batch, input, 128);
+        let sweep = fig12::tdx_cost_sweep(&req);
+        let best = cheapest_point(&sweep).expect("the core sweep is nonempty");
+        let cpu = format!(
+            "TDX best    : ${:.3}/Mtok at {} cores\n",
+            best.usd_per_mtok, best.x
+        );
+        let gpu = format!(
+            "cGPU        : ${:.3}/Mtok\n",
+            fig12::cgpu_usd_per_mtok(&req)
+        );
+        assert!(
+            stdout.contains(&cpu) && stdout.contains(&gpu),
+            "plan {args:?} must print {cpu:?} and {gpu:?}: {stdout}"
+        );
+    }
+    let out = cllm(&["plan", "--batch", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "plan --batch 0: {stderr}");
+    assert!(stderr.contains("--batch"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing is planned for --batch 0");
 }
