@@ -66,15 +66,17 @@ impl CpuPricing {
     }
 }
 
+/// GiB of memory rented with each CPU socket: the paper found 128 GiB
+/// enough for Llama2-7B in every case it shows, and held it constant.
+pub const SOCKET_MEMORY_GIB: f64 = 128.0;
+
 /// Hourly price of one CPU socket with `cores` physical cores at
 /// [`CpuPricing::gcp_spot_us_east1`] rates: two vCPUs per core (GCP bills
-/// hyperthreads) and 128 GiB of memory (the paper found 128 GiB enough
-/// for Llama2-7B in every case it shows, and held it constant).
-/// Figures 12 and 13, the §V-D planner and every simulated CPU node rent
-/// this shape.
+/// hyperthreads) and [`SOCKET_MEMORY_GIB`] of memory. Figures 12 and 13,
+/// the §V-D planner and every simulated CPU node rent this shape.
 #[must_use]
 pub fn socket_cost_per_hr(cores: u32) -> f64 {
-    CpuPricing::gcp_spot_us_east1().instance_cost_per_hr(cores * 2, 128.0)
+    CpuPricing::gcp_spot_us_east1().instance_cost_per_hr(cores * 2, SOCKET_MEMORY_GIB)
 }
 
 /// Fixed-shape GPU instance pricing.

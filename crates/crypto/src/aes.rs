@@ -2,6 +2,8 @@
 //!
 //! Stand-in for the hardware memory-encryption engines (Intel MKTME/TDX
 //! MEE, SGX MEE) and for the software crypto of Gramine protected files.
+//! This is the table path of [`crate::modes`]: CTR and GCM run on it
+//! where the CPU lacks AES-NI, and test the hardware path against it.
 //!
 //! The state is four big-endian column words. Each of the nine full
 //! rounds is sixteen lookups into four 256-entry T-tables, which fold

@@ -9,12 +9,19 @@
 //! * **Authentication** — [`hmac`] (RFC 2104) and [`kdf`] (RFC 5869 HKDF)
 //!   derive sealing keys bound to a measurement, mirroring SGX's
 //!   `EGETKEY` sealing-key derivation.
-//! * **Confidentiality** — [`aes`] implements FIPS-197 AES-128 with
-//!   T-table rounds, with [`modes`] providing CTR streaming (LUKS-like
+//! * **Confidentiality** — [`modes`] provides CTR streaming (LUKS-like
 //!   block encryption of the model weights at rest) and GCM authenticated
 //!   encryption (Gramine protected files and attestation-channel
-//!   payloads), whose GHASH runs on a per-key 4-bit table and whose open
-//!   hashes and decrypts in one pass.
+//!   payloads), whose open hashes and decrypts in one pass. Each key
+//!   picks one of two engines when it is set up:
+//!   - on x86-64 CPUs with AES-NI, PCLMULQDQ, SSSE3 and SSE4.1, the
+//!     hardware path: AES rounds on `aesenc` with eight CTR blocks in
+//!     flight, and GHASH on carry-less multiplies, four blocks per
+//!     reduction. This is the crate's only `unsafe` code, reached only
+//!     once `is_x86_feature_detected!` confirmed every feature;
+//!   - everywhere else, the table path: [`aes`]'s FIPS-197 AES-128 on
+//!     T-tables and GHASH on a per-key 4-bit table. It is also the
+//!     oracle the hardware path is tested against, byte for byte.
 //! * **Key agreement** — [`dh`] runs Diffie-Hellman over 2^127 − 1 for
 //!   the attested session handshake.
 //!
@@ -26,14 +33,20 @@
 //!
 //! # Security note
 //!
-//! These implementations favour clarity and portable speed over
-//! side-channel hardening; they are faithful functional stand-ins for the
-//! hardware crypto engines of real TEEs, which is what the reproduction
-//! requires — not production cryptography. They index tables with secret
-//! data: the S-box by key and state bytes, the four AES T-tables by state
-//! bytes and the GHASH table by nibbles of the running hash. The T-tables
-//! and the GHASH table add no new kind of leak, since the S-box lookups
-//! already leak through the cache in the same way.
+//! These implementations favour clarity and speed over side-channel
+//! hardening; they are faithful functional stand-ins for the hardware
+//! crypto engines of real TEEs, which is what the reproduction requires —
+//! not production cryptography. The hardware path indexes no table with
+//! secret data: its key schedule, rounds and GHASH run in registers on
+//! instructions whose timing does not depend on their operands. The
+//! table path does index tables with secret data: the S-box by key and
+//! state bytes, the four AES T-tables by state bytes and the GHASH table
+//! by nibbles of the running hash, so its cache footprint leaks them, as
+//! software AES does (the T-tables and the GHASH table add no new kind
+//! of leak, since the S-box lookups already leak in the same way). That
+//! caveat applies only where the table path runs: off x86-64, or on a
+//! CPU without those instructions. Neither path zeroes key material on
+//! drop.
 //!
 //! # Example
 //!
@@ -46,13 +59,15 @@
 //! assert_eq!(opened, b"weights");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
 pub mod dh;
 pub mod drbg;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+mod hw;
 pub mod kdf;
 pub mod modes;
 pub mod sha256;

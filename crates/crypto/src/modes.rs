@@ -1,22 +1,67 @@
 //! Block-cipher modes: CTR streaming and GCM authenticated encryption.
 //!
-//! Both modes draw their keystream from one routine, `keystream`. GCM
-//! authenticates with GHASH over a per-key table of the sixteen 4-bit
-//! multiples of its subkey (Shoup's method), and opens in one pass:
-//! each ciphertext block is hashed and decrypted before the next is
-//! read, and the plaintext is released only once the tag verifies.
+//! Each key picks its engine once, at [`Ctr::new`] or [`Gcm::new`].
+//! On an x86-64 CPU with AES-NI, PCLMULQDQ, SSSE3 and SSE4.1 it is the
+//! hardware path of the `hw` module, which runs each operation in one
+//! call. Elsewhere it is the table path: T-table AES, with both modes
+//! drawing their keystream from one routine, `keystream`, and GHASH over
+//! a per-key table of the sixteen 4-bit multiples of its subkey
+//! (Shoup's method). Both engines give the same bytes, and the table
+//! path is the oracle the hardware path is tested against.
+//!
+//! GCM opens in one pass, each ciphertext block hashed and decrypted
+//! before the next is read, and releases the plaintext only once the
+//! tag verifies.
 
 use crate::aes::Aes128;
+#[cfg(target_arch = "x86_64")]
+use crate::hw;
 use crate::{ct_eq, sha256, AuthError};
+
+/// A key's engine, chosen once when the key is set up.
+#[derive(Clone)]
+enum Engine {
+    /// AES-NI rounds and carry-less-multiply GHASH, on a CPU that has
+    /// every feature they need.
+    #[cfg(target_arch = "x86_64")]
+    Hw(hw::Key),
+    /// T-table AES and the 4-bit GHASH table: the portable fallback.
+    Table(Aes128, GhashKey),
+}
+
+impl Engine {
+    /// The hardware engine where the CPU supports it, else the table one.
+    fn new(key: &[u8; 16]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(key) = hw::Key::new(key) {
+            return Engine::Hw(key);
+        }
+        Engine::table(key)
+    }
+
+    /// The table engine, whatever the CPU.
+    fn table(key: &[u8; 16]) -> Self {
+        let cipher = Aes128::new(key);
+        let h = u128::from_be_bytes(cipher.encrypt(&[0u8; 16]));
+        Engine::Table(cipher, GhashKey::new(h))
+    }
+}
 
 /// AES-128-CTR keystream cipher.
 ///
 /// Used by the LUKS-like full-disk layer (`cllm-tee::sealed::BlockDevice`):
 /// each sector gets a distinct initial counter derived from its index, like
 /// ESSIV/XTS sector tweaking in spirit.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Ctr {
-    cipher: Aes128,
+    engine: Engine,
+}
+
+impl std::fmt::Debug for Ctr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("Ctr").finish_non_exhaustive()
+    }
 }
 
 impl Ctr {
@@ -24,7 +69,7 @@ impl Ctr {
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
         Ctr {
-            cipher: Aes128::new(key),
+            engine: Engine::new(key),
         }
     }
 
@@ -32,14 +77,18 @@ impl Ctr {
     ///
     /// Encryption and decryption are the same operation.
     pub fn apply(&self, iv: &[u8; 12], counter: u32, data: &mut [u8]) {
-        keystream(&self.cipher, iv, counter, data, xor);
+        match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Hw(key) => key.ctr(iv, counter, data),
+            Engine::Table(cipher, _) => keystream(cipher, iv, counter, data, xor),
+        }
     }
 }
 
 /// Walk `data` in 16-byte chunks (the last may be shorter), handing each
 /// to `each` with its keystream block `E_K(iv || counter)`, the counter
 /// counting up from `counter` modulo 2^32 — the one CTR keystream
-/// routine behind [`Ctr`] and [`Gcm`].
+/// routine behind the table path of [`Ctr`] and [`Gcm`].
 fn keystream(
     cipher: &Aes128,
     iv: &[u8; 12],
@@ -76,9 +125,7 @@ fn derive_iv(nonce: &[u8]) -> [u8; 12] {
 /// channel payloads.
 #[derive(Clone)]
 pub struct Gcm {
-    cipher: Aes128,
-    /// Multiples of the GHASH subkey H = E_K(0^128).
-    ghash: GhashKey,
+    engine: Engine,
 }
 
 impl std::fmt::Debug for Gcm {
@@ -92,11 +139,8 @@ impl Gcm {
     /// Create a GCM instance from a 16-byte key.
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
-        let cipher = Aes128::new(key);
-        let h = u128::from_be_bytes(cipher.encrypt(&[0u8; 16]));
         Gcm {
-            cipher,
-            ghash: GhashKey::new(h),
+            engine: Engine::new(key),
         }
     }
 
@@ -120,20 +164,7 @@ impl Gcm {
         tag: &[u8; 16],
     ) -> Option<Vec<u8>> {
         let mut pt = ciphertext.to_vec();
-        let mut ghash = Ghash::new(&self.ghash, aad);
-        // CTR starts at 2 for data; counter 1 is reserved for the tag mask.
-        keystream(&self.cipher, iv, 2, &mut pt, |chunk, ks| {
-            ghash.update_padded(chunk);
-            xor(chunk, ks);
-        });
-        if ct_eq(&self.tag(iv, ghash, aad.len(), pt.len()), tag) {
-            Some(pt)
-        } else {
-            pt.fill(0);
-            // Keep the zeroing stores: the buffer is dropped unread.
-            std::hint::black_box(&pt);
-            None
-        }
+        self.decrypt_in_place(iv, &mut pt, aad, tag).then_some(pt)
     }
 
     /// Seal as [`crate::aead_seal`] does under this instance's key:
@@ -167,26 +198,64 @@ impl Gcm {
     /// Encrypt `data` in place, hashing each ciphertext block as it is
     /// produced; returns the tag.
     fn encrypt_in_place(&self, iv: &[u8; 12], data: &mut [u8], aad: &[u8]) -> [u8; 16] {
-        let mut ghash = Ghash::new(&self.ghash, aad);
-        keystream(&self.cipher, iv, 2, data, |chunk, ks| {
-            xor(chunk, ks);
-            ghash.update_padded(chunk);
-        });
-        self.tag(iv, ghash, aad.len(), data.len())
+        match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Hw(key) => key.gcm_encrypt(iv, data, aad),
+            Engine::Table(cipher, ghash) => {
+                let mut ghash = Ghash::new(ghash, aad);
+                keystream(cipher, iv, 2, data, |chunk, ks| {
+                    xor(chunk, ks);
+                    ghash.update_padded(chunk);
+                });
+                finish_tag(cipher, iv, ghash, aad.len(), data.len())
+            }
+        }
     }
 
-    /// Finish GHASH with the length block and mask it with E_K(J0),
-    /// where J0 = IV || 0^31 || 1.
-    fn tag(&self, iv: &[u8; 12], mut ghash: Ghash<'_>, aad_len: usize, ct_len: usize) -> [u8; 16] {
-        let mut len_block = [0u8; 16];
-        len_block[..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
-        len_block[8..].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
-        ghash.update_padded(&len_block);
-        let mut j0 = [0u8; 16];
-        j0[..12].copy_from_slice(iv);
-        j0[15] = 1;
-        (ghash.y ^ u128::from_be_bytes(self.cipher.encrypt(&j0))).to_be_bytes()
+    /// Decrypt `data` in place, hashing each ciphertext block before it
+    /// is decrypted, and compare the tag. Returns whether it verified;
+    /// if not, `data` is zeroed.
+    fn decrypt_in_place(&self, iv: &[u8; 12], data: &mut [u8], aad: &[u8], tag: &[u8; 16]) -> bool {
+        let expected = match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Hw(key) => key.gcm_decrypt(iv, data, aad),
+            Engine::Table(cipher, ghash) => {
+                let mut ghash = Ghash::new(ghash, aad);
+                // CTR starts at 2 for data; counter 1 is reserved for the tag mask.
+                keystream(cipher, iv, 2, data, |chunk, ks| {
+                    ghash.update_padded(chunk);
+                    xor(chunk, ks);
+                });
+                finish_tag(cipher, iv, ghash, aad.len(), data.len())
+            }
+        };
+        if ct_eq(&expected, tag) {
+            return true;
+        }
+        data.fill(0);
+        // Keep the zeroing stores: the caller drops the buffer unread.
+        std::hint::black_box(&data);
+        false
     }
+}
+
+/// Finish GHASH with the length block and mask it with E_K(J0), where
+/// J0 = IV || 0^31 || 1.
+fn finish_tag(
+    cipher: &Aes128,
+    iv: &[u8; 12],
+    mut ghash: Ghash<'_>,
+    aad_len: usize,
+    ct_len: usize,
+) -> [u8; 16] {
+    let mut len_block = [0u8; 16];
+    len_block[..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
+    len_block[8..].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
+    ghash.update_padded(&len_block);
+    let mut j0 = [0u8; 16];
+    j0[..12].copy_from_slice(iv);
+    j0[15] = 1;
+    (ghash.y ^ u128::from_be_bytes(cipher.encrypt(&j0))).to_be_bytes()
 }
 
 /// Multiply by x in GCM's bit order (bit 0 = MSB): shift right, folding
@@ -414,5 +483,115 @@ mod tests {
         ] {
             assert!(!dbg.contains(&secret), "{dbg} shows {secret}");
         }
+    }
+
+    /// The table path under `key`, whatever the CPU: the oracle for the
+    /// engine `new` picks.
+    fn table_gcm(key: &[u8; 16]) -> Gcm {
+        Gcm {
+            engine: Engine::table(key),
+        }
+    }
+
+    fn table_ctr(key: &[u8; 16]) -> Ctr {
+        Ctr {
+            engine: Engine::table(key),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn a_cpu_with_aes_and_clmul_gets_the_hardware_path() {
+        if is_x86_feature_detected!("aes") && is_x86_feature_detected!("pclmulqdq") {
+            assert!(matches!(Gcm::new(&[1; 16]).engine, Engine::Hw(_)));
+            assert!(matches!(Ctr::new(&[1; 16]).engine, Engine::Hw(_)));
+        }
+    }
+
+    /// Assert that the engine `new` picks gives the table path's bytes
+    /// and tags through every entry point: GCM under `nonce` and the IV it
+    /// derives, and CTR from counter 2 (GCM's data keystream) and from
+    /// each of `counters`.
+    fn assert_engines_agree(key: &[u8; 16], nonce: &[u8], aad: &[u8], pt: &[u8], counters: &[u32]) {
+        let (gcm, table) = (Gcm::new(key), table_gcm(key));
+        let iv = derive_iv(nonce);
+        let (ct, tag) = table.encrypt(&iv, pt, aad);
+        let sealed = [ct.as_slice(), &tag].concat();
+        assert!(gcm.encrypt(&iv, pt, aad) == (ct.clone(), tag), "encrypt");
+        assert!(gcm.seal(nonce, pt, aad) == sealed, "seal");
+        assert!(crate::aead_seal(key, nonce, pt, aad) == sealed, "aead_seal");
+        assert!(
+            gcm.decrypt(&iv, &ct, aad, &tag).as_deref() == Some(pt),
+            "decrypt"
+        );
+        assert!(gcm.open(nonce, &sealed, aad).as_deref() == Ok(pt), "open");
+        let opened = crate::aead_open(key, nonce, &sealed, aad);
+        assert!(opened.as_deref() == Ok(pt), "aead_open");
+        let mut data = pt.to_vec();
+        Ctr::new(key).apply(&iv, 2, &mut data);
+        assert!(data == ct, "ctr from 2");
+        for &counter in counters {
+            let (mut hw, mut tab) = (pt.to_vec(), pt.to_vec());
+            Ctr::new(key).apply(&iv, counter, &mut hw);
+            table_ctr(key).apply(&iv, counter, &mut tab);
+            assert!(hw == tab, "ctr from {counter}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn the_chosen_engine_gives_the_table_paths_bytes(
+            key in any::<[u8; 16]>(),
+            nonce in proptest::collection::vec(any::<u8>(), 0..24),
+            aad in proptest::collection::vec(any::<u8>(), 0..81),
+            pt in proptest::collection::vec(any::<u8>(), 0..701),
+            counter in any::<u32>(),
+            wrap in 0u32..48,
+        ) {
+            // `u32::MAX - wrap` wraps the counter inside longer buffers.
+            assert_engines_agree(&key, &nonce, &aad, &pt, &[counter, u32::MAX - wrap]);
+        }
+
+        #[test]
+        fn a_flipped_bit_fails_and_zeroes_the_plaintext_on_either_engine(
+            key in any::<[u8; 16]>(),
+            iv in any::<[u8; 12]>(),
+            aad in proptest::collection::vec(any::<u8>(), 0..81),
+            pt in proptest::collection::vec(any::<u8>(), 1..301),
+            pick in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            for gcm in [Gcm::new(&key), table_gcm(&key)] {
+                let (mut ct, mut tag) = gcm.encrypt(&iv, &pt, &aad);
+                let mut aad = aad.clone();
+                let idx = pick % (ct.len() + tag.len() + aad.len());
+                if let Some(byte) = ct.get_mut(idx) {
+                    *byte ^= 1 << bit;
+                } else if let Some(byte) = tag.get_mut(idx - ct.len()) {
+                    *byte ^= 1 << bit;
+                } else {
+                    aad[idx - ct.len() - tag.len()] ^= 1 << bit;
+                }
+                let mut data = ct.clone();
+                prop_assert!(!gcm.decrypt_in_place(&iv, &mut data, &aad, &tag));
+                prop_assert!(data.iter().all(|&b| b == 0), "plaintext left behind");
+                prop_assert!(gcm.decrypt(&iv, &ct, &aad, &tag).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn the_chosen_engine_gives_the_table_paths_bytes_on_4_mib_and_13_bytes() {
+        let key: [u8; 16] = std::array::from_fn(|i| (i * 29 + 5) as u8);
+        let pt: Vec<u8> = (0..(4 << 20) + 13)
+            .map(|i| (i * 131 + i / 509) as u8)
+            .collect();
+        assert_engines_agree(&key, b"weights", b"cllm-model-v1", &pt, &[]);
+    }
+
+    #[test]
+    fn ctr_debug_hides_the_key() {
+        assert_eq!(format!("{:?}", Ctr::new(&[0x5c; 16])), "Ctr { .. }");
     }
 }

@@ -189,12 +189,12 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
                     let pairs = parse_inline_table(line_no, &item)?;
                     let uri = lookup(line_no, &pairs, "uri")?;
                     let sha_hex = lookup(line_no, &pairs, "sha256")?;
-                    let digest = from_hex(&unquote(line_no, &sha_hex)?)
-                        .filter(|d| d.len() == 32)
+                    let sha256 = from_hex(&unquote(line_no, &sha_hex)?)
+                        .and_then(|d| <[u8; 32]>::try_from(d).ok())
                         .ok_or_else(|| err(line_no, "sha256 must be 64 hex chars"))?;
                     trusted_files.push(TrustedFile {
                         path: strip_uri(&unquote(line_no, &uri)?),
-                        sha256: digest.try_into().expect("length checked"),
+                        sha256,
                     });
                 }
             }

@@ -69,6 +69,13 @@ impl SealedBlob {
 /// Sector size of the encrypted block device (LUKS default).
 pub const SECTOR_BYTES: usize = 512;
 
+/// The position of sector `index` in the device's sectors. An index too
+/// large for `usize` becomes `usize::MAX`, out of range like any index
+/// past the last sector, so the accessors panic on it as documented.
+fn slot(index: u64) -> usize {
+    usize::try_from(index).unwrap_or(usize::MAX)
+}
+
 /// A LUKS-like encrypted block device: AES-CTR per sector with an IV
 /// derived from the sector index (ESSIV-style tweak).
 #[derive(Debug)]
@@ -109,6 +116,7 @@ impl BlockDevice {
         h.update(&self.iv_salt);
         h.update(&index.to_be_bytes());
         let d = h.finalize();
+        // infallible: a SHA-256 digest is 32 bytes, so it has 12 to take.
         d[..12].try_into().expect("sha256 is 32 bytes")
     }
 
@@ -121,7 +129,7 @@ impl BlockDevice {
         let iv = self.sector_iv(index);
         let mut buf = *plaintext;
         self.cipher.apply(&iv, 0, &mut buf);
-        self.sectors[usize::try_from(index).expect("index fits usize")] = buf;
+        self.sectors[slot(index)] = buf;
     }
 
     /// Read one sector, decrypting it.
@@ -132,16 +140,20 @@ impl BlockDevice {
     #[must_use]
     pub fn read_sector(&self, index: u64) -> [u8; SECTOR_BYTES] {
         let iv = self.sector_iv(index);
-        let mut buf = self.sectors[usize::try_from(index).expect("index fits usize")];
+        let mut buf = self.sectors[slot(index)];
         self.cipher.apply(&iv, 0, &mut buf);
         buf
     }
 
     /// Raw (encrypted) view of a sector — what a hypervisor or disk thief
     /// sees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
     #[must_use]
     pub fn raw_sector(&self, index: u64) -> &[u8; SECTOR_BYTES] {
-        &self.sectors[usize::try_from(index).expect("index fits usize")]
+        &self.sectors[slot(index)]
     }
 
     /// Store an arbitrary byte string starting at sector `start`, zero

@@ -114,6 +114,7 @@ fn transcript(nonce: &[u8; 16], verifier_public: u128, enclave_public: u128) -> 
 }
 
 fn session_key(shared: &[u8; 16], transcript: &[u8; 32]) -> [u8; 16] {
+    // infallible: `hkdf` returns exactly the 16 bytes requested.
     hkdf(b"cllm-session-key", shared, transcript, 16)
         .try_into()
         .expect("requested 16 bytes")

@@ -29,9 +29,11 @@
 
 use cllm_core::experiments::{all_experiments, fig12, run_by_id, trace_by_id, TRACEABLE};
 use cllm_core::pipeline::{ConfidentialPipeline, DeploymentSpec};
+use cllm_core::scenario::{CpuScenario, GpuScenario};
 use cllm_cost::SpillPenalty;
-use cllm_cost::{cheapest_point, cost_advantage_pct};
+use cllm_cost::{cheapest_point, cost_advantage_pct, SOCKET_MEMORY_GIB};
 use cllm_hw::DType;
+use cllm_perf::gpu_kv_budget_bytes;
 use cllm_serve::autoscale::{simulate_autoscale, AutoscaleConfig, ControllerConfig, RentalSpec};
 use cllm_serve::cluster::{simulate_cluster, ClusterConfig, NodeSpec, WaveModel};
 use cllm_serve::faults::{FaultPlan, FaultRates};
@@ -45,9 +47,9 @@ use cllm_serve::slo::Slo;
 use cllm_serve::workload::ArrivalProcess;
 use cllm_serve::{MAX_EXPECTED_ARRIVALS, MAX_FLEET_NODES, MAX_HOURLY_RATE_X_DURATION};
 use cllm_tee::platform::{Platform, TeeKind};
+use cllm_workload::kv::kv_bytes_total;
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
-use cllm_workload::zoo;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -374,30 +376,72 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if batch == 0 {
         return Err("--batch needs at least one sequence, got 0".into());
     }
-    // Figure 12's sweep and cGPU line, priced at this shape.
+    // Figure 12's sweep and cGPU line, priced at this shape on each
+    // platform whose rented memory holds the shape's KV cache: the
+    // socket's memory less the weights, or the H100's HBM left after them.
     let req = RequestSpec::new(batch, input, 128);
-    let sweep = fig12::tdx_cost_sweep(&req);
-    let best = cheapest_point(&sweep).expect("the core sweep is nonempty");
-    let (cpu_cores, cpu_usd) = (best.x, best.usd_per_mtok);
-    let gpu_usd = fig12::cgpu_usd_per_mtok(&req);
-    let adv = cost_advantage_pct(cpu_usd, gpu_usd);
+    let (cpu, gpu) = (CpuScenario::llama2_7b(req), GpuScenario::llama2_7b(req));
+    let seq_len = input.saturating_add(req.output_tokens);
+    let kv = kv_bytes_total(&cpu.model, req.decode_batch(), seq_len, cpu.dtype);
+    let cpu_room = SOCKET_MEMORY_GIB * cllm_hw::GIB - cpu.model.weight_bytes(cpu.dtype);
+    let gpu_room = gpu_kv_budget_bytes(&gpu.model, gpu.dtype, &gpu.gpu);
+    let tdx = (kv <= cpu_room).then(|| {
+        let sweep = fig12::tdx_cost_sweep(&req);
+        // infallible: the sweep has one point per entry of fig12's
+        // nonempty `CORES`.
+        *cheapest_point(&sweep).expect("the core sweep is nonempty")
+    });
+    let cgpu = (kv <= gpu_room).then(|| fig12::cgpu_usd_per_mtok(&req));
+    let recommend = match (&tdx, cgpu) {
+        (None, None) => {
+            return Err(format!(
+                "--batch {batch} --input {input} needs {:.1} GiB of KV cache: more than a TDX \
+                 socket ({:.1} GiB) or the cGPU ({:.1} GiB) holds beside the weights",
+                kv / cllm_hw::GIB,
+                cpu_room / cllm_hw::GIB,
+                gpu_room / cllm_hw::GIB
+            ))
+        }
+        (Some(best), Some(gpu_usd)) => {
+            let adv = cost_advantage_pct(best.usd_per_mtok, gpu_usd);
+            if adv > 5.0 {
+                format!("TDX ({adv:.0}% cheaper; stricter security model)")
+            } else if adv < -5.0 {
+                format!(
+                    "cGPU ({:.0}% cheaper; check HBM-encryption threat model)",
+                    -adv
+                )
+            } else {
+                "cost parity — decide by security policy (CPU TEE stricter)".into()
+            }
+        }
+        (Some(_), None) => "TDX (the cGPU cannot hold this shape's KV cache)".into(),
+        (None, Some(_)) => "cGPU (a TDX socket cannot hold this shape's KV cache)".into(),
+    };
+    let no_fit = |room: f64| {
+        format!(
+            "does not fit ({:.1} GiB of KV cache, {:.1} GiB free beside the weights)",
+            kv / cllm_hw::GIB,
+            room / cllm_hw::GIB
+        )
+    };
 
     println!(
         "shape       : batch {batch}, {input} in / 128 out ({})",
-        zoo::llama2_7b().name
+        cpu.model.name
     );
-    println!("TDX best    : ${cpu_usd:.3}/Mtok at {cpu_cores} cores");
-    println!("cGPU        : ${gpu_usd:.3}/Mtok");
-    if adv > 5.0 {
-        println!("recommend   : TDX ({adv:.0}% cheaper; stricter security model)");
-    } else if adv < -5.0 {
-        println!(
-            "recommend   : cGPU ({:.0}% cheaper; check HBM-encryption threat model)",
-            -adv
-        );
-    } else {
-        println!("recommend   : cost parity — decide by security policy (CPU TEE stricter)");
+    match tdx {
+        Some(best) => println!(
+            "TDX best    : ${:.3}/Mtok at {} cores",
+            best.usd_per_mtok, best.x
+        ),
+        None => println!("TDX         : {}", no_fit(cpu_room)),
     }
+    match cgpu {
+        Some(gpu_usd) => println!("cGPU        : ${gpu_usd:.3}/Mtok"),
+        None => println!("cGPU        : {}", no_fit(gpu_room)),
+    }
+    println!("recommend   : {recommend}");
     Ok(ExitCode::SUCCESS)
 }
 

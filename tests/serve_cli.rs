@@ -5,7 +5,8 @@
 //! degenerate config every serve path answers with an empty report.
 //! Every platform name runs on every serve path, and unknown platform
 //! or `--dtype` names exit 2 naming the value. `cllm plan` prints
-//! Figure 12's cost sweep priced at the requested shape.
+//! Figure 12's cost sweep priced at the requested shape, on the
+//! platforms whose memory holds the shape's KV cache.
 
 use confidential_llms_in_tees::core::experiments::fig12;
 use confidential_llms_in_tees::cost::cheapest_point;
@@ -207,4 +208,35 @@ fn plan_prints_figure_12s_sweep_at_the_requested_shape() {
     assert_eq!(out.status.code(), Some(2), "plan --batch 0: {stderr}");
     assert!(stderr.contains("--batch"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing is planned for --batch 0");
+}
+
+#[test]
+fn plan_prices_only_the_platforms_that_hold_the_kv_cache() {
+    // Batch 300 at 512 + 128 tokens is about 94 GiB of Llama2-7B KV
+    // cache: more than the H100 has beside the weights, less than a
+    // socket's 128 GiB.
+    let out = cllm(&["plan", "--batch", "300"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "plan --batch 300: {stdout}");
+    for line in [
+        "TDX best    : $",
+        "cGPU        : does not fit (93.8 GiB of KV cache, ",
+        "recommend   : TDX (the cGPU cannot hold",
+    ] {
+        assert!(
+            stdout.contains(line),
+            "plan --batch 300 must print {line:?}: {stdout}"
+        );
+    }
+    // A million sequences, or a million-token prompt, fit neither.
+    for args in [["--batch", "1000000"], ["--input", "1000000"]] {
+        let out = cllm(&[&["plan"], &args[..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "plan {args:?}: {stderr}");
+        assert!(
+            stderr.contains("--batch") && stderr.contains("--input"),
+            "plan {args:?} must name both flags: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing is planned for {args:?}");
+    }
 }
