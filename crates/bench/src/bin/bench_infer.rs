@@ -136,9 +136,10 @@ const DECODE_TOKENS: usize = 48;
 /// Speculative draft window. A same-shape int8 draft step costs about
 /// `1 / r` of a tiled step (`r` the int8/tiled decode ratio), so at
 /// acceptance `a ~ 0.91` the round model `E / (k / r + 1)`, with
-/// `E = (1 - a^(k+1)) / (1 - a)` tokens per round, is nearly flat from
-/// `k = 2` (1.43 at the modeled `r = 2.2`) to `k = 4` (1.48). The
-/// window stays at 2, where `SPEC_OVER_TILED_DECODE` is derived.
+/// `E = (1 - a^(k+1)) / (1 - a)` tokens per round, rises from 1.79 at
+/// `k = 2` to 2.02 at `k = 4` (at the modeled `r = 3.76`). The window
+/// stays at 2, where `SPEC_OVER_TILED_DECODE` is derived and the
+/// acceptance is pinned.
 const DRAFT_K: usize = 2;
 
 fn prompt(vocab: usize) -> Vec<usize> {

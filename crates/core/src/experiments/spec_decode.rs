@@ -203,7 +203,7 @@ pub fn run() -> ExperimentResult {
     }));
     r.note("round = k sequential Draft-160M steps + one batch-(k+1) Llama2-7B verify step at context 512; E[tokens/round] = (1 - a^(k+1)) / (1 - a); all steps priced by the calibrated roofline per platform");
     r.note("verification streams the target's weights once per round (a chunked forward), which is why speculation pays exactly where decode is weight-bound; each platform's confidentiality tax multiplies draft, verify and vanilla steps alike");
-    r.note("the executable engine's bench_infer measures spec/tiled ~1.45 at k = 2 with a same-shape int8 draft reading the target's KV cache (BENCH_infer.json: acceptance 0.91, a draft step ~1/3.7 of a target step); this table prices the ~25x-smaller draft speculation is usually deployed with");
+    r.note("the executable engine's bench_infer measures spec/tiled ~1.26 at k = 2 with a same-shape int8 draft reading the target's KV cache (BENCH_infer.json: acceptance 0.91, a draft step ~1/3.7 of a target step); this table prices the ~25x-smaller draft speculation is usually deployed with");
     r.note("the cGPU's per-step floor (kernel launch + CC transit) is paid by every draft step too, so drafting costs relatively more there than on the weight-streaming-bound CPU platforms");
     r
 }

@@ -1,7 +1,7 @@
 //! Compute kernels: matmul (scalar reference + panel kernels),
 //! attention, RMSNorm, softmax, SiLU, RoPE.
 //!
-//! Two matmul families live here:
+//! Two f32 matmul families live here:
 //!
 //! * [`gemv`] — the scalar **reference** kernel: one chained
 //!   accumulator per output row over a row-major [`Matrix`]. Kept as the
@@ -16,21 +16,18 @@
 //!   Nothing is reduced horizontally. Blocking only decides how many
 //!   panels and input rows run at once — it never changes which chain
 //!   an output belongs to or the order along it — so `gemm` over a
-//!   batch is **bit-identical** to `gemv_tiled` per input row, and the
-//!   int8/int4 kernels in [`crate::quant`] share the same tiling
-//!   routine and order. Versus [`gemv`] each product is fused into its add
-//!   instead of rounded separately, so results may differ from the
-//!   naive kernel by float rounding; the property suite
-//!   (`tests/prop_kernels.rs`) pins that drift to ≤1e-5 relative error.
+//!   batch is **bit-identical** to `gemv_tiled` per input row. Versus
+//!   [`gemv`] each product is fused into its add instead of rounded
+//!   separately, so results may differ from the naive kernel by float
+//!   rounding; the property suite (`tests/prop_kernels.rs`) pins that
+//!   drift to ≤1e-5 relative error.
 //!
 //! A tile of `R` input rows × `P` panels keeps its `R·P` accumulators in
 //! vector registers for the whole input dimension: each input column
 //! costs `P` weight-vector loads, `R` broadcasts and `R·P` FMAs, and the
-//! `R·P` independent chains hide the FMA latency. Quantized weights are
-//! dequantized in registers for each tile, or, for a call of at least
-//! `WIDEN_ROWS` (16) input rows, once per band of up to 4 panels into one
-//! reused f32 buffer that the f32 tiles then run over. Either way each
-//! weight the chain sees is the same f32 product.
+//! `R·P` independent chains hide the FMA latency. The int8 and int4
+//! weights in [`crate::quant`] share the panel height and the one-chain
+//! contract but run on integer dot products.
 //!
 //! Attention runs on the same tiles and the same FMA step, one call per
 //! run of up to 4 consecutive query positions of one sequence. The query
@@ -86,11 +83,11 @@ pub(crate) fn interleave<T: Copy + Default>(
 }
 
 /// Advance every chain of a tile by one input column: `acc[r][i][j] =
-/// x[r] * w[i][j] + acc[r][i][j]`, one rounding. The only place a panel
-/// kernel touches an accumulator, so every weight format sums in the
-/// same order.
+/// x[r] * w[i][j] + acc[r][i][j]`, one rounding. The only place an f32
+/// panel tile touches an accumulator, so the matmul and attention sum in
+/// the same order.
 #[inline(always)]
-pub(crate) fn fma_column<const R: usize, const P: usize>(
+fn fma_column<const R: usize, const P: usize>(
     acc: &mut [[Lanes; P]; R],
     x: [f32; R],
     w: &[Lanes; P],
@@ -105,13 +102,13 @@ pub(crate) fn fma_column<const R: usize, const P: usize>(
 }
 
 /// Element `i` of each of `N` runs: an input column across a tile's
-/// rows, or a column (or group scale) across its panels.
+/// rows, or a column across its panels.
 ///
 /// The hot loops build their small arrays with plain loops rather than
 /// `std::array::from_fn`, whose closure calls the compiler does not
 /// reliably inline.
 #[inline(always)]
-pub(crate) fn gather<T: Copy + Default, const N: usize>(runs: &[&[T]; N], i: usize) -> [T; N] {
+fn gather<T: Copy + Default, const N: usize>(runs: &[&[T]; N], i: usize) -> [T; N] {
     let mut out = [T::default(); N];
     for (o, run) in out.iter_mut().zip(runs) {
         *o = run[i];
@@ -123,7 +120,7 @@ pub(crate) fn gather<T: Copy + Default, const N: usize>(runs: &[&[T]; N], i: usi
 /// the per-panel views a tile slices once, before its column loop, so
 /// the loop runs without bounds checks.
 #[inline(always)]
-pub(crate) fn runs<T, const N: usize>(data: &[T], first: usize, len: usize) -> [&[T]; N] {
+fn runs<T, const N: usize>(data: &[T], first: usize, len: usize) -> [&[T]; N] {
     let mut out = [&data[..0]; N];
     for (i, run) in out.iter_mut().enumerate() {
         *run = &data[(first + i) * len..][..len];
@@ -182,95 +179,36 @@ fn tile_cols<T: Tiled, const R: usize>(job: &mut T, row: usize, cols: usize) {
     }
 }
 
-/// A weight format stored as panels of [`PANEL`] output rows.
-pub(crate) trait Panels {
-    /// How a quantized format widens its weights for a call of at least
-    /// [`WIDEN_ROWS`] input rows; `None` for a format stored in f32.
-    const WIDEN: Option<Widen<Self>> = None;
-
-    /// `(rows, cols)`: outputs and inputs.
-    fn shape(&self) -> (usize, usize);
-
-    /// Run `P` panels, starting at panel `first`, against `R` input rows
-    /// of exactly `cols` elements: one [`fma_column`] per input column,
-    /// in column order, from zeroed accumulators.
-    fn accumulate<const R: usize, const P: usize>(
-        &self,
-        first: usize,
-        xs: [&[f32]; R],
-    ) -> [[Lanes; P]; R];
-}
-
-/// `widen(w, first, panels, lanes)` writes the f32 weights of `panels`
-/// panels of `w` from panel `first` to `lanes`, laid out as a
-/// [`PanelMatrix`] holds them (`lanes[i * cols + c]` = column `c` of
-/// panel `first + i`): each lane the exact weight [`Panels::accumulate`]
-/// feeds [`fma_column`] there, so running the f32 tiles over `lanes`
-/// gives bit-identical outputs.
-pub(crate) type Widen<F> = fn(&F, usize, usize, &mut Vec<Lanes>);
-
-/// Input rows from which [`panel_matmul`] dequantizes each group of up
-/// to 4 panels once, into one reused buffer, and runs the f32 tiles over
-/// it, instead of dequantizing every weight again in registers for each
-/// tile of 4 input rows. Fewer rows (decode, a batch of up to 4, a
-/// speculative verify window) keep the fused path, where one or two
-/// tiles gain nothing from the buffer's stores and reloads. Set from a
-/// sweep of int8 and int4 matmuls at the `confbench` model's shapes,
-/// recorded in DESIGN.md §7.
-pub(crate) const WIDEN_ROWS: usize = 16;
-
 /// `out[b] = xs[b] · W^T` for the `n` input rows packed in `xs` (row `b`
 /// at `xs[b * cols..]`, output row `b` at `out[b * rows..]`): the one
-/// routine behind every panel format. Panels are the grid rows [`tiles`]
-/// runs in the outer loop, so a tile's weights stay in L1 while the
-/// input rows stream past them. A quantized format with at least
-/// [`WIDEN_ROWS`] input rows is [widened](Panels::WIDEN) one band of
-/// panels at a time, into a buffer of at most `4 * cols` lanes.
-pub(crate) fn panel_matmul<F: Panels>(w: &F, n: usize, xs: &[f32], out: &mut [f32]) {
-    let (rows, cols) = w.shape();
-    assert_eq!(xs.len(), n * cols, "matmul input dim");
-    assert_eq!(out.len(), n * rows, "matmul output dim");
-    let panels = rows.div_ceil(PANEL);
-    if F::WIDEN.is_some() && n >= WIDEN_ROWS {
-        let lanes = Vec::with_capacity(4 * cols);
-        tiles(&mut Matmul::<F, true> { w, xs, out, lanes }, panels, n);
-    } else {
-        let lanes = Vec::new();
-        tiles(&mut Matmul::<F, false> { w, xs, out, lanes }, panels, n);
-    }
+/// routine behind the f32 panel kernels. Panels are the grid rows
+/// [`tiles`] runs in the outer loop, so a tile's weights stay in L1 while
+/// the input rows stream past them.
+fn panel_matmul(w: &PanelMatrix, n: usize, xs: &[f32], out: &mut [f32]) {
+    assert_eq!(xs.len(), n * w.cols, "matmul input dim");
+    assert_eq!(out.len(), n * w.rows, "matmul output dim");
+    tiles(&mut Matmul { w, xs, out }, w.rows.div_ceil(PANEL), n);
 }
 
 /// A panel matmul as a grid of panels (rows) by input rows (columns).
-/// `WIDEN` is a type parameter, not a field, so the fused tiles compile
-/// as if the widened path did not exist: a run-time choice in the tile
-/// cost the fused kernels 1–3%.
-struct Matmul<'a, F, const WIDEN: bool> {
-    w: &'a F,
+struct Matmul<'a> {
+    w: &'a PanelMatrix,
     xs: &'a [f32],
     out: &'a mut [f32],
-    /// The current band of panels, widened, when `WIDEN`.
-    lanes: Vec<Lanes>,
 }
 
-impl<F: Panels, const WIDEN: bool> Tiled for Matmul<'_, F, WIDEN> {
-    #[inline(always)]
-    fn band<const P: usize>(&mut self, first: usize) {
-        if let (true, Some(widen)) = (WIDEN, F::WIDEN) {
-            widen(self.w, first, P, &mut self.lanes);
-        }
-    }
-
+impl Tiled for Matmul<'_> {
     /// Panels `first..first + P` against input rows `b..b + R`, written
     /// to the outputs those panels cover.
     #[inline(always)]
     fn tile<const P: usize, const R: usize>(&mut self, first: usize, b: usize) {
-        let (rows, cols) = self.w.shape();
-        let xs = runs(self.xs, b, cols);
-        let acc = if WIDEN {
-            accumulate_lanes::<R, P>(&self.lanes, cols, 0, xs)
-        } else {
-            self.w.accumulate::<R, P>(first, xs)
-        };
+        let (rows, cols) = (self.w.rows, self.w.cols);
+        let panels: [&[Lanes]; P] = runs(&self.w.data, first, cols);
+        let xs: [&[f32]; R] = runs(self.xs, b, cols);
+        let mut acc = [[[0.0; PANEL]; P]; R];
+        for c in 0..cols {
+            fma_column(&mut acc, gather(&xs, c), &gather(&panels, c));
+        }
         for (r, acc) in acc.iter().enumerate() {
             let out = &mut self.out[(b + r) * rows..][..rows];
             for (i, lanes) in acc.iter().enumerate() {
@@ -329,38 +267,6 @@ impl PanelMatrix {
     pub fn cols(&self) -> usize {
         self.cols
     }
-}
-
-impl Panels for PanelMatrix {
-    fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    #[inline(always)]
-    fn accumulate<const R: usize, const P: usize>(
-        &self,
-        first: usize,
-        xs: [&[f32]; R],
-    ) -> [[Lanes; P]; R] {
-        accumulate_lanes(&self.data, self.cols, first, xs)
-    }
-}
-
-/// The f32 panel tile: `P` panels of `cols` lanes each in `data`, from
-/// panel `first`, against `R` input rows.
-#[inline(always)]
-fn accumulate_lanes<const R: usize, const P: usize>(
-    data: &[Lanes],
-    cols: usize,
-    first: usize,
-    xs: [&[f32]; R],
-) -> [[Lanes; P]; R] {
-    let panels: [&[Lanes]; P] = runs(data, first, cols);
-    let mut acc = [[[0.0; PANEL]; P]; R];
-    for c in 0..cols {
-        fma_column(&mut acc, gather(&xs, c), &gather(&panels, c));
-    }
-    acc
 }
 
 /// Panel `out = x · w^T`: same contract as [`gemv`], one sequential FMA

@@ -15,10 +15,14 @@
 //!   positions on the same tiles, RMSNorm, a vectorizable `exp` behind
 //!   softmax and SiLU, and rotary position embeddings from per-position
 //!   angle tables.
-//! * [`quant`] — group-wise int8 and packed int4 weight quantization in
-//!   the same panel layout, dequantized in registers for decode and once
-//!   per band of panels for prefill, with f32 accumulation, mirroring the
-//!   paper's quantized deployments.
+//! * [`quant`] — group-wise int8 and packed int4 weights in blocks of 16
+//!   output rows, run as exact integer dot products against activations
+//!   quantized per group (16-bit codes for int8, 8-bit for int4), with
+//!   one f32 step per group, mirroring the paper's integer-unit int8. On
+//!   AVX-512 VNNI they run on `vpdpwssd` and `vpdpbusd` in a private
+//!   module that holds the crate's only `unsafe` code, reached only once
+//!   `is_x86_feature_detected!` confirmed the instructions; elsewhere a
+//!   safe portable kernel computes the same bits.
 //! * [`model`] — a Llama-architecture decoder (RMSNorm → QKV → RoPE →
 //!   attention over a KV cache with blocked keys → gated SiLU MLP) at any
 //!   size; deterministic weight initialization for reproducible tests;
@@ -48,7 +52,7 @@
 //! assert_eq!(out.len(), 8);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generate;

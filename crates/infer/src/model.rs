@@ -1,8 +1,9 @@
 //! A Llama-architecture decoder at arbitrary (tiny) scale.
 //!
 //! Decode has three entry points that are **bit-identical** per token
-//! (every output of every weight format is one sequential FMA chain over
-//! the input dimension, however the panel kernels tile the batch):
+//! (every output is one fixed chain of f32 steps, however the kernels
+//! tile the batch: an FMA per input column for f32 weights, one step per
+//! group of exact integer sums for int8 and int4):
 //!
 //! * [`TinyModel::forward`] — one token, one sequence (a 1-token chunk).
 //! * [`TinyModel::forward_chunk`] — `n` consecutive tokens of one
@@ -29,7 +30,7 @@ use crate::kernels::{
     attend, gemm, gemv, gemv_tiled, rmsnorm, rope_angles, rope_rotate, silu, Lanes, PanelMatrix,
     PANEL,
 };
-use crate::quant::{Quant4Matrix, QuantMatrix};
+use crate::quant::{Input, Quant4Matrix, QuantMatrix};
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -98,9 +99,11 @@ pub enum Linear {
     /// Serializes identically to [`Linear::F32`] (and deserializes as
     /// it); the variant only selects a kernel.
     NaiveF32(Matrix),
-    /// Int8-quantized weights (group-wise scales, fused dequant).
+    /// Int8-quantized weights (group-wise scales) on integer dot
+    /// products with 16-bit activation codes.
     Int8(QuantMatrix),
-    /// Packed int4-quantized weights (group-wise scales, fused dequant).
+    /// Packed int4-quantized weights (group-wise scales) on integer dot
+    /// products with 8-bit activation codes.
     Int4(Quant4Matrix),
 }
 
@@ -121,6 +124,13 @@ impl Linear {
     /// re-runs the reference GEMV per row (no amortization), keeping the
     /// baseline honest.
     pub fn apply_batch(&self, xs: &Matrix, out: &mut Matrix) {
+        self.apply_input(&Input::new(xs), out);
+    }
+
+    /// [`Linear::apply_batch`] over an input other layers may share, so
+    /// a quantized format quantizes it once.
+    fn apply_input(&self, input: &Input, out: &mut Matrix) {
+        let xs = input.matrix();
         match self {
             Linear::F32(m) => gemm(xs, m, out),
             Linear::NaiveF32(m) => {
@@ -128,8 +138,8 @@ impl Linear {
                     gemv(xs.row(b), m, out.row_mut(b));
                 }
             }
-            Linear::Int8(q) => q.gemm(xs, out),
-            Linear::Int4(q) => q.gemm(xs, out),
+            Linear::Int8(q) => q.apply(input, out),
+            Linear::Int4(q) => q.apply(input, out),
         }
     }
 
@@ -550,12 +560,13 @@ impl TinyModel {
             for i in 0..n {
                 rmsnorm(normed.row_mut(i), &block.input_norm, cfg.eps);
             }
+            let normed = Input::new(&normed);
             let mut q = Matrix::zeros(n, h);
             let mut k = Matrix::zeros(n, kvd);
             let mut v = Matrix::zeros(n, kvd);
-            block.wq.apply_batch(&normed, &mut q);
-            block.wk.apply_batch(&normed, &mut k);
-            block.wv.apply_batch(&normed, &mut v);
+            block.wq.apply_input(&normed, &mut q);
+            block.wk.apply_input(&normed, &mut k);
+            block.wv.apply_input(&normed, &mut v);
 
             for (i, &(c, pos)) in rows.iter().enumerate() {
                 let rotation = &angles[i * hd / 2..][..hd / 2];
@@ -601,10 +612,11 @@ impl TinyModel {
             for i in 0..n {
                 rmsnorm(normed.row_mut(i), &block.post_norm, cfg.eps);
             }
+            let normed = Input::new(&normed);
             let mut gate = Matrix::zeros(n, inter);
             let mut up = Matrix::zeros(n, inter);
-            block.w_gate.apply_batch(&normed, &mut gate);
-            block.w_up.apply_batch(&normed, &mut up);
+            block.w_gate.apply_input(&normed, &mut gate);
+            block.w_up.apply_input(&normed, &mut up);
             for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
                 *g = silu(*g) * u;
             }
@@ -640,7 +652,7 @@ impl TinyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{rmsnorm, rope, WIDEN_ROWS};
+    use crate::kernels::{rmsnorm, rope};
 
     fn model() -> TinyModel {
         TinyModel::init(&TinyConfig::test_small(), 1234)
@@ -839,9 +851,9 @@ mod tests {
 
     #[test]
     fn chunked_forward_matches_for_quantized_models() {
-        // Enough rows to widen the quantized weights, ending one
-        // position into a run of 4 attention rows.
-        let tokens: Vec<usize> = (0..WIDEN_ROWS + 5).map(|i| (i * 37 + 8) % 256).collect();
+        // Five 4-row tiles of every matmul and of attention, then a
+        // remainder of one.
+        let tokens: Vec<usize> = (0..21).map(|i| (i * 37 + 8) % 256).collect();
         for m in [model().quantized(), model().quantized4(), model().naive()] {
             let mut seq_cache = m.new_cache();
             let all: Vec<Vec<f32>> = tokens

@@ -272,6 +272,22 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_activation_of_a_quantized_target_is_counted() {
+        // A NaN or infinity in the prompt token's embedding reaches every
+        // quantized matmul as an activation; its group's scale carries
+        // it into every logit, which the counter must see.
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut m = target();
+            m.embed.set(3, 5, bad);
+            for q in [m.quantized(), m.quantized4()] {
+                let (out, stats) = speculative_generate(&q, &q, &[3], 4, 2, Sampling::Greedy, 0);
+                assert_eq!(out.len(), 4);
+                assert!(stats.nonfinite_logits > 0, "{bad} went unseen");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_rejected() {
         let m = target();
