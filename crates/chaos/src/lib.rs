@@ -24,7 +24,7 @@
 //!
 //! Nothing here consults wall-clock time, thread identity, or global
 //! state: the same seed produces the same point, report, digest and
-//! shrink on every machine and under every `CLLM_RUNNER_THREADS`.
+//! shrink on every machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

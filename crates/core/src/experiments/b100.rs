@@ -8,7 +8,7 @@
 //! H100's (which leaves HBM unencrypted).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{GpuScenario, Sweep};
+use crate::scenario::GpuScenario;
 use cllm_hw::GpuModel;
 use cllm_workload::phase::RequestSpec;
 
@@ -44,8 +44,8 @@ pub fn run() -> ExperimentResult {
     );
     let h100 = cllm_hw::presets::h100_nvl();
     let b100 = cllm_hw::presets::b100();
-    let sweep = Sweep::over(vec![(1u64, 128u64), (8, 512), (32, 512), (128, 1024)]);
-    r.extend_rows(sweep.rows(|&(batch, input)| {
+    let shapes = [(1u64, 128u64), (8, 512), (32, 512), (128, 1024)];
+    r.extend_rows(shapes.iter().map(|&(batch, input)| {
         let h = scenario(&h100, batch, input).simulate();
         let b = scenario(&b100, batch, input).simulate();
         vec![

@@ -15,7 +15,7 @@
 //! protected memory.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid3, Sweep};
+use crate::scenario::grid3;
 use cllm_hw::DType;
 use cllm_serve::faults::FaultPlan;
 use cllm_serve::scheduler::{KvConfig, KvPolicy, SchedulerLimits};
@@ -153,8 +153,8 @@ pub fn run() -> ExperimentResult {
             Column::float("swap_gib", Unit::None, 2),
         ],
     );
-    let sweep = Sweep::over(grid3(&PLATFORMS, &POLICIES, &BATCHES));
-    let rows = sweep.rows(|&(platform, policy, batch)| {
+    let grid = grid3(&PLATFORMS, &POLICIES, &BATCHES);
+    let row = |&(platform, policy, batch): &(&str, &str, usize)| {
         let report = report_for(platform, policy, batch);
         assert_eq!(
             report.completed + report.aborted,
@@ -181,10 +181,10 @@ pub fn run() -> ExperimentResult {
                 2,
             ),
         ]
-    });
+    };
+    let rows: Vec<Vec<Value>> = grid.iter().map(row).collect();
     // Crossover notes read the goodput cells back out of the rows.
-    let goodputs: Vec<(String, String, usize, f64)> = sweep
-        .points()
+    let goodputs: Vec<(String, String, usize, f64)> = grid
         .iter()
         .zip(&rows)
         .map(|(&(pf, po, ba), row)| {

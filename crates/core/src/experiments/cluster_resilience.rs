@@ -22,7 +22,6 @@
 //! whole fleet (summed hourly price over delivered goodput).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::Sweep;
 use cllm_cost::{cost_per_mtok, SpillPenalty};
 use cllm_serve::cluster::{simulate_cluster, ClusterConfig, ClusterReport, NodeSpec, WaveModel};
 use cllm_serve::router::{AdmissionPolicy, BreakerConfig};
@@ -111,10 +110,11 @@ pub fn report_for(fleet: &str) -> ClusterReport {
 #[must_use]
 pub fn trace() -> cllm_obs::Trace {
     use cllm_serve::cluster::simulate_cluster_traced;
-    let lanes = crate::runner::par_map(&FLEETS, crate::runner::grid_workers(), |fleet| {
-        simulate_cluster_traced(&config_for(fleet)).1
-    });
-    cllm_obs::Trace::merge(lanes)
+    cllm_obs::Trace::merge(
+        FLEETS
+            .iter()
+            .map(|fleet| simulate_cluster_traced(&config_for(fleet)).1),
+    )
 }
 
 /// Summed hourly price of the fleet: Azure NCC H100 rates for cGPU
@@ -161,8 +161,7 @@ pub fn run() -> ExperimentResult {
             Column::float("usd_per_mtok", Unit::UsdPerMtok, 3),
         ],
     );
-    let sweep = Sweep::over(FLEETS);
-    r.extend_rows(sweep.rows(|&fleet| {
+    r.extend_rows(FLEETS.iter().map(|&fleet| {
         let report = report_for(fleet);
         assert_eq!(
             report.completed + report.aborted + report.rejected,

@@ -2,7 +2,7 @@
 //! (EMR2, single socket, batch 64, 128 output tokens).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, CpuScenario, Sweep};
+use crate::scenario::{grid2, CpuScenario};
 use cllm_hw::DType;
 use cllm_perf::throughput_overhead_pct;
 use cllm_workload::phase::RequestSpec;
@@ -45,8 +45,8 @@ pub fn run() -> ExperimentResult {
         ],
     );
     let model = zoo::llama2_7b();
-    let sweep = Sweep::over(grid2(&[DType::Bf16, DType::Int8], &INPUTS));
-    r.extend_rows(sweep.rows(|&(dtype, input)| {
+    let grid = grid2(&[DType::Bf16, DType::Int8], &INPUTS);
+    r.extend_rows(grid.iter().map(|&(dtype, input)| {
         let kv = cllm_workload::kv::kv_bytes_total(&model, 64, input + 128, dtype) / cllm_hw::GIB;
         let (decode, e2e) = overheads(dtype, input);
         vec![

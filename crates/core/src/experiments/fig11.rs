@@ -2,7 +2,7 @@
 //! cGPU overheads shrink as both grow (Insight 10).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, GpuScenario, Sweep};
+use crate::scenario::{grid2, GpuScenario};
 use cllm_perf::{throughput_overhead_pct, GpuSimResult};
 use cllm_workload::phase::RequestSpec;
 use std::sync::Arc;
@@ -39,8 +39,8 @@ pub fn run() -> ExperimentResult {
             Column::pct("cc_overhead"),
         ],
     );
-    let sweep = Sweep::over(grid2(&BATCHES, &INPUTS));
-    r.extend_rows(sweep.rows(|&(batch, input)| {
+    let grid = grid2(&BATCHES, &INPUTS);
+    r.extend_rows(grid.iter().map(|&(batch, input)| {
         let raw = sim(false, batch, input);
         let cc = sim(true, batch, input);
         vec![

@@ -7,7 +7,7 @@
 //! their own shapes.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, GpuScenario, Sweep};
+use crate::scenario::{CpuScenario, GpuScenario};
 use cllm_cost::{cost_per_mtok, socket_cost_per_hr, CostPoint, GpuPricing};
 use cllm_perf::CpuTarget;
 use cllm_workload::phase::RequestSpec;
@@ -71,25 +71,25 @@ pub fn run() -> ExperimentResult {
             Column::float("cgpu_usd_per_mtok", Unit::UsdPerMtok, 3),
         ],
     );
-    let rows = Sweep::over(BATCHES).map(|&batch| {
+    for batch in BATCHES {
         let req = request(batch);
         let cgpu = cgpu_usd_per_mtok(&req);
-        CORES
-            .iter()
-            .zip(tdx_cost_sweep(&req))
-            .map(|(&cores, point)| {
-                vec![
-                    Value::uint(batch),
-                    Value::int(i64::from(cores)),
-                    Value::float(point.tokens_per_s, Unit::TokensPerSec, 0),
-                    Value::pct(tdx_overhead(cores, &req)),
-                    Value::float(point.usd_per_mtok, Unit::UsdPerMtok, 3),
-                    Value::float(cgpu, Unit::UsdPerMtok, 3),
-                ]
-            })
-            .collect::<Vec<_>>()
-    });
-    r.extend_rows(rows.concat());
+        r.extend_rows(
+            CORES
+                .iter()
+                .zip(tdx_cost_sweep(&req))
+                .map(|(&cores, point)| {
+                    vec![
+                        Value::uint(batch),
+                        Value::int(i64::from(cores)),
+                        Value::float(point.tokens_per_s, Unit::TokensPerSec, 0),
+                        Value::pct(tdx_overhead(cores, &req)),
+                        Value::float(point.usd_per_mtok, Unit::UsdPerMtok, 3),
+                        Value::float(cgpu, Unit::UsdPerMtok, 3),
+                    ]
+                }),
+        );
+    }
     r.note("paper: workload is compute-bound until ~32 cores, then memory-bound");
     r.note("paper: cGPUs are up to 100% more expensive at small batch; parity near batch 128");
     r

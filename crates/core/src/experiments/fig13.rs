@@ -5,7 +5,6 @@
 
 use super::fig12::{cgpu_usd_per_mtok, tdx_cost_sweep};
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::Sweep;
 use cllm_cost::{cheapest_point, cost_advantage_pct};
 use cllm_workload::phase::RequestSpec;
 
@@ -50,7 +49,7 @@ pub fn run() -> ExperimentResult {
             Column::pct("cpu_advantage"),
         ],
     );
-    r.extend_rows(Sweep::over(INPUTS).rows(|&input| {
+    r.extend_rows(INPUTS.iter().map(|&input| {
         vec![
             Value::uint(input),
             Value::float(cpu_usd_per_mtok(input), Unit::UsdPerMtok, 3),

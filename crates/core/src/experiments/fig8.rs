@@ -6,7 +6,7 @@
 //! same cached points the figure prints.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, CpuScenario, Sweep};
+use crate::scenario::{grid2, CpuScenario};
 use cllm_hw::DType;
 use cllm_perf::{overhead_pct, CpuTarget};
 use cllm_tee::platform::CpuTeeConfig;
@@ -63,8 +63,8 @@ pub fn run() -> ExperimentResult {
             Column::pct("lat_ovh_noamx_2s"),
         ],
     );
-    let sweep = Sweep::over(grid2(&[DType::Bf16, DType::Int8], &BATCHES));
-    r.extend_rows(sweep.rows(|&(dtype, batch)| {
+    let grid = grid2(&[DType::Bf16, DType::Int8], &BATCHES);
+    r.extend_rows(grid.iter().map(|&(dtype, batch)| {
         let vm_amx = thr_tps(dtype, batch, true, &CpuTeeConfig::vm());
         let tdx_amx = thr_tps(dtype, batch, true, &CpuTeeConfig::tdx());
         let tdx_noamx = thr_tps(dtype, batch, false, &CpuTeeConfig::tdx());

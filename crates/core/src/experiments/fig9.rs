@@ -2,7 +2,7 @@
 //! 128 in / 128 out; latency on two sockets, throughput on one).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, CpuScenario, Sweep};
+use crate::scenario::{grid2, CpuScenario};
 use cllm_hw::DType;
 use cllm_perf::CpuTarget;
 use cllm_workload::phase::RequestSpec;
@@ -33,8 +33,7 @@ fn lat_overhead(dtype: DType, batch: u64) -> f64 {
 
 const BATCHES: [u64; 7] = [1, 4, 16, 64, 128, 256, 512];
 
-/// Run the experiment. Grid points evaluate on the runner's worker pool;
-/// row order stays identical to the sequential dtype-major sweep.
+/// Run the experiment: one row per (dtype, batch) point, dtype-major.
 #[must_use]
 pub fn run() -> ExperimentResult {
     let mut r = ExperimentResult::new(
@@ -48,8 +47,8 @@ pub fn run() -> ExperimentResult {
             Column::pct("lat_overhead_2s"),
         ],
     );
-    let sweep = Sweep::over(grid2(&[DType::Bf16, DType::Int8], &BATCHES));
-    r.extend_rows(sweep.rows(|&(dtype, batch)| {
+    let grid = grid2(&[DType::Bf16, DType::Int8], &BATCHES);
+    r.extend_rows(grid.iter().map(|&(dtype, batch)| {
         vec![
             Value::str(dtype.label()),
             Value::uint(batch),

@@ -27,7 +27,6 @@
 //! carrying cost and base fleet included.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::Sweep;
 use cllm_cost::SpillPenalty;
 use cllm_serve::autoscale::{
     simulate_autoscale, AutoscaleConfig, AutoscaleReport, ControllerConfig, RentalSpec,
@@ -174,8 +173,7 @@ pub fn run() -> ExperimentResult {
         .iter()
         .flat_map(|&p| MODES.iter().map(move |&m| (p, m)))
         .collect();
-    let sweep = Sweep::over(arms);
-    r.extend_rows(sweep.rows(|&(platform, mode)| {
+    r.extend_rows(arms.iter().map(|&(platform, mode)| {
         let report = report_for(platform, mode);
         assert_eq!(
             report.completed + report.shed + report.aborted,

@@ -4,7 +4,7 @@
 //! socket's memory — the Figure 5 setting).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, Sweep};
+use crate::scenario::CpuScenario;
 use cllm_hw::DType;
 use cllm_perf::CpuTarget;
 use cllm_workload::phase::RequestSpec;
@@ -49,7 +49,7 @@ pub fn run() -> ExperimentResult {
             Column::pct("tdx_overhead"),
         ],
     );
-    r.extend_rows(Sweep::over(zoo::llama2_family()).rows(|model| {
+    r.extend_rows(zoo::llama2_family().iter().map(|model| {
         let tdx = scenario(model).simulate();
         vec![
             Value::str(model.name.clone()),

@@ -3,7 +3,7 @@
 //! stay in line with Llama2-7B (paper: 3.1-13.1%).
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, Sweep};
+use crate::scenario::CpuScenario;
 use cllm_perf::CpuTarget;
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::{zoo, ModelConfig};
@@ -31,7 +31,7 @@ pub fn run() -> ExperimentResult {
     );
     let mut models = vec![zoo::llama2_7b()];
     models.extend(zoo::cross_check_models());
-    r.extend_rows(Sweep::over(models).rows(|m| {
+    r.extend_rows(models.iter().map(|m| {
         vec![
             Value::str(m.name.clone()),
             Value::float(m.param_count() as f64 / 1e9, Unit::BillionParams, 1),

@@ -8,7 +8,7 @@
 //! TEE address translation taxes, so MoE is a worst-ish case for VM TEEs.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, Sweep};
+use crate::scenario::CpuScenario;
 use cllm_perf::{CpuTarget, SimResult};
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::{zoo, ModelConfig};
@@ -51,7 +51,7 @@ pub fn run() -> ExperimentResult {
         .iter()
         .flat_map(|m| [1u64, 8, 64].into_iter().map(move |b| (m.clone(), b)))
         .collect();
-    r.extend_rows(Sweep::over(points).rows(|(model, batch)| {
+    r.extend_rows(points.iter().map(|(model, batch)| {
         let tdx = sim(model, *batch);
         vec![
             Value::str(model.name.clone()),

@@ -8,7 +8,7 @@
 //! and re-attestation tolls.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, Sweep};
+use crate::scenario::grid2;
 use cllm_cost::cost_per_mtok;
 use cllm_serve::faults::{FaultPlan, FaultRates};
 use cllm_serve::sim::{simulate_serving_faulted, ServingConfig, ServingNode};
@@ -72,14 +72,10 @@ pub fn traced_report_for(kind: TeeKind) -> (ServingReport, cllm_obs::Trace) {
 
 /// Span trace of the faulted half of the experiment: one lane per
 /// platform, in [`PLATFORMS`] order (the fault-free half traces as pure
-/// busy/idle and is omitted — the interesting story is recovery). Lanes
-/// run through the runner's worker pool; merge order pins the bytes.
+/// busy/idle and is omitted — the interesting story is recovery).
 #[must_use]
 pub fn trace() -> cllm_obs::Trace {
-    let lanes = crate::runner::par_map(&PLATFORMS, crate::runner::grid_workers(), |&kind| {
-        traced_report_for(kind).1
-    });
-    cllm_obs::Trace::merge(lanes)
+    cllm_obs::Trace::merge(PLATFORMS.iter().map(|&kind| traced_report_for(kind).1))
 }
 
 /// Effective $/Mtoken realized by a report: the platform's hourly price
@@ -115,8 +111,8 @@ pub fn run() -> ExperimentResult {
             Column::float("usd_per_mtok", Unit::UsdPerMtok, 3),
         ],
     );
-    let sweep = Sweep::over(grid2(&PLATFORMS, &[false, true]));
-    r.extend_rows(sweep.rows(|&(kind, faults)| {
+    let grid = grid2(&PLATFORMS, &[false, true]);
+    r.extend_rows(grid.iter().map(|&(kind, faults)| {
         let report = report_for(kind, faults);
         assert_eq!(
             report.completed + report.aborted,

@@ -7,7 +7,7 @@
 //! 2x H100 (native and CC) and on a dual-socket TDX host.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{CpuScenario, Sweep};
+use crate::scenario::CpuScenario;
 use cllm_hw::DType;
 use cllm_perf::{simulate_multi_gpu, CpuTarget};
 use cllm_tee::platform::GpuTeeConfig;
@@ -61,8 +61,7 @@ pub fn run() -> ExperimentResult {
             Column::float("2socket_TDX_tps", Unit::TokensPerSec, 2),
         ],
     );
-    let sweep = Sweep::over([1u64, 8, 32, 64]);
-    r.extend_rows(sweep.rows(|&batch| {
+    r.extend_rows([1u64, 8, 32, 64].iter().map(|&batch| {
         let native = dual_gpu_tps(false, batch);
         let cc = dual_gpu_tps(true, batch);
         vec![

@@ -5,7 +5,7 @@
 //! 200 ms/word reading-speed standard the paper cites.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, Sweep};
+use crate::scenario::grid2;
 use cllm_serve::faults::FaultPlan;
 use cllm_serve::sim::{simulate_serving, simulate_serving_faulted, ServingConfig, ServingNode};
 use cllm_serve::slo::Slo;
@@ -33,22 +33,20 @@ pub fn attainment(tee: &CpuTeeConfig, rate: f64) -> f64 {
 }
 
 /// Span trace of the experiment's full grid: one lane per
-/// (rate, platform) cell, in the table's row order. Lanes run through
-/// the runner's worker pool; [`cllm_obs::Trace::merge`] assigns lane
-/// ids by input order, so the bytes are thread-count independent.
+/// (rate, platform) cell, in the table's row order;
+/// [`cllm_obs::Trace::merge`] assigns lane ids by that order.
 #[must_use]
 pub fn trace() -> cllm_obs::Trace {
     use cllm_serve::sim::simulate_serving_traced;
     let cells = grid2(&RATES, &PLATFORMS);
-    let lanes = crate::runner::par_map(&cells, crate::runner::grid_workers(), |&(rate, kind)| {
+    cllm_obs::Trace::merge(cells.iter().map(|&(rate, kind)| {
         simulate_serving_traced(
             &config(rate),
             &ServingNode::preset(kind),
             &FaultPlan::none(),
         )
         .1
-    });
-    cllm_obs::Trace::merge(lanes)
+    }))
 }
 
 /// Run the experiment.
@@ -66,8 +64,8 @@ pub fn run() -> ExperimentResult {
             Column::pct("slo_attainment"),
         ],
     );
-    let sweep = Sweep::over(grid2(&RATES, &PLATFORMS));
-    r.extend_rows(sweep.rows(|&(rate, kind)| {
+    let cells = grid2(&RATES, &PLATFORMS);
+    r.extend_rows(cells.iter().map(|&(rate, kind)| {
         let report = simulate_serving_faulted(
             &config(rate),
             &ServingNode::preset(kind),

@@ -6,7 +6,7 @@
 //! compare against TDX on EMR1 — each relative to its own bare metal.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, CpuScenario, Sweep};
+use crate::scenario::{grid2, CpuScenario};
 use cllm_hw::DType;
 use cllm_perf::{CpuTarget, Framework};
 use cllm_tee::platform::CpuTeeConfig;
@@ -56,8 +56,8 @@ pub fn run() -> ExperimentResult {
             Column::float("gap_pts", Unit::Points, 1),
         ],
     );
-    let sweep = Sweep::over(grid2(&[DType::Bf16, DType::Int8], &[1u64, 6, 32]));
-    r.extend_rows(sweep.rows(|&(dtype, batch)| {
+    let grid = grid2(&[DType::Bf16, DType::Int8], &[1u64, 6, 32]);
+    r.extend_rows(grid.iter().map(|&(dtype, batch)| {
         let sev = sev_overhead(dtype, batch);
         let tdx = tdx_overhead(dtype, batch);
         vec![

@@ -33,7 +33,7 @@
 //! decode.
 
 use super::{Column, ExperimentResult, Unit, Value};
-use crate::scenario::{grid2, Sweep};
+use crate::scenario::grid2;
 use cllm_hw::DType;
 use cllm_perf::{decode_step_time_s, gpu_decode_step_time_s, CpuTarget};
 use cllm_tee::platform::{Platform, TeeKind};
@@ -186,8 +186,8 @@ pub fn run() -> ExperimentResult {
             Column::pct("draft_cost"),
         ],
     );
-    let sweep = Sweep::over(grid2(&PLATFORMS, &ALPHAS));
-    r.extend_rows(sweep.rows(|&(platform, alpha)| {
+    let grid = grid2(&PLATFORMS, &ALPHAS);
+    r.extend_rows(grid.iter().map(|&(platform, alpha)| {
         let p = point(platform, alpha);
         #[allow(clippy::cast_possible_wrap)]
         let k = DRAFT_K as i64;

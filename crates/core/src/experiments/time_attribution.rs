@@ -64,10 +64,7 @@ pub fn totals_for(kind: TeeKind) -> NodeTotals {
 /// from, exportable via `cllm time_attribution --trace`.
 #[must_use]
 pub fn trace() -> cllm_obs::Trace {
-    let lanes = crate::runner::par_map(&PLATFORMS, crate::runner::grid_workers(), |&kind| {
-        traced_report_for(kind).1
-    });
-    cllm_obs::Trace::merge(lanes)
+    cllm_obs::Trace::merge(PLATFORMS.iter().map(|&kind| traced_report_for(kind).1))
 }
 
 fn share(part_s: f64, makespan_s: f64) -> f64 {

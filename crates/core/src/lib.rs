@@ -12,9 +12,9 @@
 //! * [`experiments`] — one runner per table/figure of the paper; each
 //!   regenerates the published result's shape from the simulator and
 //!   renders it as a table plus machine-readable JSON.
-//! * [`runner`] — executes the whole registry across a bounded worker
-//!   pool (backed by the `cllm-perf` simulation cache) with output
-//!   byte-identical to the sequential run.
+//! * [`runner`] — executes the whole registry in paper order (backed by
+//!   the `cllm-perf` simulation cache), fencing each experiment's panic
+//!   and profiling its wall time and cache traffic.
 //! * [`insights`] — the paper's 12 insights as executable checks.
 //! * [`summary`] — Table I (the security/performance/cost matrix).
 //!

@@ -2,9 +2,8 @@
 //!
 //! Every experiment in the paper evaluates a grid — model × dtype ×
 //! batch/input × target × TEE — and compares each point against a
-//! baseline (bare metal on CPU, native on GPU). Runners used to
-//! hand-roll the same `flat_map` + `par_map` + formatting boilerplate;
-//! this module factors it into three pieces:
+//! baseline (bare metal on CPU, native on GPU). This module factors the
+//! shared pieces out of the experiments:
 //!
 //! * [`CpuScenario`] / [`GpuScenario`] — one fully-specified operating
 //!   point. [`CpuScenario::simulate`] always goes through the memoized
@@ -12,14 +11,10 @@
 //!   published is a cache hit, not a re-simulation. The point's identity
 //!   is its cache key ([`CpuScenario::cache_key`]), reused verbatim from
 //!   `cllm_perf::cache`.
-//! * [`grid2`] / [`grid3`] — cartesian grids in row-major (paper) order.
-//! * [`Sweep`] — owns `par_map` dispatch over a grid: points evaluate on
-//!   the runner's worker pool, rows come back in grid order, and
-//!   [`Sweep::rows`] feeds straight into
+//! * [`grid2`] / [`grid3`] — cartesian grids in row-major (paper) order;
+//!   an experiment maps one table row per point and feeds the rows to
 //!   [`TypedResult::extend_rows`](crate::table::TypedResult::extend_rows).
 
-use crate::runner;
-use crate::table::Value;
 use cllm_hw::{DType, GpuModel};
 use cllm_perf::{cache, overhead_pct, throughput_overhead_pct, CpuTarget, GpuSimResult, SimResult};
 use cllm_tee::platform::{CpuTeeConfig, GpuTeeConfig};
@@ -257,47 +252,6 @@ pub fn grid3<A: Copy, B: Copy, C: Copy>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B,
         .collect()
 }
 
-/// A declarative sweep: a list of grid points evaluated on the runner's
-/// worker pool, producing outputs **in grid order** regardless of which
-/// worker finishes first.
-///
-/// Parallelism follows [`runner::grid_workers`], so a sequential baseline
-/// run inside [`runner::with_grid_workers`]`(1, ..)` automatically pins
-/// sweeps to one worker.
-#[derive(Debug, Clone)]
-pub struct Sweep<P> {
-    points: Vec<P>,
-}
-
-impl<P: Sync> Sweep<P> {
-    /// Sweep over an explicit point list (typically from [`grid2`] /
-    /// [`grid3`] or a constant axis array).
-    #[must_use]
-    pub fn over(points: impl Into<Vec<P>>) -> Self {
-        Sweep {
-            points: points.into(),
-        }
-    }
-
-    /// The grid points, in evaluation (row) order.
-    #[must_use]
-    pub fn points(&self) -> &[P] {
-        &self.points
-    }
-
-    /// Evaluate `f` at every point on the worker pool; outputs are in
-    /// grid order.
-    pub fn map<U: Send>(&self, f: impl Fn(&P) -> U + Sync) -> Vec<U> {
-        runner::par_map(&self.points, runner::grid_workers(), f)
-    }
-
-    /// Evaluate one table row per point — the common case; feed the
-    /// result to [`TypedResult::extend_rows`](crate::table::TypedResult::extend_rows).
-    pub fn rows(&self, f: impl Fn(&P) -> Vec<Value> + Sync) -> Vec<Vec<Value>> {
-        self.map(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,14 +268,6 @@ mod tests {
         assert_eq!(g3[1], (1, 20, 100));
         assert_eq!(g3[2], (2, 10, 100));
         assert_eq!(g3.len(), 4);
-    }
-
-    #[test]
-    fn sweep_preserves_grid_order() {
-        let sweep = Sweep::over(grid2(&[1u64, 2, 3], &[10u64, 20]));
-        let out = sweep.map(|&(a, b)| a * 100 + b);
-        assert_eq!(out, vec![110, 120, 210, 220, 310, 320]);
-        assert_eq!(sweep.points().len(), 6);
     }
 
     #[test]

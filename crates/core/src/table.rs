@@ -437,12 +437,13 @@ impl TypedResult {
         }
     }
 
-    /// Append every row of a sweep (see [`crate::scenario::Sweep`]).
+    /// Append every row of a sweep, in iteration order (typically one
+    /// row per point of a [`crate::scenario::grid2`] grid).
     ///
     /// # Panics
     ///
     /// Panics on arity or type mismatch, like [`TypedResult::push_row`].
-    pub fn extend_rows(&mut self, rows: Vec<Vec<Value>>) {
+    pub fn extend_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
         for row in rows {
             self.push_row(row);
         }

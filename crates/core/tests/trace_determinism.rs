@@ -1,65 +1,26 @@
-//! The observability outputs — the `time_attribution` table and the
-//! Chrome trace-event export of every traceable experiment — must be
-//! byte-identical for their pinned seeds no matter how many runner
-//! threads evaluate the lanes: `Trace::merge` assigns lane ids by input
-//! order, never by completion order.
+//! The span trace of every traceable experiment must conserve time and
+//! be a pure function of its pinned seeds: two runs in one process
+//! export the same Chrome trace-event bytes, because `Trace::merge`
+//! assigns lane ids by input order, never by any clock.
 //!
-//! This lives in its own single-test integration binary because it
-//! mutates the process-global `CLLM_RUNNER_THREADS` environment
-//! variable; sharing a binary with other tests would race on it.
+//! `cllm <id> --trace` exports these traces; the `serving` path is also
+//! driven by CI, the other three only here.
 
 #[test]
-fn trace_and_attribution_are_byte_identical_across_thread_counts() {
-    let run_with = |threads: &str| {
-        std::env::set_var("CLLM_RUNNER_THREADS", threads);
-        let r = cllm_core::experiments::run_by_id("time_attribution")
-            .expect("time_attribution registered");
-        let table_json = serde_json::to_string_pretty(r.to_json()).expect("serializes");
-        let traces: Vec<String> = cllm_core::experiments::TRACEABLE
-            .iter()
-            .map(|id| {
-                let trace = cllm_core::experiments::trace_by_id(id)
-                    .unwrap_or_else(|| panic!("{id} is traceable"));
-                cllm_obs::chrome_trace_json(&trace)
-            })
-            .collect();
-        (r.render(), table_json, traces)
-    };
-    let (render_1, json_1, traces_1) = run_with("1");
-    let (render_4, json_4, traces_4) = run_with("4");
-    let (render_8, json_8, traces_8) = run_with("8");
-    std::env::remove_var("CLLM_RUNNER_THREADS");
-
-    assert_eq!(
-        json_1, json_4,
-        "time_attribution JSON diverges between 1 and 4 runner threads"
-    );
-    assert_eq!(
-        json_1, json_8,
-        "time_attribution JSON diverges between 1 and 8 runner threads"
-    );
-    assert_eq!(render_1, render_4);
-    assert_eq!(render_1, render_8);
-
-    for (i, id) in cllm_core::experiments::TRACEABLE.iter().enumerate() {
-        assert_eq!(
-            traces_1[i], traces_4[i],
-            "{id} trace bytes diverge between 1 and 4 runner threads"
-        );
-        assert_eq!(
-            traces_1[i], traces_8[i],
-            "{id} trace bytes diverge between 1 and 8 runner threads"
-        );
+fn every_trace_conserves_time_and_exports_the_same_bytes_twice() {
+    for id in cllm_core::experiments::TRACEABLE {
+        let export = || {
+            let trace = cllm_core::experiments::trace_by_id(id)
+                .unwrap_or_else(|| panic!("{id} is traceable"));
+            let conservation = cllm_obs::check(&trace, 1e-6);
+            assert!(
+                conservation.ok(),
+                "{id}: attribution violated: {:?}",
+                conservation.errors
+            );
+            assert!(!trace.spans.is_empty(), "{id}: empty trace");
+            cllm_obs::chrome_trace_json(&trace)
+        };
+        assert_eq!(export(), export(), "{id}: trace bytes differ between runs");
     }
-
-    // The pinned golden matches what this process just produced, so the
-    // committed snapshot is itself thread-count independent.
-    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/time_attribution.json");
-    let golden = std::fs::read_to_string(golden).expect("golden pinned");
-    assert_eq!(
-        json_1.trim_end(),
-        golden.trim_end(),
-        "time_attribution drifted from its golden snapshot"
-    );
 }

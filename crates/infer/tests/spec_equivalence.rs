@@ -13,12 +13,6 @@
 //! for itself emits k + 1 tokens a round), the token-conservation
 //! arithmetic the serve-layer invariants consume, and the refusal of
 //! drafts that cannot share the target's cache.
-//!
-//! The `CLLM_RUNNER_THREADS` pin lives here too: a single decode is a
-//! strictly sequential cache-mutating loop with no thread interaction,
-//! so the harness thread-count knob must not be able to change a single
-//! token. No other test in this binary reads the variable, so the
-//! process-global mutation cannot race.
 
 use cllm_infer::generate::{generate, Sampling};
 use cllm_infer::kernels::PANEL;
@@ -201,33 +195,6 @@ fn empty_and_single_token_prompts_stay_equivalent() {
         let (spec, _) = speculative_generate(&m, &draft, prompt, 8, 2, Sampling::Greedy, 0);
         assert_eq!(spec, vanilla, "prompt {prompt:?}");
     }
-}
-
-#[test]
-fn runner_thread_knob_cannot_change_a_token() {
-    // A single decode is a sequential loop over one KV cache; the
-    // harness-level CLLM_RUNNER_THREADS knob parallelizes *experiments*,
-    // never a decode, and this pins that a thread-count change can
-    // never alter generated tokens.
-    let m = target();
-    let draft = m.quantized();
-    let prompt = [1usize, 2, 3];
-    let run_both = |threads: &str| {
-        std::env::set_var("CLLM_RUNNER_THREADS", threads);
-        let vanilla = generate(&m, &prompt, 10, Sampling::Temperature(1.1), 9);
-        let (spec, _) =
-            speculative_generate(&m, &draft, &prompt, 10, 3, Sampling::Temperature(1.1), 9);
-        (vanilla, spec)
-    };
-    let (vanilla_1, spec_1) = run_both("1");
-    let (vanilla_8, spec_8) = run_both("8");
-    std::env::remove_var("CLLM_RUNNER_THREADS");
-    assert_eq!(
-        vanilla_1, vanilla_8,
-        "vanilla decode varies with thread knob"
-    );
-    assert_eq!(spec_1, spec_8, "speculative decode varies with thread knob");
-    assert_eq!(spec_1, vanilla_1, "speculative diverged from vanilla");
 }
 
 #[test]

@@ -6,10 +6,9 @@
 //! - [`span::Span`] / [`span::TraceEvent`] — request-, node-, and
 //!   experiment-scoped intervals and instants in simulated seconds.
 //! - [`sink::TraceSink`] — a single-writer recorder threaded through a
-//!   simulation. It is "lock-free-enough": each simulation lane records
-//!   into its own sink with no synchronisation at all, and cross-thread
-//!   byte-stability comes from [`sink::Trace::merge`] joining lanes in
-//!   deterministic input order, not from atomics.
+//!   simulation. Each simulation lane records into its own sink with no
+//!   synchronisation at all, and [`sink::Trace::merge`] joins lanes in
+//!   deterministic input order, which alone assigns the lane ids.
 //! - [`chrome`] — export to Chrome trace-event JSON (open in
 //!   `chrome://tracing` or Perfetto).
 //! - [`attribution`] — per-node busy/idle/outage accounting with hard

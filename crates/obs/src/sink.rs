@@ -5,11 +5,10 @@ use std::collections::HashMap;
 
 /// Single-writer span/event recorder threaded through one simulation.
 ///
-/// Determinism contract: a sink is owned by exactly one (single-threaded)
-/// simulation, so recording needs no synchronisation; parallel experiment
-/// grids give each lane its own sink and join them with [`Trace::merge`]
-/// in input order, which is what keeps exports byte-stable across
-/// `CLLM_RUNNER_THREADS`.
+/// Determinism contract: a sink is owned by exactly one simulation, so
+/// recording needs no synchronisation; experiment grids give each lane
+/// its own sink and join them with [`Trace::merge`] in input order, so
+/// lane ids, and with them the exported bytes, follow the grid alone.
 ///
 /// A disabled sink records nothing, so instrumented simulators can share
 /// one code path with the golden-pinned untraced entry points. Emission
@@ -166,7 +165,7 @@ impl Trace {
     /// The caller must pass lanes in a deterministic order (grid order,
     /// fleet order) — that order, not any clock, defines the lane ids.
     #[must_use]
-    pub fn merge(lanes: Vec<Trace>) -> Trace {
+    pub fn merge(lanes: impl IntoIterator<Item = Trace>) -> Trace {
         let mut out = Trace::default();
         for (i, mut lane) in lanes.into_iter().enumerate() {
             let id = u32::try_from(i).unwrap_or(u32::MAX);

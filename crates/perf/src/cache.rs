@@ -14,11 +14,12 @@
 //! output. Results are returned as [`Arc`]s; deref gives the same fields
 //! as the uncached call.
 //!
-//! The cache is shared across threads (the parallel experiment runner in
-//! `cllm-core` hits it from a worker pool). A miss computes *outside* the
-//! lock so concurrent misses never serialize behind a simulation; two
-//! threads racing on the same key may both simulate, but determinism
-//! makes the duplicate insert harmless.
+//! The experiment registry runs on one thread, but the cache stays
+//! `Sync`: `cargo test` runs a binary's tests on several threads, and
+//! they share it. A miss computes *outside* the lock so concurrent misses
+//! never serialize behind a simulation; two threads racing on the same
+//! key may both simulate, but determinism makes the duplicate insert
+//! harmless.
 
 use crate::cpu::{simulate_cpu, SimResult};
 use crate::gpu::{simulate_gpu, GpuSimResult};
@@ -152,10 +153,20 @@ mod tests {
     use super::*;
     use cllm_workload::zoo;
 
+    /// The cache and its counters are process-global, so the tests here
+    /// take turns: a sibling's lookup between one test's `clear` and its
+    /// `stats` would break the counter arithmetic.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// The memoized CPU path returns results identical to the uncached
     /// simulator across dtypes, targets and TEE configurations.
     #[test]
     fn cpu_cached_matches_uncached_across_grid() {
+        let _turn = serial();
         let model = zoo::llama2_7b();
         let req = RequestSpec::new(4, 128, 16);
         for dtype in [DType::Bf16, DType::Int8] {
@@ -185,6 +196,7 @@ mod tests {
 
     #[test]
     fn gpu_cached_matches_uncached() {
+        let _turn = serial();
         let model = zoo::llama2_7b();
         let req = RequestSpec::new(8, 256, 16);
         let gpu = cllm_hw::presets::h100_nvl();
@@ -201,6 +213,7 @@ mod tests {
 
     #[test]
     fn repeat_lookups_hit_and_clear_resets() {
+        let _turn = serial();
         let model = zoo::llama2_7b();
         let req = RequestSpec::new(2, 64, 8);
         let target = CpuTarget::emr1_single_socket();
@@ -225,6 +238,7 @@ mod tests {
 
     #[test]
     fn distinct_points_get_distinct_entries() {
+        let _turn = serial();
         clear();
         let model = zoo::llama2_7b();
         let target = CpuTarget::emr1_single_socket();

@@ -39,7 +39,7 @@
 //!   effective $/Mtok on *delivered* goodput.
 //!
 //! Everything is deterministic in the config's seeds: two runs are
-//! byte-identical on any `CLLM_RUNNER_THREADS`.
+//! byte-identical on any machine.
 
 use crate::cluster::{least_loaded_eligible, run_fleet, FrontDoor, NodeSpec, TierDoor};
 use crate::faults::{hs_seed, FaultEvent, FaultPlan, FaultRates};

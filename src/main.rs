@@ -1,7 +1,9 @@
 //! `cllm` — command-line interface to the confidential-LLM toolkit.
 //!
 //! ```text
-//! cllm figures [id]                      regenerate paper tables/figures
+//! cllm figures [id]                      regenerate paper tables/figures;
+//!                                        with no id, all of them, each
+//!                                        written to results/<id>.json
 //! cllm insights                          check the paper's 12 insights
 //! cllm deploy [--platform P]             attest + generate a demo completion
 //! cllm estimate [--platform P] [...]     predict perf for a request shape
@@ -27,8 +29,11 @@
 //!                                        timeline as Chrome trace-event JSON
 //! ```
 
-use cllm_core::experiments::{all_experiments, fig12, run_by_id, trace_by_id, TRACEABLE};
+use cllm_core::experiments::{
+    all_experiments, fig12, run_by_id, trace_by_id, ExperimentEntry, ExperimentResult, TRACEABLE,
+};
 use cllm_core::pipeline::{ConfidentialPipeline, DeploymentSpec};
+use cllm_core::runner::{run_entries_profiled, ExperimentError};
 use cllm_core::scenario::{CpuScenario, GpuScenario};
 use cllm_cost::SpillPenalty;
 use cllm_cost::{cheapest_point, cost_advantage_pct, SOCKET_MEMORY_GIB};
@@ -51,6 +56,8 @@ use cllm_workload::kv::kv_bytes_total;
 use cllm_workload::phase::RequestSpec;
 use cllm_workload::trace::{Tier, TrafficModel};
 use std::collections::HashMap;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -156,7 +163,9 @@ fn cmd_experiment(id: &str, flags: &HashMap<String, String>) -> ExitCode {
 fn print_usage() {
     eprintln!(
         "cllm — confidential LLM inference toolkit\n\n\
-         usage:\n  cllm figures [id]                 regenerate paper tables/figures\n  \
+         usage:\n  cllm figures [id]                 regenerate paper tables/figures; with no id,\n\
+         \x20                                   all of them, each written to results/<id>.json\n\
+         \x20                                   (CLLM_RESULTS_DIR overrides the directory)\n  \
          cllm insights                     check the paper's 12 insights\n  \
          cllm deploy [--platform P]        attest an enclave and run a demo completion\n  \
          cllm estimate [--platform P] [--dtype bf16|int8] [--batch N] [--input N] [--output N]\n  \
@@ -274,31 +283,64 @@ fn cmd_figures(id: Option<&String>, flags: &HashMap<String, String>) -> ExitCode
     match id {
         Some(id) => cmd_experiment(id, flags),
         None => {
-            // Full sweep: fan out over the parallel runner; tables still
-            // print in paper order. Profiles (wall time + cache hits) go
-            // to stderr only — they are host-dependent and must never
-            // land in a golden.
-            let workers = cllm_core::runner::default_workers();
-            let entries = all_experiments();
-            let mut failed = false;
-            for (_, outcome, profile) in cllm_core::runner::run_entries_profiled(&entries, workers)
-            {
-                match outcome {
-                    Ok(result) => println!("{}", result.render()),
-                    Err(e) => {
-                        failed = true;
-                        eprintln!("{e}");
-                    }
-                }
-                eprintln!("profile: {}", profile.render());
-            }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+            let dir = results_dir(std::env::var_os("CLLM_RESULTS_DIR"));
+            exit_for(&sweep(&all_experiments(), &dir))
         }
     }
+}
+
+/// Directory `cllm figures` writes results JSON to: `override_dir` (the
+/// `CLLM_RESULTS_DIR` environment variable) when set and non-empty, else
+/// `results/` at the repository root.
+fn results_dir(override_dir: Option<OsString>) -> PathBuf {
+    match override_dir {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+        _ => Path::new(env!("CARGO_MANIFEST_DIR")).join("results"),
+    }
+}
+
+/// Run `entries` in order, printing each table and writing each healthy
+/// result to `<dir>/<id>.json`. Profiles (wall time and cache hits) go
+/// to stderr only: they are host-dependent and must never land in a
+/// committed result. A panicking entry costs only its own table; the
+/// failures come back in registry order.
+fn sweep(entries: &[ExperimentEntry], dir: &Path) -> Vec<ExperimentError> {
+    let mut failures = Vec::new();
+    for (_, outcome, profile) in run_entries_profiled(entries) {
+        match outcome {
+            Ok(result) => {
+                println!("{}", result.render());
+                if let Err(e) = persist(&result, dir) {
+                    eprintln!("warning: could not write results JSON: {e}");
+                }
+            }
+            Err(e) => failures.push(e),
+        }
+        eprintln!("profile: {}", profile.render());
+    }
+    failures
+}
+
+/// Write one result's JSON to `<dir>/<id>.json`.
+fn persist(result: &ExperimentResult, dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let json = serde_json::to_string_pretty(result.to_json())?;
+    std::fs::write(dir.join(format!("{}.json", result.id)), json)
+}
+
+/// Exit 1 naming every failed experiment, 0 when there is none.
+fn exit_for(failures: &[ExperimentError]) -> ExitCode {
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "\n{} experiment(s) FAILED (healthy results still written):",
+        failures.len()
+    );
+    for f in failures {
+        eprintln!("  - {f}");
+    }
+    ExitCode::FAILURE
 }
 
 fn cmd_insights() -> ExitCode {
@@ -559,8 +601,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 /// invariant registry. Any violation is delta-debug-shrunken to a
 /// minimal repro and written as JSON (to DIR, or printed). The final
 /// summary line folds every report digest, so two invocations with the
-/// same seeds must print byte-identical output on any machine or
-/// `CLLM_RUNNER_THREADS` setting.
+/// same seeds must print byte-identical output on any machine.
 ///
 /// Replay mode (`--repro FILE`): parse a repro file and demand the
 /// recorded digest and violations byte-for-byte.
@@ -932,5 +973,58 @@ fn cmd_serve_cluster(
             invariants::describe(&violations)
         );
         Ok(ExitCode::FAILURE)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn results_dir_defaults_to_the_repository_and_honors_the_override() {
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+        assert_eq!(results_dir(None), repo);
+        assert_eq!(results_dir(Some(OsString::new())), repo);
+        let alt = Path::new("/elsewhere/results");
+        assert_eq!(results_dir(Some(alt.into())), alt);
+    }
+
+    fn failing_stub() -> ExperimentResult {
+        panic!("intentionally failing stub")
+    }
+
+    #[test]
+    fn sweep_writes_every_healthy_result_and_names_the_failure() {
+        let dir = std::env::temp_dir().join(format!("cllm-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let healthy: Vec<ExperimentEntry> = all_experiments()
+            .into_iter()
+            .filter(|(id, _)| ["fig1", "table1"].contains(id))
+            .collect();
+        let entries = [healthy[0], ("__failing_stub", failing_stub), healthy[1]];
+
+        let failures = sweep(&entries, &dir);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].to_string().contains("__failing_stub"));
+        assert_eq!(exit_for(&failures), ExitCode::FAILURE);
+        assert_eq!(exit_for(&[]), ExitCode::SUCCESS);
+
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .expect("results dir created")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        written.sort();
+        assert_eq!(written, ["fig1.json", "table1.json"]);
+        for (id, run) in healthy {
+            let on_disk = std::fs::read_to_string(dir.join(format!("{id}.json"))).expect(id);
+            let fresh = serde_json::to_string_pretty(run().to_json()).expect("serializes");
+            assert_eq!(on_disk, fresh, "{id}");
+        }
+        std::fs::remove_dir_all(&dir).expect("temp dir removed");
     }
 }

@@ -1,13 +1,12 @@
-//! End-to-end CLI checks for `cllm chaos`: the search is a pure
-//! function of its seeds (byte-identical stdout regardless of
-//! `CLLM_RUNNER_THREADS`), and the repro path replays corpus files.
+//! End-to-end CLI checks for `cllm chaos`: the search over a pinned
+//! seed budget finds no violation and folds to a pinned digest, and the
+//! repro path replays corpus files.
 
 use std::process::Command;
 
-fn chaos_stdout(threads: &str, extra: &[&str]) -> (String, bool) {
+fn chaos_stdout(args: &[&str]) -> (String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_cllm"))
-        .args(extra)
-        .env("CLLM_RUNNER_THREADS", threads)
+        .args(args)
         .output()
         .expect("cllm runs");
     (
@@ -23,11 +22,9 @@ fn chaos_stdout(threads: &str, extra: &[&str]) -> (String, bool) {
 const DIGEST_48: &str = "1dc0f4dcd3da29be";
 
 #[test]
-fn chaos_search_is_thread_invariant_and_clean() {
-    let (one, ok1) = chaos_stdout("1", &["chaos", "--seeds", "48"]);
-    let (eight, ok8) = chaos_stdout("8", &["chaos", "--seeds", "48"]);
-    assert!(ok1 && ok8, "pinned seed budget must find no violations");
-    assert_eq!(one, eight, "chaos output must not depend on thread count");
+fn chaos_search_is_clean_and_matches_its_pinned_digest() {
+    let (one, ok) = chaos_stdout(&["chaos", "--seeds", "48"]);
+    assert!(ok, "pinned seed budget must find no violations");
     assert!(
         one.contains("0 violation(s)"),
         "summary line reports zero violations: {one}"
@@ -44,7 +41,7 @@ fn chaos_repro_flag_replays_the_corpus() {
         "{}/tests/chaos_corpus/planted-forbid-aborts.json",
         env!("CARGO_MANIFEST_DIR")
     );
-    let (out, ok) = chaos_stdout("1", &["chaos", "--repro", &path]);
+    let (out, ok) = chaos_stdout(&["chaos", "--repro", &path]);
     assert!(ok, "corpus repro must replay cleanly: {out}");
     assert!(
         out.contains("repro        : ok"),

@@ -1,8 +1,10 @@
-//! The single-experiment CLI paths: `cllm figures <id>` and `cllm <id>`
-//! run the same code, an unknown id is a usage error listing the
-//! registry, `cllm insights` confirms all 12 insights, DESIGN.md's
-//! experiment index names exactly the registered ids, and README's list
-//! of runnable examples names exactly the files in `examples/`.
+//! The experiment CLI paths: `cllm figures` writes every registered
+//! result byte-identical to the committed `results/`, `cllm figures <id>`
+//! and `cllm <id>` run the same code, an unknown id is a usage error
+//! listing the registry, `cllm insights` confirms all 12 insights,
+//! DESIGN.md's experiment index names exactly the registered ids, and
+//! README's list of runnable examples names exactly the files in
+//! `examples/`.
 
 use confidential_llms_in_tees::core::experiments::all_experiments;
 use std::collections::BTreeSet;
@@ -13,6 +15,41 @@ fn cllm(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("cllm runs")
+}
+
+#[test]
+fn figures_writes_every_registered_result_as_committed() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures-results");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_cllm"))
+        .arg("figures")
+        .env("CLLM_RESULTS_DIR", &dir)
+        .output()
+        .expect("cllm runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("results dir written")
+        .map(|entry| {
+            let name = entry.expect("results entry").file_name();
+            name.to_string_lossy().into_owned()
+        })
+        .collect();
+    let registered: BTreeSet<String> = all_experiments()
+        .iter()
+        .map(|(id, _)| format!("{id}.json"))
+        .collect();
+    assert_eq!(written, registered);
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for name in &written {
+        let fresh = std::fs::read(dir.join(name)).expect("fresh result reads");
+        let pinned = std::fs::read(committed.join(name)).expect("committed result reads");
+        assert!(fresh == pinned, "{name} differs from results/{name}");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp results removed");
 }
 
 #[test]

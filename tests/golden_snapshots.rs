@@ -1,17 +1,14 @@
-//! Golden-snapshot test: the committed JSON under `tests/golden/` pins
-//! the exact serialized output (schema_version 2) of all 30 experiments.
+//! Golden-snapshot test: the committed JSON under `results/` pins the
+//! exact serialized output (schema_version 2) of all 30 experiments.
 //! Any drift — a changed simulation, column, precision, or schema field —
 //! fails here with the experiment id, so table changes are always a
 //! reviewed diff, never an accident. Regenerate with
-//! `cargo run --release -p cllm-bench --bin all_figures` and
-//! `cp results/*.json tests/golden/` after a deliberate change.
+//! `cargo run --release --bin cllm -- figures` after a deliberate change.
 
 use confidential_llms_in_tees::core::experiments;
 
 fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results")
 }
 
 #[test]
@@ -28,9 +25,9 @@ fn all_experiments_match_golden_snapshots() {
     }
     assert!(
         drifted.is_empty(),
-        "experiments drifted from tests/golden/: {drifted:?}\n\
+        "experiments drifted from results/: {drifted:?}\n\
          If the change is intentional, regenerate with\n\
-         `cargo run --release -p cllm-bench --bin all_figures && cp results/*.json tests/golden/`"
+         `cargo run --release --bin cllm -- figures`"
     );
 }
 
@@ -57,7 +54,7 @@ fn goldens_carry_schema_version_and_raw_rows() {
 
 #[test]
 fn no_golden_snapshot_is_orphaned() {
-    // Every file in tests/golden/ must correspond to a registered
+    // Every JSON file in results/ must correspond to a registered
     // experiment — stale snapshots would silently stop being checked.
     let ids: Vec<&str> = experiments::all_experiments()
         .iter()
@@ -66,8 +63,11 @@ fn no_golden_snapshot_is_orphaned() {
     for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy();
+        if name == "README.md" {
+            continue;
+        }
         let Some(stem) = name.strip_suffix(".json") else {
-            panic!("non-JSON file in tests/golden/: {name}");
+            panic!("non-JSON file in results/: {name}");
         };
         assert!(ids.contains(&stem), "orphaned golden snapshot: {name}");
     }
